@@ -161,13 +161,15 @@ def _write_manifest(out, command, cfg_hash, seed, files):
 
 
 def _pool_map(fn, items, jobs):
+    """Yield fn(item) for every item, in input order, as results arrive."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     chunk = max(1, len(items) // (4 * jobs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        yield from pool.map(fn, items, chunksize=chunk)
 
 
 def _grid_from_points(points):
@@ -248,7 +250,7 @@ def _cmd_synth(ns):
     tasks = [(fam, s, d, f0, span, fstep, sigma, _point_seed(seed, k),
               cfg_hash, out)
              for k, (s, d) in enumerate(points)]
-    files = _pool_map(_synth_task, tasks, ns.jobs)
+    files = list(_pool_map(_synth_task, tasks, ns.jobs))
     sidecars = [os.path.splitext(f)[0] + ".json" for f in files]
     _write_manifest(out, "synth", cfg_hash, seed, files + sidecars)
     print(f"wrote {len(files)} spectra to {out} "
@@ -350,6 +352,8 @@ def _cmd_fit(ns):
                 "max_failures": max_failures, "out": out}
     cfg_hash = _config_hash(resolved)
 
+    # each *_fit.json is written as its result arrives, so an interrupted
+    # run keeps the fits it finished; the summary is assembled at the end
     results = _pool_map(_fit_task,
                         [(s, d, p, mask, cfg) for s, d, p in inputs],
                         ns.jobs)
@@ -649,7 +653,8 @@ def _build_parser():
     p.add_argument("--in", dest="indir", help="directory of spectra")
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--mask", help="channels to fit, e.g. S11 or S11,S22")
-    p.add_argument("--n-starts", type=int, help="restarts per fit (default 8)")
+    p.add_argument("--n-starts", type=int,
+                   help="at most this many starts per fit (default 8)")
     p.add_argument("--seed", type=int, help="fit RNG seed (default 0)")
     p.add_argument("--max-failures", type=float,
                    help="acceptable failure fraction (default 0.2)")

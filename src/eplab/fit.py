@@ -14,12 +14,20 @@ dissipative block is reconstructed for the returned CouplingSet after the
 fit.
 
 The optimizer is a damped least-squares loop (Levenberg-Marquardt with
-Marquardt diagonal scaling and the Nielsen lambda update) over a forward-
-difference Jacobian; all 13 model evaluations of a Jacobian run as one
-vectorized kernel call. The model has an exact one-parameter gauge freedom
-(a common real orthogonal rotation of levels and couplings), so the
-curvature matrix is singular along that direction; damping regularizes it
-and the gauge is fixed after convergence, not during.
+Marquardt diagonal scaling and the Nielsen lambda update) over the analytic
+Jacobian of the resolvent model, computed from one resolvent per frequency.
+A trial step that moves a pole out of the frequency window or makes it
+amplifying (Im E > 0) is rejected like a cost increase, so the damping
+grows; a start whose steps only shrink to nothing because of such
+rejections ends as a runaway, not as converged. The model has an exact
+one-parameter gauge freedom (a common real orthogonal rotation of levels
+and couplings), so the curvature matrix is singular along that direction;
+damping regularizes it and the gauge is fixed after convergence, not during.
+
+Starts run in a fixed order and stop early once one start reaches
+EARLY_EXIT_RMS, or once a converged start repeats the rms of an earlier
+converged start to RMS_AGREEMENT: with noise the exact exit can never fire,
+and two starts agreeing on the rms have found the same minimum.
 
 Post-fit canonicalization: gauge-fix the matrix, rotate W along, then pick
 the representative with |W00| >= |W01| and W00, W11 >= 0 (column swap plus
@@ -30,6 +38,7 @@ random gauge copy.
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -54,8 +63,23 @@ N_PARAMS = 12
 POLE_SENTINEL = 1.0e6
 # a start this good is accepted immediately and remaining starts are skipped
 EARLY_EXIT_RMS = 1.0e-9
+# a converged start whose rms matches an earlier converged start's to this
+# relative tolerance has found the same minimum; remaining starts are skipped
+RMS_AGREEMENT = 1.0e-9
 
 CHANNEL_NAMES = ("S11", "S12", "S21", "S22")
+
+
+class Termination(Enum):
+    """How one Levenberg-Marquardt start ended; only CONVERGED is truthy."""
+
+    CONVERGED = "converged"
+    RUNAWAY = "runaway"
+    MAX_ITERATIONS = "max_iterations"
+    DAMPING_OVERFLOW = "damping_overflow"
+
+    def __bool__(self):
+        return self is Termination.CONVERGED
 
 
 @dataclass(frozen=True)
@@ -63,7 +87,7 @@ class FitConfig:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-10
     step_tolerance: float = 1e-13
-    n_starts: int = 8
+    n_starts: int = 8           # at most; starts stop early, see fit_spectrum
     damping_init: float = 1e-3
     seed: int = 0
 
@@ -86,6 +110,9 @@ class FitResult:
     converged: bool
     covariance_proxy: np.ndarray = field(repr=False)
     iterations: int = 0
+    starts_run: int = 0
+    # starts per Termination value, every reason present, in enum order
+    terminations: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         d = self.ham.to_json_dict()
@@ -95,6 +122,8 @@ class FitResult:
         d["converged"] = bool(self.converged)
         d["covariance_proxy"] = list(self.covariance_proxy)
         d["iterations"] = int(self.iterations)
+        d["starts_run"] = int(self.starts_run)
+        d["terminations"] = dict(self.terminations)
         return d
 
 
@@ -181,36 +210,93 @@ def residual_vector(params, spec, mask=None):
     return _residual_matrix(p[None, :], spec, include)[0]
 
 
-def _jacobian(params, spec, include, base_residual):
-    """Forward-difference Jacobian, one batched kernel call for all columns."""
-    steps = 1e-7 * (np.abs(params) + 1.0)
-    pmat = np.repeat(params[None, :], N_PARAMS, axis=0)
-    pmat[np.arange(N_PARAMS), np.arange(N_PARAMS)] += steps
-    shifted = _residual_matrix(pmat, spec, include)
-    return (shifted - base_residual[None, :]).T / steps[None, :]
+# (a, b) index pairs of S11, S12, S21, S22; also (c, i) of W00, W01, W10, W11
+_INDEX_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_ROW_A = np.array([a for a, _ in _INDEX_PAIRS])
+_ROW_B = np.array([b for _, b in _INDEX_PAIRS])
+
+
+def _jacobian(params, spec, include):
+    """Analytic Jacobian of the residual rows, shape (8n, 12).
+
+    With G = (f - H)^-1 the model is S = 1 - 2 pi i W G W^T, so a change dH
+    moves S by -2 pi i (W G) dH (G W^T). The model is holomorphic in e1, e2,
+    h1 and h2, so each imaginary-part column is i times its real-part
+    column. A change of W_ci moves (W G W^T)_ab by
+    delta_ac (G W^T)_ib + delta_bc (W G)_ai. Masked channels give zero rows.
+    """
+    e1, e2, h1, h2 = (complex(params[k], params[k + 1]) for k in (0, 2, 4, 6))
+    w = params[8:].reshape(2, 2)
+    a00 = spec.freqs - e1
+    a11 = spec.freqs - e2
+    m12 = h1 - 1j * h2
+    m21 = h1 + 1j * h2
+    det = a00 * a11 - m12 * m21
+    if np.any(det == 0):
+        raise PoleOnGridError("resolvent pole hit a grid frequency exactly")
+    g = ((a11 / det, m12 / det), (m21 / det, a00 / det))
+    # (n, 4) over the channels (a, b): A[i] = (W G)_ai and B[j] = (G W^T)_jb
+    A = [g[0][i][:, None] * w[_ROW_A, 0] + g[1][i][:, None] * w[_ROW_A, 1]
+         for i in range(2)]
+    B = [g[j][0][:, None] * w[_ROW_B, 0] + g[j][1][:, None] * w[_ROW_B, 1]
+         for j in range(2)]
+    factor = -2j * math.pi * include     # zero on masked channels
+    n = spec.n_points
+    out = np.empty((N_PARAMS, n, 4, 2))
+    z = out.view(complex)[..., 0]        # column k as (n, 4) complex rows
+    z[0] = factor * (A[0] * B[0])
+    z[2] = factor * (A[1] * B[1])
+    z[4] = factor * (A[0] * B[1] + A[1] * B[0])
+    z[6] = factor * (1j * (A[1] * B[0] - A[0] * B[1]))
+    z[1:8:2] = 1j * z[0:8:2]
+    for k, (c, i) in enumerate(_INDEX_PAIRS, start=8):      # W_ci
+        z[k] = factor * ((_ROW_A == c) * B[i] + (_ROW_B == c) * A[i])
+    return out.reshape(N_PARAMS, 8 * n).T
+
+
+def _poles_physical(params, f_lo, f_hi):
+    """Both poles inside [f_lo, f_hi] and neither amplifying (Im E <= 0)."""
+    if not np.all(np.isfinite(params)):
+        return False
+    return all(f_lo <= e.real <= f_hi and e.imag <= 0.0
+               for e in eigenvalues_sorted(unpack_params(params)[0]))
 
 
 def _levenberg_marquardt(p0, spec, include, cfg):
-    """Damped least squares; cost is monotone over accepted steps."""
+    """Damped least squares; cost is monotone over accepted steps.
+
+    Returns (params, rms, stop, iterations, jtj_diag, costs), where stop is
+    the Termination of this start. Trial steps with unphysical poles are
+    rejected like cost increases; if the step then shrinks below the step
+    tolerance, the start is pinned at the physical boundary and ends as a
+    runaway.
+    """
+    f_lo, f_hi = float(spec.freqs[0]), float(spec.freqs[-1])
     p = np.array(p0, dtype=float)
     r = _residual_matrix(p[None, :], spec, include)[0]
     cost = 0.5 * float(r @ r)
     costs = [cost]
     lam = cfg.damping_init
     nu = 2.0
-    converged = False
+    stop = Termination.MAX_ITERATIONS
     it = 0
     jtj_diag = None
     for it in range(1, cfg.max_iterations + 1):
-        jac = _jacobian(p, spec, include, r)
+        try:
+            jac = _jacobian(p, spec, include)
+        except PoleOnGridError:
+            # a lossless pole on a grid frequency: the physical boundary
+            stop = Termination.RUNAWAY
+            break
         jtj = jac.T @ jac
         jtj_diag = np.diag(jtj).copy()
         grad = jac.T @ r
         if np.max(np.abs(grad)) < cfg.gradient_tolerance:
-            converged = True
+            stop = Termination.CONVERGED
             break
         scale = np.maximum(jtj_diag, 1e-12)
         accepted = False
+        blocked = False          # a trial of this iteration was unphysical
         while lam < 1e14:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(scale), -grad)
@@ -220,27 +306,31 @@ def _levenberg_marquardt(p0, spec, include, cfg):
                 continue
             if np.linalg.norm(step) < cfg.step_tolerance * (
                     np.linalg.norm(p) + cfg.step_tolerance):
-                converged = True
-                accepted = True
+                stop = Termination.RUNAWAY if blocked else Termination.CONVERGED
                 break
             trial = p + step
-            r_trial = _residual_matrix(trial[None, :], spec, include)[0]
-            cost_trial = 0.5 * float(r_trial @ r_trial)
-            predicted = 0.5 * float(step @ (lam * scale * step - grad))
-            rho = (cost - cost_trial) / predicted if predicted > 0 else -1.0
-            if cost_trial < cost and rho > 0:
-                p, r, cost = trial, r_trial, cost_trial
-                costs.append(cost)
-                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu = 2.0
-                accepted = True
-                break
+            if _poles_physical(trial, f_lo, f_hi):
+                r_trial = _residual_matrix(trial[None, :], spec, include)[0]
+                cost_trial = 0.5 * float(r_trial @ r_trial)
+                predicted = 0.5 * float(step @ (lam * scale * step - grad))
+                rho = (cost - cost_trial) / predicted if predicted > 0 else -1.0
+                if cost_trial < cost and rho > 0:
+                    p, r, cost = trial, r_trial, cost_trial
+                    costs.append(cost)
+                    lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                    nu = 2.0
+                    accepted = True
+                    break
+            else:
+                blocked = True
             lam *= nu
             nu *= 2.0
-        if not accepted or converged:
+        else:                    # the damping ran out before any step
+            stop = Termination.DAMPING_OVERFLOW
+        if not accepted:
             break
     rms = math.sqrt(2.0 * cost / r.size)
-    return p, rms, converged, it, jtj_diag, costs
+    return p, rms, stop, it, jtj_diag, costs
 
 
 # -------------------------------------------------------------------- seeding
@@ -428,9 +518,13 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
     """Fit the two-level model to a spectrum.
 
     init may be a FitResult or a packed parameter vector; without it the
-    dip-picking seed is used. Raises InsufficientSpanError when the grid
-    does not cover 4x both seeded widths, NonConvergenceError (carrying the
-    best residual) when no start converges.
+    dip-picking seed is used. At most cfg.n_starts starts run, in a fixed
+    order: the loop stops after a start below EARLY_EXIT_RMS, or after a
+    converged start whose rms matches an earlier converged start's to
+    RMS_AGREEMENT. Raises InsufficientSpanError when the grid does not
+    cover 4x both seeded widths, NonConvergenceError (carrying the best
+    residual and the starts per termination reason) when no start
+    converges.
     """
     cfg = cfg or FitConfig()
     include = _channel_row_mask(mask)
@@ -453,20 +547,33 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
 
     rng = np.random.default_rng(cfg.seed)
     best = None
+    converged_rms = []
+    counts = dict.fromkeys(Termination, 0)
     for start in _scatter_starts(p0, cfg.n_starts, rng):
-        p, rms, ok, iters, jtj_diag, _ = _levenberg_marquardt(
+        p, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
             start, spec, include, cfg)
+        counts[stop] += 1
+        ok = bool(stop)
         if best is None or (ok and not best[2]) or (
                 ok == best[2] and rms < best[1]):
             best = (p, rms, ok, iters, jtj_diag)
         if best[2] and best[1] < EARLY_EXIT_RMS:
             break
+        if ok:
+            if any(abs(rms - prev) <= RMS_AGREEMENT * prev
+                   for prev in converged_rms):
+                break
+            converged_rms.append(rms)
 
     p, rms, ok, iters, jtj_diag = best
+    starts_run = sum(counts.values())
+    terminations = {stop.value: n for stop, n in counts.items()}
     if not ok:
+        tally = ", ".join(f"{n} {reason}" for reason, n in terminations.items())
         raise NonConvergenceError(
             f"no start converged within {cfg.max_iterations} iterations "
-            f"(best residual rms {rms:.3e})", best_rms=rms)
+            f"(best residual rms {rms:.3e}; {starts_run} starts run: {tally})",
+            best_rms=rms)
 
     ham_raw, w_raw = unpack_params(p)
     ham, w_ant = _canonicalize(ham_raw, w_raw)
@@ -478,6 +585,8 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
         converged=True,
         covariance_proxy=jtj_diag,
         iterations=iters,
+        starts_run=starts_run,
+        terminations=terminations,
     )
 
 

@@ -6,12 +6,14 @@ module entry point works. Fits use --n-starts 2 to keep the suite quick.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import eplab.cli
 from eplab import load_family
 from eplab.cli import main
 from eplab.core import eigenvalues_sorted
@@ -244,6 +246,27 @@ def test_fit_failure_threshold_sets_exit_code(tmp_path):
     assert summary.n_failed == 1
     assert main(["fit", str(flat), "--max-failures", "1.0",
                  "--out", str(out)]) == 0
+
+
+def test_fit_writes_each_result_as_it_arrives(dataset, tmp_path,
+                                              monkeypatch):
+    real_task = eplab.cli._fit_task
+    seen = []
+
+    def interrupted_on_third(args):
+        seen.append(os.path.basename(args[2]))
+        if len(seen) == 3:
+            raise KeyboardInterrupt
+        return real_task(args)
+
+    monkeypatch.setattr(eplab.cli, "_fit_task", interrupted_on_third)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fit", "--in", str(dataset), "--n-starts", "2", "--jobs", "1",
+              "--out", str(tmp_path)])
+    written = sorted(p.name for p in tmp_path.glob("*_fit.json"))
+    assert written == sorted(os.path.splitext(name)[0] + "_fit.json"
+                             for name in seen[:2])
+    assert not (tmp_path / "summary.csv").exists()
 
 
 # ------------------------------------------------------------------ analyze

@@ -5,11 +5,14 @@ family parameters are one gauge copy out of a continuum, and the fitter is
 contractually allowed to return only the canonical representative.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eplab import (
     CouplingSet,
@@ -34,11 +37,15 @@ from eplab.errors import (
 from eplab.fit import (
     FitConfig,
     FitResult,
+    CHANNEL_NAMES,
     N_PARAMS,
     POLE_SENTINEL,
+    Termination,
     _canonicalize,
+    _jacobian,
     _levenberg_marquardt,
     _channel_row_mask,
+    _residual_matrix,
     fit_spectrum,
     fitted_eigenvalues,
     pack_params,
@@ -59,8 +66,12 @@ def family_spectrum(name, s, delta, noise=None):
 
 def truth_params(fam, s, delta):
     """Packed parameter vector that reproduces the spectrum bit-exactly."""
-    eff = effective_hamiltonian(fam.internal_at(s, delta), fam.coupling)
-    return pack_params(eff, fam.coupling.antenna)
+    return truth_params_of(fam.internal_at(s, delta), fam.coupling)
+
+
+def truth_params_of(ham, coupling):
+    eff = effective_hamiltonian(ham, coupling)
+    return pack_params(eff, coupling.antenna)
 
 
 def canonical_truth(fam, s, delta):
@@ -131,6 +142,42 @@ def test_residual_pole_on_grid_returns_sentinel():
     r = residual_vector(p, spec)
     assert np.all(np.isfinite(r))
     assert np.all(r == POLE_SENTINEL)
+
+
+ALL_MASKS = [names for k in range(1, 5)
+             for names in itertools.combinations(CHANNEL_NAMES, k)]
+
+
+def central_difference_jacobian(params, spec, include):
+    """(8n, 12) reference from one batched residual call of 24 rows."""
+    steps = 1e-7 * (np.abs(params) + 1.0)
+    pmat = np.repeat(params[None, :], 2 * N_PARAMS, axis=0)
+    cols = np.arange(N_PARAMS)
+    pmat[2 * cols, cols] += steps
+    pmat[2 * cols + 1, cols] -= steps
+    r = _residual_matrix(pmat, spec, include)
+    return ((r[0::2] - r[1::2]) / (2.0 * steps[:, None])).T
+
+
+@settings(max_examples=8, deadline=None)
+@given(s=st.floats(1.52, 1.92), delta=st.floats(41.58, 41.98),
+       kick=st.lists(st.floats(-1.0, 1.0), min_size=N_PARAMS,
+                     max_size=N_PARAMS))
+def test_jacobian_matches_central_differences(s, delta, kick):
+    fam, spec = family_spectrum("b38", s, delta)
+    # within a few widths of a b38 point: levels by 0.05 MHz, W by 2%
+    p = truth_params(fam, s, delta)
+    p[:8] += 0.05 * np.asarray(kick[:8])
+    p[8:] *= 1.0 + 0.02 * np.asarray(kick[8:])
+    for mask in ALL_MASKS:
+        include = _channel_row_mask(mask)
+        jac = _jacobian(p, spec, include)
+        ref = central_difference_jacobian(p, spec, include)
+        assert jac.shape == (8 * spec.n_points, N_PARAMS)
+        col_scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(jac - ref), axis=0) <= 1e-5 * col_scale)
+        rows = jac.reshape(spec.n_points, 4, 2, N_PARAMS)
+        assert np.all(rows[:, ~include] == 0.0)
 
 
 def test_residual_rejects_bad_shapes():
@@ -316,6 +363,50 @@ def test_accepted_costs_never_increase():
     assert np.all(np.diff(costs) <= 0.0)
 
 
+def test_lm_start_pinned_at_window_edge_is_runaway():
+    # the second level sits at 2748 MHz, outside the 2705-2745 MHz window;
+    # a start just inside can only creep toward the edge and stall there
+    ham = EffHamiltonian(2720.0, 2748.0, 0.0, 0.0)
+    _, w = separated_doublet()
+    spec = synth_spectrum(ham, w, *GRID)
+    p0 = truth_params_of(ham, w)
+    p0[2] = 2743.0
+    p, _, stop, _, _, costs = _levenberg_marquardt(
+        p0, spec, _channel_row_mask(None), FitConfig())
+    assert stop is Termination.RUNAWAY
+    assert not stop                      # reads as converged=False
+    assert np.all(np.diff(costs) <= 0.0)
+    poles = eigenvalues_sorted(unpack_params(p)[0])
+    assert all(spec.freqs[0] <= e.real <= spec.freqs[-1] for e in poles)
+    assert all(e.imag <= 0.0 for e in poles)
+
+
+def test_fit_recovers_point_where_first_step_leaves_window():
+    # the seed's first LM step swings a pole far outside the window here;
+    # rejecting that trial, not abandoning the start, leads to the truth
+    point = (1.64, 41.74)
+    fam, spec = family_spectrum("b38", *point)
+    res = fit_spectrum(spec)
+    ham_c, _ = canonical_truth(fam, *point)
+    assert res.converged
+    assert paired_error(fitted_eigenvalues(res),
+                        eigenvalues_sorted(ham_c)) < 1e-3
+
+
+def test_noisy_fit_at_ep_stops_when_two_starts_agree():
+    fam = load_family("b38")
+    spec = synth_spectrum(fam.internal_at(*fam.ep_location), fam.coupling,
+                          *GRID, NoiseSpec(0.005, seed=7))
+    cfg = FitConfig()
+    res = fit_spectrum(spec, cfg)
+    assert res.converged
+    assert res.starts_run < cfg.n_starts
+    assert sum(res.terminations.values()) == res.starts_run
+    # noise keeps the rms far above EARLY_EXIT_RMS, so agreement stopped it
+    assert res.terminations["converged"] >= 2
+    assert abs(res.residual_rms - 0.005) < 0.001
+
+
 def test_fit_reflection_only_mask_converges():
     fam, spec = family_spectrum("b38", *GENERIC)
     res = fit_spectrum(spec, mask=("s11",))
@@ -342,6 +433,11 @@ def test_nonconvergence_reports_best_residual():
         fit_spectrum(spec, cfg)
     assert err.value.best_rms is not None
     assert err.value.best_rms > 0.0
+    message = str(err.value)
+    assert "1 starts run" in message
+    for reason in ("0 converged", "0 runaway", "1 max_iterations",
+                   "0 damping_overflow"):
+        assert reason in message
 
 
 # --------------------------------------------------------- result invariants
@@ -352,8 +448,11 @@ def test_fit_result_serializes_with_stable_keys():
     res = fit_spectrum(spec)
     d = res.to_json_dict()
     for key in ("e1", "e2", "h1", "h2", "W", "tau",
-                "residual_rms", "converged"):
+                "residual_rms", "converged", "starts_run", "terminations"):
         assert key in d
+    assert list(d["terminations"]) == [t.value for t in Termination]
+    assert sum(d["terminations"].values()) == d["starts_run"] >= 1
+    assert d["terminations"]["converged"] >= 1
     assert d["e1"] == [res.ham.e1.real, res.ham.e1.imag]
     assert len(d["W"]) == 4 and len(d["W"][0]) == 2
     json.dumps(d)                        # must be plain JSON types
