@@ -18,6 +18,9 @@ directory; an explicit --out wins, and the directory must already exist.
 
 import argparse
 import concurrent.futures
+import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -25,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .core import eigenvalues_sorted, pt_report, radicand
+from .core import observables, pt_report, radicand
 from .epscan import (
     CurveTrace,
     ParamGrid,
@@ -160,15 +163,77 @@ def _write_manifest(out, command, cfg_hash, seed, files):
     _write_json(os.path.join(out, "manifest.json"), doc)
 
 
+def _openblas_thread_functions():
+    """(get, set) thread-count functions of the OpenBLAS numpy ships with.
+
+    Wheels bundle it under numpy.libs (Linux) or numpy/.dylibs (macOS);
+    other BLAS builds give an empty list.
+    """
+    root = os.path.dirname(np.__file__)
+    paths = sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))
+                   + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+    return found
+
+
+def _pin_blas_thread():
+    """Run OpenBLAS in this process on one thread.
+
+    The thread count is read from the environment when numpy loads, so
+    only the library's setter changes it afterwards. Also the pool
+    initializer: a forked worker inherits the pinned count, but a spawned
+    one starts at OpenBLAS's default.
+    """
+    for _, put in _openblas_thread_functions():
+        put(1)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the count.
+
+    Pool workers share out the cores, so BLAS threads of their own would
+    oversubscribe them; and OpenBLAS sums in an order that depends on its
+    thread count, so one thread everywhere gives the same bits for any
+    --jobs and for fits run in this process.
+    """
+    functions = _openblas_thread_functions()
+    saved = [get() for get, _ in functions]
+    for _, put in functions:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(functions, saved):
+            put(n)
+
+
 def _pool_map(fn, items, jobs):
-    """Yield fn(item) for every item, in input order, as results arrive."""
+    """Yield fn(item) for every item, in input order, as results arrive.
+
+    Each worker pins its BLAS to one thread, as main does for this process.
+    """
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     chunk = max(1, len(items) // (4 * jobs))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_pin_blas_thread) as pool:
         yield from pool.map(fn, items, chunksize=chunk)
 
 
@@ -320,13 +385,13 @@ def _fit_task(args):
     except EplabError as exc:
         return {"name": name, "s": s, "d": d, "ok": False,
                 "reason": type(exc).__name__, "detail": str(exc)}
-    pair = eigenvalues_sorted(res.ham)
-    rad = radicand(res.ham)
+    # the canonical matrix is gauge fixed already; tau is the fit's own
+    obs = observables(res.ham.e1, res.ham.e2, res.ham.h1, res.ham.h2)
     return {
         "name": name, "s": s, "d": d, "ok": True,
-        "row": (pair[0].real, -2.0 * pair[0].imag,
-                pair[1].real, -2.0 * pair[1].imag,
-                rad.reh2, rad.imh2, rad.cross, res.tau),
+        "row": tuple(float(v) for v in (obs.f1, obs.g1, obs.f2, obs.g2,
+                                        obs.reh2, obs.imh2, obs.cross,
+                                        res.tau)),
         "ham": (res.ham.e1, res.ham.e2, res.ham.h1, res.ham.h2),
         "doc": res.to_json_dict(),
     }
@@ -708,7 +773,8 @@ def _build_parser():
 def main(argv=None):
     try:
         ns = _build_parser().parse_args(argv)
-        return ns.handler(ns)
+        with _single_blas_thread():
+            return ns.handler(ns)
     except SystemExit as exc:          # argparse --help
         return EXIT_OK if not exc.code else EXIT_USAGE
     except (UsageError, InvalidArgumentError, OutOfBoundsError) as exc:

@@ -26,6 +26,10 @@ Conventions:
     U(theta) = diag(e^{i theta}, e^{-i theta}). Both act on h as rotations and
     therefore preserve (|Re h|^2, |Im h|^2, Re h . Im h).
 
+One kernel, observables, evaluates the eigenvalues, the radicand split and
+tau of a single matrix or of a whole grid, with the same bits either way;
+eigenvalues, radicand, gauge_fix and extract_tau are views of its stages.
+
 All types are immutable values and all operations are pure functions; they
 are safe to call from any number of workers.
 """
@@ -35,6 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +54,6 @@ from .errors import (
 
 # Default tolerances (MHz^2 scales are relative to reh2+imh2).
 EPS_CROSS = 1e-6     # relative |Re h . Im h| gate for the symmetrizing step
-EPS_PT = 1e-8        # absolute [MHz] target for the normal-form residual
 RATIO_TOL = 1e-6     # allowed deviation of |off-diagonal ratio| from 1
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -203,38 +207,210 @@ class BasisTransform:
         return BasisTransform(self.kind, -self.angle)
 
 
+# --------------------------------------------------------- observables kernel
+#
+# One body evaluates one matrix or a whole grid of them. It works on real and
+# imaginary parts in float64 with real arithmetic and numpy ufuncs, which give
+# a point the same bits alone as inside an array. Complex numpy arithmetic
+# would not: its multiply rounds differently in array and scalar loops.
+
+# failure classes, in the order the chain gauge_fix -> extract_tau meets them
+_FAIL_NONE = 0
+_FAIL_GAUGE = 1          # h is a complex multiple of a real vector
+_FAIL_DENOMINATOR = 2    # h1 - i*h2 = 0
+_FAIL_NOT_FIXED = 3      # |ratio| off 1 beyond the tolerance
+_FAIL_BOUNDARY = 4       # ratio on the negative real axis
+
+_FAILURES = {
+    _FAIL_GAUGE: (DegenerateGaugeError, "gauge angle undefined: Im(h1/h2) "
+                  "and Im(h3/h2) both vanish"),
+    _FAIL_DENOMINATOR: (SingularRatioError, "off-diagonal ratio denominator "
+                        "h1 - i*h2 is zero"),
+    _FAIL_NOT_FIXED: (NotGaugeFixedError, "|ratio| deviates from 1 beyond "
+                      "the tolerance; call gauge_fix first"),
+    _FAIL_BOUNDARY: (SingularRatioError, "ratio on the negative real axis: "
+                     "tau at the excluded boundary +-pi/2"),
+}
+
+
+def _select(cond, a, b):
+    """np.where(cond, a, b); a plain choice for a scalar condition.
+
+    Both pick the same values, so a point keeps its bits, and a one-point
+    call stays cheap.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _raise_failure(code, detail=""):
+    error, message = _FAILURES[int(code)]
+    raise error(message + detail)
+
+
+def _h_parts(e1r, e1i, e2r, e2i, h1r, h1i, h2r, h2i):
+    """Real and imaginary parts of (h1, h2, h3), h3 = (e1 - e2)/2."""
+    return h1r, h1i, h2r, h2i, 0.5 * (e1r - e2r), 0.5 * (e1i - e2i)
+
+
+def _radicand_parts(h1r, h1i, h2r, h2i, h3r, h3i):
+    """|Re h|^2, |Im h|^2 and Re h . Im h."""
+    return (h1r * h1r + h2r * h2r + h3r * h3r,
+            h1i * h1i + h2i * h2i + h3i * h3i,
+            h1r * h1i + h2r * h2i + h3r * h3i)
+
+
+def _eigen_parts(e1r, e1i, e2r, e2i, reh2, imh2, cross):
+    """(Re E1, Im E1, Re E2, Im E2) with E = tr/2 +- sqrt(D).
+
+    sqrt(D) is principal (Re >= 0) and evaluated without cancellation on
+    either side of the imaginary axis; an exactly imaginary root is taken
+    with Im >= 0.
+    """
+    x = reh2 - imh2
+    y = 2.0 * cross
+    t = np.sqrt(0.5 * (np.hypot(x, y) + abs(x)))
+    q = y / _select(t > 0.0, 2.0 * t, 1.0)        # y = 0 wherever t = 0
+    right = x >= 0.0
+    sr = _select(right, t, abs(q))
+    si = _select(right, q, np.copysign(t, y))
+    si = _select(sr == 0.0, abs(si), si)
+    mr = 0.5 * (e1r + e2r)
+    mi = 0.5 * (e1i + e2i)
+    return mr + sr, mi + si, mr - sr, mi - si
+
+
+def _reporting_order(ar, ai, br, bi):
+    """The pair by ascending real part, larger imaginary part first on ties."""
+    swap = (br < ar) | ((br == ar) & (bi > ai))
+    return (_select(swap, br, ar), _select(swap, bi, ai),
+            _select(swap, ar, br), _select(swap, ai, bi))
+
+
+def _gauge_parts(h1r, h1i, h2r, h2i, h3r, h3i):
+    """Gauge rotation: (2*Phi0, degenerate mask, rotated h1, rotated h3).
+
+    Conjugation by O(Phi0) turns (h1, h3) by 2*Phi0 and leaves h2 alone;
+    the angle solves Im(h1' conj h2) = 0 and is folded into (-pi/2, pi/2].
+    With h2 = 0 the angle is 0 and h1 comes back unchanged.
+    """
+    a = h1i * h2r - h1r * h2i                     # Im(h1 conj h2)
+    b = h3i * h2r - h3r * h2i                     # Im(h3 conj h2)
+    degenerate = (a == 0.0) & (b == 0.0) & ((h2r != 0.0) | (h2i != 0.0))
+    two_phi = np.arctan2(a, b)
+    two_phi = _select(two_phi > 0.5 * math.pi, two_phi - math.pi,
+                      _select(two_phi <= -0.5 * math.pi, two_phi + math.pi,
+                              two_phi))
+    c, s = np.cos(two_phi), np.sin(two_phi)
+    return (two_phi, degenerate, (c * h1r - s * h3r, c * h1i - s * h3i),
+            (s * h1r + c * h3r, s * h1i + c * h3i))
+
+
+def _tau_parts(h1r, h1i, h2r, h2i, ratio_tol):
+    """(tau, |ratio|, failure class) of a gauge-fixed matrix.
+
+    ratio = (h1 + i h2)/(h1 - i h2); its phase is read off
+    num * conj(den), so no complex division is needed.
+    """
+    nr, ni = h1r - h2i, h1i + h2r                 # h1 + i*h2
+    dr, di = h1r + h2i, h1i - h2r                 # h1 - i*h2
+    pr = nr * dr + ni * di
+    pim = ni * dr - nr * di
+    den = np.hypot(dr, di)
+    zero = den == 0.0
+    mag = np.hypot(nr, ni) / _select(zero, 1.0, den)
+    failure = _select(
+        zero, _FAIL_DENOMINATOR,
+        _select(abs(mag - 1.0) > ratio_tol, _FAIL_NOT_FIXED,
+                _select((pim == 0.0) & (pr < 0.0), _FAIL_BOUNDARY,
+                        _FAIL_NONE)))
+    return 0.5 * np.arctan2(pim, pr), mag, failure
+
+
+class Observables(NamedTuple):
+    """Per-point output of the observables kernel (arrays or 0-d values).
+
+    (f, g) are frequency and full width of the eigenvalues in reporting
+    order, E = f - i*g/2; tau is NaN where failure is nonzero. failure
+    holds the class of the exception the chain gauge_fix -> extract_tau
+    would raise there, 0 for none.
+    """
+
+    f1: np.ndarray
+    g1: np.ndarray
+    f2: np.ndarray
+    g2: np.ndarray
+    reh2: np.ndarray
+    imh2: np.ndarray
+    cross: np.ndarray
+    tau: np.ndarray
+    failure: np.ndarray
+
+    def reason(self, index=()):
+        """Exception class name of one point's failure, None when it is ok."""
+        code = int(np.asarray(self.failure)[index])
+        return _FAILURES[code][0].__name__ if code else None
+
+    def raise_first_failure(self):
+        """Raise the exception of the first failed point, if there is one."""
+        bad = np.flatnonzero(self.failure)
+        if bad.size:
+            _raise_failure(np.ravel(self.failure)[bad[0]])
+
+
+def observables(e1, e2, h1, h2):
+    """The observables of H = [[e1, h1 - i*h2], [h1 + i*h2, e2]].
+
+    e1, e2, h1, h2 are complex scalars or broadcast-compatible arrays. One
+    point gives the same bits alone as inside any array. The eigenvalues
+    come out in the order of eigenvalues_sorted, the radicand split as in
+    radicand, and tau as extract_tau(gauge_fix(H)[0]).
+    """
+    e1r, e1i, e2r, e2i = np.real(e1), np.imag(e1), np.real(e2), np.imag(e2)
+    h = _h_parts(e1r, e1i, e2r, e2i, np.real(h1), np.imag(h1),
+                 np.real(h2), np.imag(h2))
+    rad = _radicand_parts(*h)
+    ar, ai, br, bi = _reporting_order(*_eigen_parts(e1r, e1i, e2r, e2i, *rad))
+    _, degenerate, (g1r, g1i), _ = _gauge_parts(*h)
+    tau, _, failure = _tau_parts(g1r, g1i, h[2], h[3], RATIO_TOL)
+    failure = _select(degenerate, _FAIL_GAUGE, failure)
+    return Observables(f1=ar, g1=-2.0 * ai, f2=br, g2=-2.0 * bi,
+                       reh2=rad[0], imh2=rad[1], cross=rad[2],
+                       tau=_select(failure == _FAIL_NONE, tau, np.nan),
+                       failure=failure)
+
+
+def _ham_parts(ham):
+    return _h_parts(ham.e1.real, ham.e1.imag, ham.e2.real, ham.e2.imag,
+                    ham.h1.real, ham.h1.imag, ham.h2.real, ham.h2.imag)
+
+
+def _eigen_of(ham):
+    return _eigen_parts(ham.e1.real, ham.e1.imag, ham.e2.real, ham.e2.imag,
+                        *_radicand_parts(*_ham_parts(ham)))
+
+
 def eigenvalues(ham):
     """Eigenvalues via the closed form tr/2 +- sqrt(D).
 
     The square root is principal (Re >= 0); an exactly imaginary result is
     normalized to Im >= 0 so that labeling is deterministic.
     """
-    mean = 0.5 * (ham.e1 + ham.e2)
-    h1, h2, h3 = ham.h1, ham.h2, ham.h3
-    d = h1 * h1 + h2 * h2 + h3 * h3
-    s = cmath.sqrt(d)
-    if s.real == 0.0 and s.imag < 0.0:
-        s = -s
-    return EigenPair(mean + s, mean - s)
+    ar, ai, br, bi = _eigen_of(ham)
+    return EigenPair(complex(ar, ai), complex(br, bi))
 
 
 def eigenvalues_sorted(ham):
     """Eigenvalues in reporting order: ascending real part, then descending
     imaginary part (narrower resonance first on an exact position tie)."""
-    pair = eigenvalues(ham)
-    vals = sorted((pair.E1, pair.E2), key=lambda z: (z.real, -z.imag))
-    return vals[0], vals[1]
+    ar, ai, br, bi = _reporting_order(*_eigen_of(ham))
+    return complex(ar, ai), complex(br, bi)
 
 
 def radicand(ham):
     """Split D into |Re h|^2, |Im h|^2 and Re h . Im h."""
-    r1, r2, r3 = ham.h1.real, ham.h2.real, ham.h3.real
-    i1, i2, i3 = ham.h1.imag, ham.h2.imag, ham.h3.imag
-    return Radicand(
-        reh2=r1 * r1 + r2 * r2 + r3 * r3,
-        imh2=i1 * i1 + i2 * i2 + i3 * i3,
-        cross=r1 * i1 + r2 * i2 + r3 * i3,
-    )
+    return Radicand(*_radicand_parts(*_ham_parts(ham)))
 
 
 def width_offset(ham, offset=None):
@@ -259,15 +435,6 @@ def width_offset(ham, offset=None):
     return EffHamiltonian(ham.e1 + shift, ham.e2 + shift, ham.h1, ham.h2)
 
 
-def _fold_half_pi(t):
-    # fold an atan2 result into (-pi/2, pi/2]; the pi ambiguity of tan(2x)
-    if t > 0.5 * math.pi:
-        t -= math.pi
-    elif t <= -0.5 * math.pi:
-        t += math.pi
-    return t
-
-
 def gauge_fix(ham):
     """Rotate to the basis where the off-diagonal ratio is unimodular.
 
@@ -283,15 +450,14 @@ def gauge_fix(ham):
     """
     if ham.h2 == 0:
         return ham, BasisTransform(TransformKind.GAUGE_O0, 0.0)
-    a = (ham.h1 * ham.h2.conjugate()).imag
-    b = (ham.h3 * ham.h2.conjugate()).imag
-    if a == 0.0 and b == 0.0:
-        raise DegenerateGaugeError(
-            "gauge angle undefined: Im(h1/h2) and Im(h3/h2) both vanish"
-        )
-    two_phi = _fold_half_pi(math.atan2(a, b))
-    transform = BasisTransform(TransformKind.GAUGE_O0, 0.5 * two_phi)
-    return transform.apply(ham), transform
+    two_phi, degenerate, (h1r, h1i), (h3r, h3i) = _gauge_parts(
+        *_ham_parts(ham))
+    if degenerate:
+        _raise_failure(_FAIL_GAUGE)
+    mean = 0.5 * (ham.e1 + ham.e2)
+    h3 = complex(h3r, h3i)
+    fixed = EffHamiltonian(mean + h3, mean - h3, complex(h1r, h1i), ham.h2)
+    return fixed, BasisTransform(TransformKind.GAUGE_O0, 0.5 * float(two_phi))
 
 
 def extract_tau(ham, ratio_tol=RATIO_TOL):
@@ -300,22 +466,13 @@ def extract_tau(ham, ratio_tol=RATIO_TOL):
     The input must already be gauge fixed (ratio modulus within ratio_tol
     of 1). tau = +-pi/4 is maximal time-reversal violation; h2 = 0 gives 0.
     """
-    num = ham.h1 + 1j * ham.h2
-    den = ham.h1 - 1j * ham.h2
-    if den == 0:
-        raise SingularRatioError("off-diagonal ratio denominator h1 - i*h2 is zero")
-    if ham.h2 == 0:
-        return 0.0
-    ratio = num / den
-    if abs(abs(ratio) - 1.0) > ratio_tol:
-        raise NotGaugeFixedError(
-            f"|ratio| = {abs(ratio):.9g} deviates from 1 beyond {ratio_tol:g}; "
-            "call gauge_fix first"
-        )
-    if ratio.imag == 0.0 and ratio.real < 0.0:
-        raise SingularRatioError("ratio on the negative real axis: tau at the "
-                                 "excluded boundary +-pi/2")
-    return 0.5 * cmath.phase(ratio)
+    tau, mag, failure = _tau_parts(ham.h1.real, ham.h1.imag,
+                                   ham.h2.real, ham.h2.imag, ratio_tol)
+    if failure:
+        detail = (f" (|ratio| = {float(mag):.9g}, tolerance {ratio_tol:g})"
+                  if failure == _FAIL_NOT_FIXED else "")
+        _raise_failure(failure, detail)
+    return float(tau)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ status reason. Curve and braid traces serialize to JSON. All files start
 with a schema tag so readers can reject foreign content.
 """
 
-import csv
 import enum
 import json
 import math
@@ -33,15 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    EffHamiltonian,
-    Radicand,
-    eigenvalues,
-    eigenvalues_sorted,
-    extract_tau,
-    gauge_fix,
-    radicand,
-)
+from .core import EffHamiltonian, eigenvalues, observables, radicand
 from .errors import (
     DataError,
     EPOutsideWindowError,
@@ -54,7 +45,7 @@ from .errors import (
     ScanQualityError,
 )
 from .fit import FitConfig, fit_spectrum
-from .synth import SyntheticFamily, read_spectrum
+from .synth import SyntheticFamily, _write_rows, read_spectrum
 
 SCAN_SCHEMA = "eplab.scan.v1"
 CURVE_SCHEMA = "eplab.curve.v1"
@@ -62,6 +53,8 @@ BRAID_SCHEMA = "eplab.braid.v1"
 
 SCAN_COLUMNS = ("s_mm", "delta_mm", "f1", "g1", "f2", "g2",
                 "reh2", "imh2", "cross", "tau", "status")
+_OBSERVABLES = SCAN_COLUMNS[2:10]
+_MATRICES = ("e1", "e2", "h1", "h2")
 
 # relative |cross| tolerance for accepting a contour point
 EPSILON_CURVE_EXACT = 1e-9      # closed-form family evaluations
@@ -209,21 +202,23 @@ class ScanResult:
         return out
 
     def write_csv(self, path, config_hash=None):
-        s_vals, d_vals = self.grid.s_values, self.grid.delta_values
+        n_s, n_d = self.grid.shape
+        status = np.full(self.ok.size, "ok", dtype=object)
+        for i, j in np.argwhere(~self.ok):
+            status[i * n_d + j] = "failed:" + self.reasons.get(
+                (int(i), int(j)), "unknown")
+        # each coordinate repeats along the grid: format it once
+        s_text, d_text = (np.array(["%.17g" % v for v in values], dtype=object)
+                          for values in (self.grid.s_values,
+                                         self.grid.delta_values))
+        columns = [np.repeat(s_text, n_d), np.tile(d_text, n_s)]
+        columns += [getattr(self, name).ravel() for name in _OBSERVABLES]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# schema={SCAN_SCHEMA}\n")
             if config_hash is not None:
                 fh.write(f"# config_hash={config_hash}\n")
             fh.write(",".join(SCAN_COLUMNS) + "\n")
-            for i, s in enumerate(s_vals):
-                for j, d in enumerate(d_vals):
-                    status = "ok" if self.ok[i, j] else (
-                        "failed:" + self.reasons.get((i, j), "unknown"))
-                    row = [s, d, self.f1[i, j], self.g1[i, j], self.f2[i, j],
-                           self.g2[i, j], self.reh2[i, j], self.imh2[i, j],
-                           self.cross[i, j], self.tau[i, j]]
-                    fh.write(",".join("%.17g" % v for v in row)
-                             + f",{status}\n")
+            _write_rows(fh, columns + [status])
 
     @staticmethod
     def read_csv(path):
@@ -231,64 +226,72 @@ class ScanResult:
             first = fh.readline().strip()
             if first != f"# schema={SCAN_SCHEMA}":
                 raise DataError(f"{path} does not carry schema {SCAN_SCHEMA}")
-            rows = []
-            for record in csv.reader(fh):
-                if not record or record[0].startswith("#"):
-                    continue
-                if record[0] == "s_mm":        # header row
-                    continue
-                if len(record) != len(SCAN_COLUMNS):
-                    raise DataError(
-                        f"{path}: expected {len(SCAN_COLUMNS)} columns, "
-                        f"got {len(record)}")
-                rows.append(record)
-        if not rows:
-            raise DataError(f"{path} has no data rows")
+            n_rows, failed = _scan_csv_status(path, fh)
+            if not n_rows:
+                raise DataError(f"{path} has no data rows")
+            fh.seek(0)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=_SKIPPED_LINES,
+                                   usecols=range(10), ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}")
 
-        s_vals = sorted({float(r[0]) for r in rows})
-        d_vals = sorted({float(r[1]) for r in rows})
+        s_vals = np.unique(table[:, 0])
+        d_vals = np.unique(table[:, 1])
         step_candidates = np.diff(s_vals) if len(s_vals) > 1 else np.diff(d_vals)
         step = float(np.min(step_candidates)) if len(step_candidates) else 0.01
-        grid = ParamGrid(s_vals[0], s_vals[-1], d_vals[0], d_vals[-1], step)
+        grid = ParamGrid(float(s_vals[0]), float(s_vals[-1]),
+                         float(d_vals[0]), float(d_vals[-1]), step)
+        i = np.searchsorted(s_vals, table[:, 0])
+        j = np.searchsorted(d_vals, table[:, 1])
         if grid.shape != (len(s_vals), len(d_vals)) or \
-                len(rows) != len(s_vals) * len(d_vals):
+                len(table) != len(s_vals) * len(d_vals) or \
+                np.unique(i * len(d_vals) + j).size != len(table):
             raise DataError(f"{path} rows do not form a complete uniform grid")
 
-        shape = grid.shape
-        data = {name: np.full(shape, np.nan) for name in SCAN_COLUMNS[2:10]}
-        ok = np.zeros(shape, dtype=bool)
+        data = {}
+        for k, name in enumerate(_OBSERVABLES):
+            data[name] = np.empty(grid.shape)
+            data[name][i, j] = table[:, 2 + k]
+        ok = np.ones(grid.shape, dtype=bool)
         reasons = {}
-        s_index = {v: i for i, v in enumerate(s_vals)}
-        d_index = {v: j for j, v in enumerate(d_vals)}
-        for r in rows:
-            i, j = s_index[float(r[0])], d_index[float(r[1])]
-            for k, name in enumerate(SCAN_COLUMNS[2:10]):
-                data[name][i, j] = float(r[2 + k])
-            if r[10] == "ok":
-                ok[i, j] = True
-            else:
-                reasons[(i, j)] = r[10].split(":", 1)[-1]
+        for row, reason in failed:
+            key = (int(i[row]), int(j[row]))
+            ok[key] = False
+            reasons[key] = reason
         return ScanResult(grid=grid, provenance="fit", ok=ok, reasons=reasons,
                           **data)
 
 
+# lines a scan CSV reader passes over: comments and the header row
+_SKIPPED_LINES = ("#", "s_mm")
+
+
+def _scan_csv_status(path, lines):
+    """Count the data rows, check their field count, list the failed ones.
+
+    Returns (rows, [(row, reason)]) with rows numbered as np.loadtxt reads
+    them: blank lines and lines starting with a _SKIPPED_LINES marker are
+    passed over.
+    """
+    rows = 0
+    failed = []
+    for line in lines:
+        if line.startswith(_SKIPPED_LINES) or line == "\n":
+            continue
+        n_fields = line.count(",") + 1
+        if n_fields != len(SCAN_COLUMNS):
+            raise DataError(f"{path}: expected {len(SCAN_COLUMNS)} columns, "
+                            f"got {n_fields}")
+        if not line.endswith(",ok\n"):
+            status = line[line.rindex(",") + 1:].strip()
+            if status != "ok":
+                failed.append((rows, status.split(":", 1)[-1]))
+        rows += 1
+    return rows, failed
+
+
 # --------------------------------------------------------------------- scan
-
-
-def _empty_arrays(shape):
-    return {name: np.full(shape, np.nan) for name in
-            ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau")}
-
-
-def _observables(ham):
-    """(f1, g1, f2, g2, reh2, imh2, cross, tau) of one effective matrix."""
-    pair = eigenvalues_sorted(ham)
-    rad = radicand(ham)
-    fixed, _ = gauge_fix(ham)
-    tau = extract_tau(fixed)
-    return (pair[0].real, -2.0 * pair[0].imag,
-            pair[1].real, -2.0 * pair[1].imag,
-            rad.reh2, rad.imh2, rad.cross, tau)
 
 
 def scan(grid, source, cfg=None):
@@ -312,43 +315,38 @@ def scan(grid, source, cfg=None):
     return result
 
 
+def _scan_table(grid, provenance, mats, reasons, family=None):
+    """ScanResult of matrices on the grid through the observables kernel.
+
+    mats are the (e1, e2, h1, h2) arrays; reasons names the points that
+    have no matrix, and every other point the kernel fails on gets the
+    name of the exception the scalar chain would raise there.
+    """
+    have = np.ones(grid.shape, dtype=bool)
+    for key in reasons:
+        have[key] = False
+    obs = observables(*mats)
+    ok = have & (obs.failure == 0)
+    reasons = dict(reasons)
+    for i, j in np.argwhere(have & ~ok):
+        reasons[(int(i), int(j))] = obs.reason((i, j))
+    data = {name: np.where(ok, getattr(obs, name), np.nan)
+            for name in _OBSERVABLES}
+    mats = {name: np.where(ok, m, np.nan) for name, m in zip(_MATRICES, mats)}
+    return ScanResult(grid=grid, provenance=provenance, ok=ok,
+                      reasons=reasons, family=family, **data, **mats)
+
+
 def _scan_family(grid, fam):
-    shape = grid.shape
-    data = _empty_arrays(shape)
-    ok = np.zeros(shape, dtype=bool)
-    reasons = {}
-    mats = {name: np.full(shape, np.nan, dtype=complex)
-            for name in ("e1", "e2", "h1", "h2")}
-    for i, s in enumerate(grid.s_values):
-        for j, d in enumerate(grid.delta_values):
-            if not fam.contains(s, d):
-                reasons[(i, j)] = "out-of-bounds"
-                continue
-            try:
-                ham = fam.h_at(s, d)
-                values = _observables(ham)
-            except EplabError as err:
-                reasons[(i, j)] = type(err).__name__
-                continue
-            for name, v in zip(("f1", "g1", "f2", "g2",
-                                "reh2", "imh2", "cross", "tau"), values):
-                data[name][i, j] = v
-            mats["e1"][i, j] = ham.e1
-            mats["e2"][i, j] = ham.e2
-            mats["h1"][i, j] = ham.h1
-            mats["h2"][i, j] = ham.h2
-            ok[i, j] = True
-    return ScanResult(grid=grid, provenance="family", ok=ok, reasons=reasons,
-                      family=fam, **data, **mats)
+    s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
+    reasons = {(int(i), int(j)): "out-of-bounds"
+               for i, j in np.argwhere(~fam.contains(s, d))}
+    return _scan_table(grid, "family", fam.h_grid(s, d), reasons, family=fam)
 
 
 def _scan_directory(grid, directory, cfg):
-    shape = grid.shape
-    data = _empty_arrays(shape)
-    ok = np.zeros(shape, dtype=bool)
+    mats = [np.full(grid.shape, np.nan, dtype=complex) for _ in _MATRICES]
     reasons = {}
-    mats = {name: np.full(shape, np.nan, dtype=complex)
-            for name in ("e1", "e2", "h1", "h2")}
     for i, s in enumerate(grid.s_values):
         for j, d in enumerate(grid.delta_values):
             path = directory.lookup(s, d)
@@ -356,22 +354,13 @@ def _scan_directory(grid, directory, cfg):
                 reasons[(i, j)] = "missing-spectrum"
                 continue
             try:
-                spec = read_spectrum(path)
-                res = fit_spectrum(spec, cfg)
-                values = _observables(res.ham)
+                ham = fit_spectrum(read_spectrum(path), cfg).ham
             except EplabError as err:
                 reasons[(i, j)] = type(err).__name__
                 continue
-            for name, v in zip(("f1", "g1", "f2", "g2",
-                                "reh2", "imh2", "cross", "tau"), values):
-                data[name][i, j] = v
-            mats["e1"][i, j] = res.ham.e1
-            mats["e2"][i, j] = res.ham.e2
-            mats["h1"][i, j] = res.ham.h1
-            mats["h2"][i, j] = res.ham.h2
-            ok[i, j] = True
-    return ScanResult(grid=grid, provenance="fit", ok=ok, reasons=reasons,
-                      **data, **mats)
+            for arr, name in zip(mats, _MATRICES):
+                arr[i, j] = getattr(ham, name)
+    return _scan_table(grid, "fit", mats, reasons)
 
 
 # ---------------------------------------------------------- EP localization
@@ -498,17 +487,30 @@ class _PlaneField(object):
                 return EffHamiltonian(*entries)
         return None
 
-    def point_data(self, s, delta):
-        """(Radicand, tau, ham-or-None) at one plane point."""
-        ham = self.ham(s, delta)
-        if ham is not None:
-            rad = radicand(ham)
-            fixed, _ = gauge_fix(ham)
-            return rad, extract_tau(fixed), ham
-        rad = Radicand(float(self._interp(self.scan.reh2, s, delta)),
-                       float(self._interp(self.scan.imh2, s, delta)),
-                       float(self._interp(self.scan.cross, s, delta)))
-        return rad, float(self._interp(self.scan.tau, s, delta)), None
+    def curve_data(self, points):
+        """(reh2, imh2, cross, tau, |h1|^2, hams) along a list of points.
+
+        Points with a matrix go through the observables kernel in one call;
+        the others interpolate the scan's stored observables and carry NaN
+        |h1|^2. hams is None when the field has no matrices at all.
+        """
+        hams = [self.ham(s, d) for s, d in points]
+        have = np.array([h is not None for h in hams], dtype=bool)
+        values = np.full((5, len(hams)), np.nan)
+        if have.any():
+            e1, e2, h1, h2 = (np.array([getattr(h, name) for h in hams
+                                        if h is not None])
+                              for name in _MATRICES)
+            obs = observables(e1, e2, h1, h2)
+            obs.raise_first_failure()
+            values[:, have] = (obs.reh2, obs.imh2, obs.cross, obs.tau,
+                               np.hypot(h1.real, h1.imag) ** 2)
+        for k in np.flatnonzero(~have):
+            values[:4, k] = [float(self._interp(getattr(self.scan, name),
+                                                *points[k]))
+                             for name in ("reh2", "imh2", "cross", "tau")]
+        matrix_backed = self.family is not None or self.scan.has_matrices()
+        return (*values, hams if matrix_backed else None)
 
     def cross_rel(self, s, delta):
         if self.family is not None:
@@ -735,22 +737,10 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     backward, trunc_b = _march(field, (s0, d0), -tangent, step, epsilon, fd_step)
     pts = np.array(backward[::-1] + [[s0, d0]] + forward)
 
-    n = pts.shape[0]
-    reh2 = np.empty(n)
-    imh2 = np.empty(n)
-    cross = np.empty(n)
-    tau = np.empty(n)
-    dvals = np.empty(n, dtype=complex)
-    h1sq = np.full(n, np.nan)
-    hams = [] if (field.family is not None or field.scan.has_matrices()) else None
-    for k in range(n):
-        rad, tk, ham = field.point_data(*pts[k])
-        reh2[k], imh2[k], cross[k], tau[k] = rad.reh2, rad.imh2, rad.cross, tk
-        dvals[k] = rad.d
-        if ham is not None:
-            h1sq[k] = abs(ham.h1) ** 2
-        if hams is not None:
-            hams.append(ham)
+    reh2, imh2, cross, tau, h1sq, hams = field.curve_data(pts)
+    dvals = np.empty(pts.shape[0], dtype=complex)
+    dvals.real = reh2 - imh2
+    dvals.imag = 2.0 * cross
 
     return CurveTrace(
         points=pts, reh2=reh2, imh2=imh2, cross=cross, tau=tau, d=dvals,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EffHamiltonian, extract_tau, gauge_fix, is_ep, radicand
+from .core import EffHamiltonian, is_ep, observables, radicand
 from .errors import (
     DataError,
     InvalidArgumentError,
@@ -49,6 +49,27 @@ TWO_PI = 2.0 * math.pi
 
 # CSV column layout for spectrum files, one row per frequency
 CSV_HEADER = "f_MHz,reS11,imS11,reS12,imS12,reS21,imS21,reS22,imS22"
+
+_ROW_BLOCK = 4096      # CSV rows formatted by one string operation
+
+
+def _write_rows(fh, columns):
+    """Write equal-length columns as CSV rows, block by block.
+
+    Float columns are written "%.17g" and object columns (of strings) as
+    they are, so the bytes equal a per-row ",".join of those fields. One %
+    operation formats a whole block of rows, and only one block is held at
+    a time.
+    """
+    row = ",".join("%s" if col.dtype == object else "%.17g"
+                   for col in columns) + "\n"
+    n = len(columns[0])
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        block = np.empty((stop - start, len(columns)), dtype=object)
+        for k, col in enumerate(columns):
+            block[:, k] = col[start:stop]
+        fh.write(row * (stop - start) % tuple(block.ravel()))
 
 
 class CouplingSet:
@@ -155,11 +176,9 @@ class Spectrum:
             for b in range(2):
                 cols.append(self.s[:, a, b].real)
                 cols.append(self.s[:, a, b].imag)
-        lines = [CSV_HEADER]
-        for row in zip(*cols):
-            lines.append(",".join("%.17g" % v for v in row))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            _write_rows(fh, cols)
         sidecar = {
             "s_mm": self.meta.get("s_mm"),
             "delta_mm": self.meta.get("delta_mm"),
@@ -345,8 +364,10 @@ class SyntheticFamily:
         return (self.s_ep, self.delta_ep)
 
     def contains(self, s, delta):
-        return (self.bounds_s[0] <= s <= self.bounds_s[1]
-                and self.bounds_delta[0] <= delta <= self.bounds_delta[1])
+        """Inside the bounds; elementwise for arrays of points."""
+        return ((self.bounds_s[0] <= s) & (s <= self.bounds_s[1])
+                & (self.bounds_delta[0] <= delta)
+                & (delta <= self.bounds_delta[1]))
 
     def _check_bounds(self, s, delta):
         if not self.contains(s, delta):
@@ -354,39 +375,55 @@ class SyntheticFamily:
                 f"(s, delta) = ({s}, {delta}) mm outside family bounds "
                 f"s in {self.bounds_s}, delta in {self.bounds_delta}")
 
-    def _g(self, s, delta):
-        return self.g0 + self.gs * (s - self.s_ep) + self.gd * (delta - self.delta_ep)
+    def _entries(self, s, delta):
+        """(real, imaginary) parts of e1, e2, h1, h2; elementwise for arrays.
+
+        The one body of the family's formula, shared by h_at, h_grid and
+        internal_at so that all three give the same bits.
+        """
+        g = [self.g0[k] + self.gs[k] * (s - self.s_ep)
+             + self.gd[k] * (delta - self.delta_ep) for k in range(3)]
+        return ((self.fc + g[2], -self.gamma0 + self.m[2]),
+                (self.fc - g[2], -self.gamma0 - self.m[2]),
+                (g[0], self.m[0]), (g[1], self.m[1]))
 
     def h_at(self, s, delta):
         """Effective (width-carrying) Hamiltonian at one parameter point."""
         self._check_bounds(s, delta)
-        g = self._g(s, delta)
-        mean = complex(self.fc, -self.gamma0)
-        hz = complex(g[2], self.m[2])
-        return EffHamiltonian(mean + hz, mean - hz,
-                              complex(g[0], self.m[0]),
-                              complex(g[1], self.m[1]))
+        return EffHamiltonian(*(complex(re, im)
+                                for re, im in self._entries(s, delta)))
+
+    def h_grid(self, s, delta):
+        """Entries (e1, e2, h1, h2) of h_at over arrays of points.
+
+        No bounds check (mask with contains).
+        """
+        entries = self._entries(np.asarray(s, dtype=float),
+                                np.asarray(delta, dtype=float))
+        out = []
+        for re, im in entries:
+            z = np.empty(np.shape(re), dtype=complex)
+            z.real = re
+            z.imag = im
+            out.append(z)
+        return tuple(out)
 
     def internal_at(self, s, delta):
         """Hermitian closed-cavity Hamiltonian (pass to smatrix_at)."""
         self._check_bounds(s, delta)
-        g = self._g(s, delta)
-        return EffHamiltonian(complex(self.fc + g[2]), complex(self.fc - g[2]),
-                              complex(g[0]), complex(g[1]))
+        return EffHamiltonian(*(complex(re)
+                                for re, _ in self._entries(s, delta)))
 
     def tau_profile(self, s, delta):
         """Reciprocity-violation angle of the local effective matrix."""
-        fixed, _ = gauge_fix(self.h_at(s, delta))
-        return extract_tau(fixed)
+        ham = self.h_at(s, delta)
+        obs = observables(ham.e1, ham.e2, ham.h1, ham.h2)
+        obs.raise_first_failure()
+        return float(obs.tau)
 
     def __repr__(self):
         return (f"SyntheticFamily({self.name!r}, B={self.b_mt} mT, "
                 f"EP=({self.s_ep}, {self.delta_ep}) mm)")
-
-
-def family_at(fam, s, delta):
-    """Planted Hamiltonian and couplings at (s, delta); bounds-checked."""
-    return fam.h_at(s, delta), fam.coupling
 
 
 def _validate_family(fam):

@@ -5,6 +5,7 @@ module entry point works. Fits use --n-starts 2 to keep the suite quick.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -269,6 +270,42 @@ def test_fit_writes_each_result_as_it_arrives(dataset, tmp_path,
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_jobs_leave_every_output_byte_identical(tmp_path):
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    runs = []
+    for jobs in ("1", "2"):
+        assert main(synth_args(data, grid="1.70:1.74:0.02x41.76:41.78:0.02",
+                               sigma="0.005") + ["--jobs", jobs]) == 0
+        assert main(["fit", "--in", str(data), "--jobs", jobs,
+                     "--out", str(fits)]) == 0
+        runs.append({str(p.relative_to(tmp_path)): digest(p)
+                     for p in sorted(tmp_path.rglob("*")) if p.is_file()})
+    assert len(runs[0]) == 2 * 6 + 1 + 6 + 2     # spectra, sidecars, fits
+    assert runs[0] == runs[1]
+
+
+def _blas_threads(_):
+    return [get() for get, _ in eplab.cli._openblas_thread_functions()]
+
+
+def test_commands_run_one_blas_thread(monkeypatch):
+    before = _blas_threads(None)
+    seen = []
+
+    def counting_fit(ns):
+        seen.append(_blas_threads(None))
+        seen.extend(eplab.cli._pool_map(_blas_threads, [0, 1, 2], ns.jobs))
+        return 0
+
+    monkeypatch.setattr(eplab.cli, "_cmd_fit", counting_fit)
+    for jobs in ("1", "2"):
+        assert main(["fit", "--in", "unused", "--jobs", jobs]) == 0
+    assert seen == [[1] * len(before)] * 8       # this process and workers
+    assert _blas_threads(None) == before         # the caller's count is back
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -387,3 +424,10 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "synth" in proc.stdout
+
+
+def test_importing_the_main_module_does_not_run_the_cli(monkeypatch):
+    # a spawn-started worker imports __main__; it must not rerun the command
+    monkeypatch.setattr(sys, "argv", ["eplab", "--help"])
+    monkeypatch.delitem(sys.modules, "eplab.__main__", raising=False)
+    importlib.import_module("eplab.__main__")

@@ -10,11 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eplab import (
     BasisTransform,
     DegenerateGaugeError,
     EffHamiltonian,
+    EplabError,
     InvalidArgumentError,
     NotGaugeFixedError,
     NotOnPTCurveError,
@@ -27,6 +30,7 @@ from eplab import (
     from_pauli,
     gauge_fix,
     is_ep,
+    observables,
     pt_commutator_norm,
     pt_eigenvector_alignment,
     pt_report,
@@ -34,6 +38,7 @@ from eplab import (
     to_pt_form,
     width_offset,
 )
+from eplab.core import eigenvalues_sorted
 
 # ---------------------------------------------------------------- construction
 
@@ -509,3 +514,137 @@ def test_hamiltonian_json_roundtrip():
     ham = from_pauli(1 + 2j, 3 - 4j, 0.5 - 0.25j, -0.125j)
     back = EffHamiltonian.from_json_dict(ham.to_json_dict())
     assert back == ham
+
+
+# ------------------------------------------------------- observables kernel
+
+OBSERVABLES = ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau",
+               "failure")
+
+# dyadic components keep products exact, so degenerate inputs stay exactly
+# degenerate; floats cover generic points
+_dyadic = st.integers(-64, 64).map(lambda k: k / 8.0)
+_real = st.one_of(_dyadic, st.floats(-50.0, 50.0, allow_subnormal=False))
+_complex = st.builds(complex, _real, _real)
+_hams = st.builds(from_pauli, _complex, _complex, _complex, _complex)
+_dyadic_complex = st.builds(complex, _dyadic, _dyadic)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _chain_reason(ham):
+    """Exception class the scalar chain gauge_fix -> extract_tau raises."""
+    try:
+        extract_tau(gauge_fix(ham)[0])
+    except EplabError as exc:
+        return type(exc).__name__
+    return None
+
+
+def _grid_call(hams):
+    return observables(*(np.array([getattr(h, k) for h in hams])
+                         for k in ("e1", "e2", "h1", "h2")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_hams, min_size=1, max_size=12))
+def test_kernel_point_equals_grid_and_scalar_api(hams):
+    grid = _grid_call(hams)
+    for k, ham in enumerate(hams):
+        one = observables(ham.e1, ham.e2, ham.h1, ham.h2)
+        for name in OBSERVABLES:
+            assert _bits(getattr(one, name)) == _bits(getattr(grid, name)[k])
+        lo, hi = eigenvalues_sorted(ham)
+        assert (lo.real, -2.0 * lo.imag, hi.real, -2.0 * hi.imag) == (
+            one.f1, one.g1, one.f2, one.g2)
+        rad = radicand(ham)
+        assert (rad.reh2, rad.imh2, rad.cross) == (one.reh2, one.imh2,
+                                                   one.cross)
+        assert grid.reason(k) == _chain_reason(ham)
+        if one.failure == 0:
+            assert extract_tau(gauge_fix(ham)[0]) == one.tau
+        else:
+            assert math.isnan(one.tau)
+
+
+def _matmul_gauge_fix(ham):
+    """The conjugation route: 2x2 matmul by O(Phi0) with math.atan2."""
+    if ham.h2 == 0:
+        return ham
+    a = (ham.h1 * ham.h2.conjugate()).imag
+    b = (ham.h3 * ham.h2.conjugate()).imag
+    t = math.atan2(a, b)
+    if t > math.pi / 2:
+        t -= math.pi
+    elif t <= -math.pi / 2:
+        t += math.pi
+    return BasisTransform(TransformKind.GAUGE_O0, 0.5 * t).apply(ham)
+
+
+def _division_tau(ham):
+    ratio = (ham.h1 + 1j * ham.h2) / (ham.h1 - 1j * ham.h2)
+    return 0.5 * cmath.phase(ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hams)
+def test_gauge_fix_and_tau_match_matmul_route(ham):
+    scale = max(1.0, *(abs(z) for z in (ham.e1, ham.e2, ham.h1, ham.h2)))
+    h2sq = abs(ham.h2) ** 2
+    a = (ham.h1 * ham.h2.conjugate()).imag
+    b = (ham.h3 * ham.h2.conjugate()).imag
+    # a well-defined angle: the gauge condition is not near 0/0
+    if ham.h2 != 0 and math.hypot(a, b) <= 1e-6 * scale * scale:
+        return
+    fixed, transform = gauge_fix(ham)
+    ref = _matmul_gauge_fix(ham)
+    for name in ("e1", "e2", "h1", "h2"):
+        assert abs(getattr(fixed, name) - getattr(ref, name)) <= 1e-12 * scale
+    den = abs(ref.h1 - 1j * ref.h2)
+    if den <= 1e-3 * scale:
+        return
+    tau = _division_tau(ref)
+    if abs(abs(tau) - math.pi / 2) < 1e-6:
+        return                          # the phase wraps at +-pi/2
+    assert abs(extract_tau(fixed) - tau) <= 1e-12
+
+
+def _complex_multiple_of_real(z, v):
+    return from_pauli(z * v[2], -z * v[2], z * v[0], z * v[1])
+
+
+DEGENERATE = {
+    "h2 = 0": st.builds(lambda e1, e2, h1: from_pauli(e1, e2, h1, 0),
+                        _dyadic_complex, _dyadic_complex, _dyadic_complex),
+    "complex multiple of a real vector": st.builds(
+        _complex_multiple_of_real, _dyadic_complex,
+        st.tuples(_dyadic, _dyadic, _dyadic)),
+    "h1 - i*h2 = 0": st.builds(lambda h3, h2: from_pauli(h3, -h3, 1j * h2, h2),
+                               _dyadic_complex, _dyadic_complex),
+    "ratio on the negative real axis": st.builds(
+        lambda h3, h2: from_pauli(h3, -h3, 0, h2),
+        _dyadic_complex, _dyadic_complex),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEGENERATE))
+def test_degenerate_inputs_fail_alike_in_scalar_chain_and_kernel(kind):
+    @settings(max_examples=60, deadline=None)
+    @given(DEGENERATE[kind], _hams)
+    def check(ham, other):
+        reason = _chain_reason(ham)
+        assert _grid_call([other, ham]).reason(1) == reason
+        assert observables(ham.e1, ham.e2, ham.h1, ham.h2).reason() == reason
+
+    check()
+
+
+def test_degenerate_inputs_raise_the_documented_errors():
+    z = 1 + 1j
+    assert _chain_reason(from_pauli(3 * z, -3 * z, z, 2 * z)) == \
+        "DegenerateGaugeError"
+    assert _chain_reason(from_pauli(1, 2, 0, 0)) == "SingularRatioError"
+    assert _chain_reason(from_pauli(1j, -1j, 0, 1)) == "SingularRatioError"
+    assert _chain_reason(from_pauli(1, 2, 0.5, 0)) is None

@@ -12,8 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from eplab import load_family, synth_spectrum
-from eplab.core import eigenvalues_sorted, pt_report, radicand
+from eplab import SyntheticFamily, load_family, synth_spectrum
+from eplab.core import (
+    eigenvalues_sorted,
+    extract_tau,
+    gauge_fix,
+    pt_report,
+    radicand,
+)
 from eplab.epscan import (
     BraidTrace,
     CurveTrace,
@@ -30,6 +36,7 @@ from eplab.epscan import (
 )
 from eplab.errors import (
     DataError,
+    EplabError,
     EPOutsideWindowError,
     InvalidArgumentError,
     NoEPFoundError,
@@ -197,6 +204,101 @@ def test_scan_csv_rejects_foreign_content(tmp_path):
     bad.write_text("s_mm,delta_mm\n1.0,2.0\n")
     with pytest.raises(DataError):
         ScanResult.read_csv(bad)
+
+
+def test_scan_csv_bytes_match_per_row_format(tmp_path):
+    # more rows than one formatting block, failed rows with and without a
+    # recorded reason, NaN and signed zeros
+    grid = ParamGrid(1.0, 1.69, 40.0, 40.69, 0.01)
+    rng = np.random.default_rng(17)
+    data = {name: rng.normal(size=grid.shape)
+            * 10.0 ** rng.integers(-15, 5, size=grid.shape)
+            for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross",
+                         "tau")}
+    ok = rng.random(grid.shape) > 0.05
+    for arr in data.values():
+        arr[~ok] = np.nan
+    data["cross"][3, 4] = -0.0
+    failed = [tuple(int(v) for v in ij) for ij in np.argwhere(~ok)]
+    reasons = {ij: "DegenerateGaugeError" for ij in failed[1:]}
+    table = ScanResult(grid=grid, provenance="family", ok=ok,
+                       reasons=reasons, **data)
+    path = tmp_path / "scan.csv"
+    table.write_csv(path, config_hash="cafe0123")
+
+    lines = ["# schema=eplab.scan.v1", "# config_hash=cafe0123",
+             "s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status"]
+    for i, sv in enumerate(grid.s_values):
+        for j, dv in enumerate(grid.delta_values):
+            status = "ok" if ok[i, j] else (
+                "failed:" + reasons.get((i, j), "unknown"))
+            row = [sv, dv] + [data[name][i, j] for name in
+                              ("f1", "g1", "f2", "g2", "reh2", "imh2",
+                               "cross", "tau")]
+            lines.append(",".join("%.17g" % v for v in row) + f",{status}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    back = ScanResult.read_csv(path)
+    assert np.array_equal(back.ok, ok)
+    assert back.reasons == {**reasons, failed[0]: "unknown"}
+    for name, arr in data.items():
+        assert np.array_equal(getattr(back, name), arr, equal_nan=True)
+
+
+def test_scan_csv_reader_rejects_damaged_rows(tmp_path, b38_scan):
+    good = tmp_path / "scan.csv"
+    b38_scan.write_csv(good)
+    lines = good.read_text().splitlines(keepends=True)
+
+    cases = {
+        "short": lines[:5] + [lines[5].rsplit(",", 2)[0] + "\n"] + lines[6:],
+        "text": lines[:5] + ["x" + lines[5]] + lines[6:],
+        "duplicate": lines[:5] + [lines[6]] + lines[6:],
+        "missing": lines[:5] + lines[6:],
+        "empty": lines[:2],                   # schema and header only
+    }
+    for name, content in cases.items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("".join(content))
+        with pytest.raises(DataError):
+            ScanResult.read_csv(bad)
+
+
+def _chain_reason(ham):
+    try:
+        extract_tau(gauge_fix(ham)[0])
+    except EplabError as exc:
+        return type(exc).__name__
+    return None
+
+
+def _family_through(h):
+    """A family with Pauli vector h at (1, 1) and generic elsewhere."""
+    h = np.asarray(h, dtype=complex)
+    return SyntheticFamily(
+        name="probe", description="", b_mt=0.0, fc=2725.0, gamma0=1.0,
+        s_ep=1.0, delta_ep=1.0, bounds_s=(0.5, 1.5), bounds_delta=(0.5, 1.5),
+        antenna_fraction=0.5, g0=h.real, gs=(0.5, -0.25, 0.75),
+        gd=(-0.5, 0.125, 0.25), m=h.imag, coupling=None,
+        spectrum_defaults={})
+
+
+@pytest.mark.parametrize("h,reason", [
+    ((1 + 1j, 2 + 2j, 3 + 3j), "DegenerateGaugeError"),
+    ((0, 0, 1 - 0.5j), "SingularRatioError"),        # h1 - i*h2 = 0
+    ((0, 1, 1j), "SingularRatioError"),              # ratio -1 after fixing
+    ((0.5, 0, 0.25j), None),                         # h2 = 0
+    ((0.5j - 0.25, 0.5 + 0.25j, 0.25), None),        # h1 = i*h2, h3 != 0
+])
+def test_scan_reasons_match_the_scalar_chain(h, reason):
+    fam = _family_through(h)
+    grid = ParamGrid(0.5, 1.5, 0.5, 1.5, 0.25)
+    result = scan(grid, fam)
+    assert _chain_reason(fam.h_at(1.0, 1.0)) == reason
+    for i, sv in enumerate(grid.s_values):
+        for j, dv in enumerate(grid.delta_values):
+            got = None if result.ok[i, j] else result.reasons[(i, j)]
+            assert got == _chain_reason(fam.h_at(sv, dv))
 
 
 # -------------------------------------------------------- spectrum archives

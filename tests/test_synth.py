@@ -26,7 +26,6 @@ from eplab import (
     PoleOnGridError,
     Spectrum,
     effective_hamiltonian,
-    family_at,
     frequency_grid,
     from_pauli,
     is_ep,
@@ -252,10 +251,11 @@ def test_family_bounds_enforced():
     with pytest.raises(OutOfBoundsError):
         fam.h_at(0.5, 41.78)
     with pytest.raises(OutOfBoundsError):
-        family_at(fam, 1.72, 45.0)
-    ham, coupling = family_at(fam, 1.72, 41.78)
-    assert coupling is fam.coupling
-    assert is_ep(ham)
+        fam.h_at(1.72, 45.0)
+    with pytest.raises(OutOfBoundsError):
+        fam.internal_at(1.72, 45.0)
+    assert isinstance(fam.coupling, CouplingSet)
+    assert is_ep(fam.h_at(1.72, 41.78))
 
 
 def test_family_phase_dichotomy_along_curve():
@@ -362,3 +362,27 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert back.meta["seed"] == 7
     # sidecar sits next to the csv, named after the full stem
     assert (tmp_path / "point_s1.900_d41.900.json").exists()
+
+
+def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
+    # 4001 rows span more than one formatting block; magnitudes from 1e-12
+    # up, a NaN and signed zeros exercise every "%.17g" branch
+    rng = np.random.default_rng(23)
+    freqs = frequency_grid(2725.0, 40.0, 0.01)
+    shape = (freqs.size, 2, 2)
+    s = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * 10.0 ** rng.integers(-12, 3, size=shape)
+    s[7, 0, 1] = complex(np.nan, -0.0)
+    s[8, 1, 1] = complex(-0.0, 0.0)
+    spec = Spectrum(freqs, s)
+    path = tmp_path / "golden.csv"
+    spec.write_csv(path)
+
+    rows = [CSV_HEADER]
+    for k, f in enumerate(freqs):
+        values = [f]
+        for a in range(2):
+            for b in range(2):
+                values += [s[k, a, b].real, s[k, a, b].imag]
+        rows.append(",".join("%.17g" % v for v in values))
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
