@@ -384,7 +384,8 @@ def _fit_task(args):
         res = fit_spectrum(spec, cfg, mask=mask)
     except EplabError as exc:
         return {"name": name, "s": s, "d": d, "ok": False,
-                "reason": type(exc).__name__, "detail": str(exc)}
+                "doc": {"converged": False, "reason": type(exc).__name__,
+                        "detail": str(exc)}}
     # the canonical matrix is gauge fixed already; tau is the fit's own
     obs = observables(res.ham.e1, res.ham.e2, res.ham.h1, res.ham.h2)
     return {
@@ -437,20 +438,18 @@ def _cmd_fit(ns):
             reasons[(i, j)] = "missing-spectrum"
 
     files = []
-    n_failed_fits = 0
     for res in results:
         i = node_s[round(res["s"], 6)]
         j = node_d[round(res["d"], 6)]
         del reasons[(i, j)]
-        if not res["ok"]:
-            n_failed_fits += 1
-            reasons[(i, j)] = res["reason"]
-            continue
-        ok[i, j] = True
-        for name, value in zip(cols, res["row"]):
-            cols[name][i, j] = value
-        for name, value in zip(mats, res["ham"]):
-            mats[name][i, j] = value
+        if res["ok"]:
+            ok[i, j] = True
+            for name, value in zip(cols, res["row"]):
+                cols[name][i, j] = value
+            for name, value in zip(mats, res["ham"]):
+                mats[name][i, j] = value
+        else:            # a failed fit keeps its reason and detail in its JSON
+            reasons[(i, j)] = res["doc"]["reason"]
         doc = {"schema": FIT_SCHEMA, "config_hash": cfg_hash,
                "source": res["name"],
                "s_mm": res["s"], "delta_mm": res["d"], **res["doc"]}
@@ -464,6 +463,7 @@ def _cmd_fit(ns):
     files.append("summary.csv")
     _write_manifest(out, "fit", cfg_hash, cfg.seed, files)
 
+    n_failed_fits = len(inputs) - int(ok.sum())
     rate = n_failed_fits / len(inputs)
     print(f"fitted {len(inputs)} spectra, {n_failed_fits} failures "
           f"(rate {rate:.3f}); wrote summary.csv (config={cfg_hash})")

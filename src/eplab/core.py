@@ -99,9 +99,6 @@ class EffHamiltonian:
             dtype=complex,
         )
 
-    def to_pauli(self):
-        return self.e1, self.e2, self.h1, self.h2
-
     def to_json_dict(self):
         return {
             "e1": [self.e1.real, self.e1.imag],

@@ -16,12 +16,15 @@ fit.
 The optimizer is a damped least-squares loop (Levenberg-Marquardt with
 Marquardt diagonal scaling and the Nielsen lambda update) over the analytic
 Jacobian of the resolvent model, computed from one resolvent per frequency.
-A trial step that moves a pole out of the frequency window or makes it
-amplifying (Im E > 0) is rejected like a cost increase, so the damping
-grows; a start whose steps only shrink to nothing because of such
+The real (8n, 12) Jacobian is never formed: each iteration writes its 8
+distinct complex columns, for the included channels only, into one workspace
+per start and takes J^T J and J^T r from their complex Gram matrix and the
+complex residual. A trial step that moves a pole out of the frequency window
+or makes it amplifying (Im E > 0) is rejected like a cost increase, so the
+damping grows; a start whose steps only shrink to nothing because of such
 rejections ends as a runaway, not as converged. The model has an exact
-one-parameter gauge freedom (a common real orthogonal rotation of levels
-and couplings), so the curvature matrix is singular along that direction;
+one-parameter gauge freedom (a common real orthogonal rotation of levels and
+couplings), so the curvature matrix is singular along that direction;
 damping regularizes it and the gauge is fixed after convergence, not during.
 
 Starts run in a fixed order and stop early once one start reaches
@@ -55,7 +58,7 @@ from .errors import (
     PoleOnGridError,
     UnresolvableDoubletError,
 )
-from .synth import CouplingSet, _sgrid
+from .synth import CouplingSet, _resolvent, _sgrid
 
 N_PARAMS = 12
 # residual value used for every row when the model hits a resolvent pole;
@@ -162,96 +165,103 @@ def _channel_row_mask(mask):
     return include
 
 
-def _model_entries(pmat, freqs):
-    """Vectorized model for a batch of parameter rows: four (k, n) arrays."""
-    col = lambda j: pmat[:, j:j + 1]
-    e1 = col(0) + 1j * col(1)
-    e2 = col(2) + 1j * col(3)
-    h1 = col(4) + 1j * col(5)
-    h2 = col(6) + 1j * col(7)
-    return _sgrid(e1, e2, h1, h2, col(8), col(9), col(10), col(11), freqs)
+# (a, b) index pairs of S11, S12, S21, S22; also (c, i) of W00, W01, W10, W11
+_INDEX_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# real parameter k is -2 pi i _ALPHA[k] times complex column _COLUMN[k] (e1,
+# e2, h1, h2, W00..W11): holomorphy gives d/dIm = i d/dRe, and the h2 column
+# lacks its i. Lists, not arrays: numpy work at import costs every process.
+_COLUMN = [0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7]
+_ALPHA = [1, 1j, 1, 1j, 1, 1j, 1j, -1, 1, 1, 1, 1]
 
 
-def _residual_matrix(pmat, spec, include):
-    """Stacked real residuals for a batch: shape (k, 8n).
+class _Model:
+    """The model against the included channels of one spectrum; a masked
+    channel is dropped, not zeroed. The Jacobian workspace is allocated at
+    the first linearization and refilled in place: once per LM start."""
 
-    Per frequency the layout is [Re dS11, Im dS11, Re dS12, ..., Im dS22];
-    masked channels contribute zero rows (so vector length never changes).
-    """
-    k = pmat.shape[0]
-    n = spec.n_points
-    out = np.zeros((k, n, 8))
-    try:
-        entries = _model_entries(pmat, spec.freqs)
-    except PoleOnGridError:
-        # retreat uniformly; per-row isolation is not worth the second pass
-        return np.full((k, 8 * n), POLE_SENTINEL)
-    data = (spec.s11, spec.s12, spec.s21, spec.s22)
-    for c in range(4):
-        if not include[c]:
-            continue
-        diff = entries[c] - data[c]
-        out[:, :, 2 * c] = diff.real
-        out[:, :, 2 * c + 1] = diff.imag
-    return out.reshape(k, 8 * n)
+    def __init__(self, spec, include):
+        self.freqs = spec.freqs
+        self.rows = 8 * spec.n_points     # masked channels are zero rows
+        self.channels = np.flatnonzero(include)
+        self.data = spec.s.reshape(-1, 4).T[self.channels]
+        self._z = None
+
+    def residual(self, p):
+        """(r, cost): the complex (k, n) residual model - data of the k
+        included channels and |r|^2 / 2; on a resolvent pole, None and
+        the cost of POLE_SENTINEL in all 8n rows."""
+        e1, e2, h1, h2 = (complex(p[k], p[k + 1]) for k in (0, 2, 4, 6))
+        try:
+            entries = _sgrid(e1, e2, h1, h2, *p[8:], self.freqs)
+        except PoleOnGridError:
+            return None, 0.5 * self.rows * POLE_SENTINEL ** 2
+        r = np.empty_like(self.data)
+        for row, c in enumerate(self.channels):
+            np.subtract(entries[c], self.data[row], out=r[row])
+        return r, 0.5 * np.vdot(r, r).real
+
+    def normal_equations(self, p, r):
+        """J^T J and J^T r of the real residual rows, from complex columns.
+
+        With G = (f - H)^-1 the model is S = 1 - 2 pi i W G W^T, so a change
+        dH moves S_ab by -2 pi i u_ai dH_ij v_jb with u = W G, v = G W^T,
+        and a change of W_ci moves (W G W^T)_ab by
+        delta_ac v_ib + delta_bc u_ai. The (Re, Im) row pairs of two real
+        columns alpha z and alpha' z' sum to Re(conj(alpha z) alpha' z'),
+        so with the Gram C = conj(Z) Z^T and y = conj(Z) r,
+        J^T J = Re(conj(alpha_p) alpha_q C[col_p, col_q]) and
+        J^T r = Re(conj(alpha_p) y[col_p]).
+        """
+        e1, e2, h1, h2 = (complex(p[k], p[k + 1]) for k in (0, 2, 4, 6))
+        g = _resolvent(e1, e2, h1, h2, self.freqs)
+        w = p[8:].reshape(2, 2)
+        u = [[w[a, 0] * g[i] + w[a, 1] * g[2 + i] for i in range(2)]
+             for a in range(2)]
+        v = [[g[2 * j] * w[b, 0] + g[2 * j + 1] * w[b, 1] for b in range(2)]
+             for j in range(2)]
+        if self._z is None:      # W columns a channel lacks stay zero
+            self._z = np.zeros((2, 8) + self.data.shape, dtype=complex)
+        z, zc = self._z
+        for k, c in enumerate(self.channels):
+            a, b = _INDEX_PAIRS[c]
+            np.multiply(u[a][0], v[0][b], out=z[0, k])
+            np.multiply(u[a][1], v[1][b], out=z[1, k])
+            s, t = u[a][0] * v[1][b], u[a][1] * v[0][b]
+            np.add(s, t, out=z[2, k])
+            np.subtract(t, s, out=z[3, k])
+            for col, (wc, i) in enumerate(_INDEX_PAIRS, start=4):    # W_ci
+                if a == wc == b:
+                    np.add(v[i][b], u[a][i], out=z[col, k])
+                elif a == wc or b == wc:
+                    z[col, k] = v[i][b] if a == wc else u[a][i]
+        np.conjugate(z, out=zc)
+        zc = zc.reshape(8, -1)
+        alpha = -2j * math.pi * np.array(_ALPHA)
+        gram = (zc @ z.reshape(8, -1).T)[np.ix_(_COLUMN, _COLUMN)]
+        jtj = (np.outer(alpha.conj(), alpha) * gram).real
+        grad = (alpha.conj() * (zc @ r.reshape(-1))[_COLUMN]).real
+        return jtj, grad
 
 
 def residual_vector(params, spec, mask=None):
     """Real residual vector of length 8 x gridpoints.
 
-    At the generating parameters of a noiseless spectrum this is exactly
-    zero: model and generator share one kernel. A resolvent pole on the grid
-    yields the finite POLE_SENTINEL in every row instead of an exception.
+    Per frequency the layout is [Re dS11, Im dS11, Re dS12, ..., Im dS22];
+    masked channels give zero rows. At the generating parameters of a
+    noiseless spectrum this is exactly zero: model and generator share one
+    kernel. A resolvent pole on the grid yields the finite POLE_SENTINEL in
+    every row instead of an exception.
     """
     p = np.asarray(params, dtype=float)
     if p.shape != (N_PARAMS,):
         raise InvalidArgumentError(f"expected {N_PARAMS} parameters, got {p.shape}")
-    include = _channel_row_mask(mask)
-    return _residual_matrix(p[None, :], spec, include)[0]
-
-
-# (a, b) index pairs of S11, S12, S21, S22; also (c, i) of W00, W01, W10, W11
-_INDEX_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_ROW_A = np.array([a for a, _ in _INDEX_PAIRS])
-_ROW_B = np.array([b for _, b in _INDEX_PAIRS])
-
-
-def _jacobian(params, spec, include):
-    """Analytic Jacobian of the residual rows, shape (8n, 12).
-
-    With G = (f - H)^-1 the model is S = 1 - 2 pi i W G W^T, so a change dH
-    moves S by -2 pi i (W G) dH (G W^T). The model is holomorphic in e1, e2,
-    h1 and h2, so each imaginary-part column is i times its real-part
-    column. A change of W_ci moves (W G W^T)_ab by
-    delta_ac (G W^T)_ib + delta_bc (W G)_ai. Masked channels give zero rows.
-    """
-    e1, e2, h1, h2 = (complex(params[k], params[k + 1]) for k in (0, 2, 4, 6))
-    w = params[8:].reshape(2, 2)
-    a00 = spec.freqs - e1
-    a11 = spec.freqs - e2
-    m12 = h1 - 1j * h2
-    m21 = h1 + 1j * h2
-    det = a00 * a11 - m12 * m21
-    if np.any(det == 0):
-        raise PoleOnGridError("resolvent pole hit a grid frequency exactly")
-    g = ((a11 / det, m12 / det), (m21 / det, a00 / det))
-    # (n, 4) over the channels (a, b): A[i] = (W G)_ai and B[j] = (G W^T)_jb
-    A = [g[0][i][:, None] * w[_ROW_A, 0] + g[1][i][:, None] * w[_ROW_A, 1]
-         for i in range(2)]
-    B = [g[j][0][:, None] * w[_ROW_B, 0] + g[j][1][:, None] * w[_ROW_B, 1]
-         for j in range(2)]
-    factor = -2j * math.pi * include     # zero on masked channels
-    n = spec.n_points
-    out = np.empty((N_PARAMS, n, 4, 2))
-    z = out.view(complex)[..., 0]        # column k as (n, 4) complex rows
-    z[0] = factor * (A[0] * B[0])
-    z[2] = factor * (A[1] * B[1])
-    z[4] = factor * (A[0] * B[1] + A[1] * B[0])
-    z[6] = factor * (1j * (A[1] * B[0] - A[0] * B[1]))
-    z[1:8:2] = 1j * z[0:8:2]
-    for k, (c, i) in enumerate(_INDEX_PAIRS, start=8):      # W_ci
-        z[k] = factor * ((_ROW_A == c) * B[i] + (_ROW_B == c) * A[i])
-    return out.reshape(N_PARAMS, 8 * n).T
+    model = _Model(spec, _channel_row_mask(mask))
+    r, _ = model.residual(p)
+    if r is None:
+        return np.full(model.rows, POLE_SENTINEL)
+    out = np.zeros((spec.n_points, 4), dtype=complex)
+    out[:, model.channels] = r.T
+    return out.view(float).reshape(-1)
 
 
 def _poles_physical(params, f_lo, f_hi):
@@ -272,9 +282,9 @@ def _levenberg_marquardt(p0, spec, include, cfg):
     runaway.
     """
     f_lo, f_hi = float(spec.freqs[0]), float(spec.freqs[-1])
+    model = _Model(spec, include)
     p = np.array(p0, dtype=float)
-    r = _residual_matrix(p[None, :], spec, include)[0]
-    cost = 0.5 * float(r @ r)
+    r, cost = model.residual(p)
     costs = [cost]
     lam = cfg.damping_init
     nu = 2.0
@@ -283,14 +293,12 @@ def _levenberg_marquardt(p0, spec, include, cfg):
     jtj_diag = None
     for it in range(1, cfg.max_iterations + 1):
         try:
-            jac = _jacobian(p, spec, include)
+            jtj, grad = model.normal_equations(p, r)
         except PoleOnGridError:
             # a lossless pole on a grid frequency: the physical boundary
             stop = Termination.RUNAWAY
             break
-        jtj = jac.T @ jac
         jtj_diag = np.diag(jtj).copy()
-        grad = jac.T @ r
         if np.max(np.abs(grad)) < cfg.gradient_tolerance:
             stop = Termination.CONVERGED
             break
@@ -310,8 +318,7 @@ def _levenberg_marquardt(p0, spec, include, cfg):
                 break
             trial = p + step
             if _poles_physical(trial, f_lo, f_hi):
-                r_trial = _residual_matrix(trial[None, :], spec, include)[0]
-                cost_trial = 0.5 * float(r_trial @ r_trial)
+                r_trial, cost_trial = model.residual(trial)
                 predicted = 0.5 * float(step @ (lam * scale * step - grad))
                 rho = (cost - cost_trial) / predicted if predicted > 0 else -1.0
                 if cost_trial < cost and rho > 0:
@@ -329,7 +336,7 @@ def _levenberg_marquardt(p0, spec, include, cfg):
             stop = Termination.DAMPING_OVERFLOW
         if not accepted:
             break
-    rms = math.sqrt(2.0 * cost / r.size)
+    rms = math.sqrt(2.0 * cost / model.rows)
     return p, rms, stop, it, jtj_diag, costs
 
 
@@ -588,8 +595,3 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
         starts_run=starts_run,
         terminations=terminations,
     )
-
-
-def fitted_eigenvalues(result):
-    """Eigenvalues of the fitted matrix in reporting order."""
-    return eigenvalues_sorted(result.ham)

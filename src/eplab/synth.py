@@ -216,15 +216,8 @@ def read_spectrum(path):
 # ------------------------------------------------------------ S-matrix kernel
 
 
-def _sgrid(e1, e2, h1, h2, w00, w01, w10, w11, freqs):
-    """Shared S-matrix kernel; broadcasts over freqs (and batched params).
-
-    e1, e2, h1, h2 describe the effective (already width-carrying) matrix;
-    w00..w11 are the antenna coupling entries. All may be scalars or
-    broadcast-compatible arrays. Returns (s11, s12, s21, s22). Op order is
-    fixed: do not reorder terms, several tests pin bit-level reproducibility
-    across call paths.
-    """
+def _resolvent(e1, e2, h1, h2, freqs):
+    """Entries (g00, g01, g10, g11) of G = (f - H)^-1 on the grid."""
     m12 = h1 - 1j * h2
     m21 = h1 + 1j * h2
     a00 = freqs - e1
@@ -232,10 +225,19 @@ def _sgrid(e1, e2, h1, h2, w00, w01, w10, w11, freqs):
     det = a00 * a11 - m12 * m21
     if np.any(det == 0):
         raise PoleOnGridError("resolvent pole hit a grid frequency exactly")
-    g00 = a11 / det
-    g11 = a00 / det
-    g01 = m12 / det
-    g10 = m21 / det
+    return a11 / det, m12 / det, m21 / det, a00 / det
+
+
+def _sgrid(e1, e2, h1, h2, w00, w01, w10, w11, freqs):
+    """Shared S-matrix kernel; broadcasts over freqs.
+
+    e1, e2, h1, h2 describe the effective (already width-carrying) matrix;
+    w00..w11 are the antenna coupling entries. All may be scalars or
+    broadcast-compatible arrays. Returns (s11, s12, s21, s22). Op order is
+    fixed: do not reorder terms, several tests pin bit-level reproducibility
+    across call paths.
+    """
+    g00, g01, g10, g11 = _resolvent(e1, e2, h1, h2, freqs)
     c = TWO_PI * 1j
     s11 = 1.0 - c * (w00 * w00 * g00 + w00 * w01 * g01
                      + w01 * w00 * g10 + w01 * w01 * g11)
@@ -334,12 +336,12 @@ class SyntheticFamily:
     """
 
     __slots__ = ("name", "description", "b_mt", "fc", "gamma0", "s_ep",
-                 "delta_ep", "bounds_s", "bounds_delta", "antenna_fraction",
-                 "g0", "gs", "gd", "m", "coupling", "spectrum_defaults")
+                 "delta_ep", "bounds_s", "bounds_delta", "g0", "gs", "gd", "m",
+                 "coupling", "spectrum_defaults")
 
     def __init__(self, name, description, b_mt, fc, gamma0, s_ep, delta_ep,
-                 bounds_s, bounds_delta, antenna_fraction,
-                 g0, gs, gd, m, coupling, spectrum_defaults):
+                 bounds_s, bounds_delta, g0, gs, gd, m, coupling,
+                 spectrum_defaults):
         self.name = name
         self.description = description
         self.b_mt = float(b_mt)
@@ -349,7 +351,6 @@ class SyntheticFamily:
         self.delta_ep = float(delta_ep)
         self.bounds_s = (float(bounds_s[0]), float(bounds_s[1]))
         self.bounds_delta = (float(bounds_delta[0]), float(bounds_delta[1]))
-        self.antenna_fraction = float(antenna_fraction)
         for label, vec in (("g0", g0), ("gs", gs), ("gd", gd), ("m", m)):
             vec = np.array(vec, dtype=float)
             if vec.shape != (3,) or not np.all(np.isfinite(vec)):
@@ -486,7 +487,6 @@ def load_family(source):
             delta_ep=doc["ep"]["delta_mm"],
             bounds_s=doc["bounds"]["s_mm"],
             bounds_delta=doc["bounds"]["delta_mm"],
-            antenna_fraction=doc["antenna_fraction"],
             g0=doc["g0"], gs=doc["gs"], gd=doc["gd"], m=doc["m"],
             coupling=CouplingSet(doc["w"]),
             spectrum_defaults=doc["spectrum"],

@@ -249,6 +249,30 @@ def test_fit_failure_threshold_sets_exit_code(tmp_path):
                  "--out", str(out)]) == 0
 
 
+def test_failed_fit_keeps_its_detail(tmp_path):
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    # a 1 MHz window at the EP holds no whole resonance: every start runs
+    # its poles out of the window
+    assert main(["synth", "--family", "b38", "--point", "1.72,41.78",
+                 "--span", "1", "--fstep", "0.01", "--out", str(data)]) == 0
+    assert main(["fit", "--in", str(data), "--out", str(fits)]) == 3
+
+    doc = json.loads((fits / "b38_s1.7200_d41.7800_fit.json").read_text())
+    manifest = json.loads((fits / "manifest.json").read_text())
+    assert doc == {"schema": "eplab.fit.v1",
+                   "config_hash": manifest["config_hash"],
+                   "source": "b38_s1.7200_d41.7800.csv",
+                   "s_mm": 1.72, "delta_mm": 41.78, "converged": False,
+                   "reason": "NonConvergenceError", "detail": doc["detail"]}
+    assert "8 starts run: 0 converged, 8 runaway" in doc["detail"]
+    assert manifest["files"] == ["b38_s1.7200_d41.7800_fit.json",
+                                 "summary.csv"]
+    summary = ScanResult.read_csv(fits / "summary.csv")
+    assert summary.reasons == {(0, 0): "NonConvergenceError"}
+
+
 def test_fit_writes_each_result_as_it_arrives(dataset, tmp_path,
                                               monkeypatch):
     real_task = eplab.cli._fit_task

@@ -278,9 +278,8 @@ def _family_through(h):
     return SyntheticFamily(
         name="probe", description="", b_mt=0.0, fc=2725.0, gamma0=1.0,
         s_ep=1.0, delta_ep=1.0, bounds_s=(0.5, 1.5), bounds_delta=(0.5, 1.5),
-        antenna_fraction=0.5, g0=h.real, gs=(0.5, -0.25, 0.75),
-        gd=(-0.5, 0.125, 0.25), m=h.imag, coupling=None,
-        spectrum_defaults={})
+        g0=h.real, gs=(0.5, -0.25, 0.75), gd=(-0.5, 0.125, 0.25), m=h.imag,
+        coupling=None, spectrum_defaults={})
 
 
 @pytest.mark.parametrize("h,reason", [

@@ -18,6 +18,7 @@ from eplab import (
     CouplingSet,
     EffHamiltonian,
     NoiseSpec,
+    Spectrum,
     effective_hamiltonian,
     load_family,
     synth_spectrum,
@@ -41,13 +42,11 @@ from eplab.fit import (
     N_PARAMS,
     POLE_SENTINEL,
     Termination,
+    _Model,
     _canonicalize,
-    _jacobian,
     _levenberg_marquardt,
     _channel_row_mask,
-    _residual_matrix,
     fit_spectrum,
-    fitted_eigenvalues,
     pack_params,
     residual_vector,
     seed_initializer,
@@ -148,36 +147,75 @@ ALL_MASKS = [names for k in range(1, 5)
              for names in itertools.combinations(CHANNEL_NAMES, k)]
 
 
-def central_difference_jacobian(params, spec, include):
-    """(8n, 12) reference from one batched residual call of 24 rows."""
+def central_difference_jacobian(params, spec, mask):
+    """(8n, 12) reference from 24 public residual vectors."""
     steps = 1e-7 * (np.abs(params) + 1.0)
-    pmat = np.repeat(params[None, :], 2 * N_PARAMS, axis=0)
-    cols = np.arange(N_PARAMS)
-    pmat[2 * cols, cols] += steps
-    pmat[2 * cols + 1, cols] -= steps
-    r = _residual_matrix(pmat, spec, include)
-    return ((r[0::2] - r[1::2]) / (2.0 * steps[:, None])).T
+    cols = []
+    for k in range(N_PARAMS):
+        up, down = params.copy(), params.copy()
+        up[k] += steps[k]
+        down[k] -= steps[k]
+        cols.append((residual_vector(up, spec, mask)
+                     - residual_vector(down, spec, mask)) / (2.0 * steps[k]))
+    return np.array(cols).T
 
 
-@settings(max_examples=8, deadline=None)
-@given(s=st.floats(1.52, 1.92), delta=st.floats(41.58, 41.98),
-       kick=st.lists(st.floats(-1.0, 1.0), min_size=N_PARAMS,
-                     max_size=N_PARAMS))
-def test_jacobian_matches_central_differences(s, delta, kick):
+def normal_equations(params, spec, mask):
+    """J^T J and J^T r as the fit's LM iteration takes them."""
+    model = _Model(spec, _channel_row_mask(mask))
+    r, _ = model.residual(params)
+    return model.normal_equations(params, r)
+
+
+def kicked_truth(s, delta, kick):
+    """Parameters within a few widths of a b38 point: levels by 0.05 MHz,
+    W by 2%."""
     fam, spec = family_spectrum("b38", s, delta)
-    # within a few widths of a b38 point: levels by 0.05 MHz, W by 2%
     p = truth_params(fam, s, delta)
     p[:8] += 0.05 * np.asarray(kick[:8])
     p[8:] *= 1.0 + 0.02 * np.asarray(kick[8:])
+    return spec, p
+
+
+KICKS = st.lists(st.floats(-1.0, 1.0), min_size=N_PARAMS, max_size=N_PARAMS)
+
+
+@settings(max_examples=8, deadline=None)
+@given(s=st.floats(1.52, 1.92), delta=st.floats(41.58, 41.98), kick=KICKS)
+def test_jacobian_matches_central_differences(s, delta, kick):
+    # the fit never forms the Jacobian; its products J^T J and J^T r must
+    # match those of the central differences, per column within 1e-5 of
+    # the column's norm
+    spec, p = kicked_truth(s, delta, kick)
     for mask in ALL_MASKS:
-        include = _channel_row_mask(mask)
-        jac = _jacobian(p, spec, include)
-        ref = central_difference_jacobian(p, spec, include)
-        assert jac.shape == (8 * spec.n_points, N_PARAMS)
-        col_scale = np.max(np.abs(ref), axis=0)
-        assert np.all(np.max(np.abs(jac - ref), axis=0) <= 1e-5 * col_scale)
-        rows = jac.reshape(spec.n_points, 4, 2, N_PARAMS)
-        assert np.all(rows[:, ~include] == 0.0)
+        jtj, grad = normal_equations(p, spec, mask)
+        ref = central_difference_jacobian(p, spec, mask)
+        r = residual_vector(p, spec, mask)
+        assert jtj.shape == (N_PARAMS, N_PARAMS)
+        assert grad.shape == (N_PARAMS,)
+        col_norm = np.linalg.norm(ref, axis=0)
+        assert np.all(np.abs(jtj - ref.T @ ref)
+                      <= 1e-5 * np.outer(col_norm, col_norm))
+        assert np.all(np.abs(grad - ref.T @ r)
+                      <= 1e-5 * col_norm * np.linalg.norm(r))
+
+
+@settings(max_examples=8, deadline=None)
+@given(s=st.floats(1.52, 1.92), delta=st.floats(41.58, 41.98), kick=KICKS,
+       mask=st.sampled_from(ALL_MASKS[:-1]), seed=st.integers(0, 2 ** 16))
+def test_masked_channel_data_never_enters_the_normal_equations(
+        s, delta, kick, mask, seed):
+    spec, p = kicked_truth(s, delta, kick)
+    include = _channel_row_mask(mask)
+    rng = np.random.default_rng(seed)
+    s_other = spec.s.copy().reshape(-1, 4)
+    s_other[:, ~include] = (rng.standard_normal((spec.n_points, 4))
+                            + 1j * rng.standard_normal((spec.n_points, 4))
+                            )[:, ~include]
+    other = Spectrum(spec.freqs, s_other.reshape(-1, 2, 2))
+    for got, want in zip(normal_equations(p, other, mask),
+                         normal_equations(p, spec, mask)):
+        assert np.array_equal(got, want)
 
 
 def test_residual_rejects_bad_shapes():
@@ -251,7 +289,7 @@ def test_fit_recovers_generator_parameters():
 
     assert res.converged
     assert res.residual_rms < 1e-9
-    assert paired_error(fitted_eigenvalues(res),
+    assert paired_error(eigenvalues_sorted(res.ham),
                         eigenvalues_sorted(ham_c)) < 1e-6
     for got, want in ((res.ham.e1, ham_c.e1), (res.ham.e2, ham_c.e2),
                       (res.ham.h1, ham_c.h1), (res.ham.h2, ham_c.h2)):
@@ -264,7 +302,7 @@ def test_fit_recovers_reciprocal_family_with_zero_tau():
     res = fit_spectrum(spec)
     ham_c, _ = canonical_truth(fam, 1.63, 41.25)
     assert res.converged
-    assert paired_error(fitted_eigenvalues(res),
+    assert paired_error(eigenvalues_sorted(res.ham),
                         eigenvalues_sorted(ham_c)) < 1e-6
     assert abs(res.tau) < 1e-3
     assert abs(res.ham.h2) < 1e-6
@@ -278,7 +316,7 @@ def test_fit_at_exceptional_point_uses_fallback_seed():
     ham_c, _ = canonical_truth(fam, *fam.ep_location)
     assert res.converged
     assert res.residual_rms < 1e-9
-    assert paired_error(fitted_eigenvalues(res),
+    assert paired_error(eigenvalues_sorted(res.ham),
                         eigenvalues_sorted(ham_c)) < 1e-4
     assert abs(radicand(res.ham).d) < 1e-4
 
@@ -300,8 +338,20 @@ def test_fit_noisy_spectrum_stays_accurate():
     ham_c, _ = canonical_truth(fam, *GENERIC)
     assert res.converged
     assert abs(res.residual_rms - 0.005) < 0.001
-    assert paired_error(fitted_eigenvalues(res),
+    assert paired_error(eigenvalues_sorted(res.ham),
                         eigenvalues_sorted(ham_c)) < 0.05
+
+
+@pytest.mark.parametrize("mask", [None, ("S11", "S22")])
+def test_fit_rms_is_the_rms_of_the_public_residual(mask):
+    # the LM sums its complex residual over the included channels only, but
+    # its rms divides by all 8n rows, as the public residual vector does
+    fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=3))
+    res = fit_spectrum(spec, FitConfig(n_starts=2), mask=mask)
+    r = residual_vector(pack_params(res.ham, res.coupling.antenna), spec,
+                        mask)
+    rms = math.sqrt(float(r @ r) / r.size)
+    assert abs(res.residual_rms - rms) <= 1e-12 * rms
 
 
 def test_fit_observables_invariant_under_rotated_initialization():
@@ -314,8 +364,8 @@ def test_fit_observables_invariant_under_rotated_initialization():
     w_r = fam.coupling.antenna @ rot.matrix.real.T
     res_rotated = fit_spectrum(spec, init=pack_params(ham_r, w_r))
 
-    assert paired_error(fitted_eigenvalues(res_rotated),
-                        fitted_eigenvalues(res_seeded)) < 1e-8 * 2725.0
+    assert paired_error(eigenvalues_sorted(res_rotated.ham),
+                        eigenvalues_sorted(res_seeded.ham)) < 1e-8 * 2725.0
     ra, rb = radicand(res_seeded.ham), radicand(res_rotated.ham)
     scale = ra.reh2 + ra.imh2
     assert abs(ra.reh2 - rb.reh2) < 1e-8 * scale
@@ -327,8 +377,8 @@ def test_fit_init_accepts_previous_result():
     fam, spec = family_spectrum("b38", *GENERIC)
     first = fit_spectrum(spec)
     again = fit_spectrum(spec, init=first)
-    assert paired_error(fitted_eigenvalues(again),
-                        fitted_eigenvalues(first)) < 1e-9
+    assert paired_error(eigenvalues_sorted(again.ham),
+                        eigenvalues_sorted(first.ham)) < 1e-9
 
 
 def test_fit_synth_fit_loop_reproduces_spectrum():
@@ -348,8 +398,8 @@ def test_fit_start_order_does_not_change_noiseless_answer():
     fam, spec = family_spectrum("b38", *GENERIC)
     res_a = fit_spectrum(spec, FitConfig(seed=0))
     res_b = fit_spectrum(spec, FitConfig(seed=123))
-    assert paired_error(fitted_eigenvalues(res_a),
-                        fitted_eigenvalues(res_b)) < 1e-8 * 2725.0
+    assert paired_error(eigenvalues_sorted(res_a.ham),
+                        eigenvalues_sorted(res_b.ham)) < 1e-8 * 2725.0
 
 
 def test_accepted_costs_never_increase():
@@ -389,7 +439,7 @@ def test_fit_recovers_point_where_first_step_leaves_window():
     res = fit_spectrum(spec)
     ham_c, _ = canonical_truth(fam, *point)
     assert res.converged
-    assert paired_error(fitted_eigenvalues(res),
+    assert paired_error(eigenvalues_sorted(res.ham),
                         eigenvalues_sorted(ham_c)) < 1e-3
 
 
@@ -412,7 +462,7 @@ def test_fit_reflection_only_mask_converges():
     res = fit_spectrum(spec, mask=("s11",))
     ham_c, _ = canonical_truth(fam, *GENERIC)
     assert res.converged
-    assert paired_error(fitted_eigenvalues(res),
+    assert paired_error(eigenvalues_sorted(res.ham),
                         eigenvalues_sorted(ham_c)) < 1e-2
 
 
