@@ -27,10 +27,15 @@ one-parameter gauge freedom (a common real orthogonal rotation of levels and
 couplings), so the curvature matrix is singular along that direction;
 damping regularizes it and the gauge is fixed after convergence, not during.
 
-Starts run in a fixed order and stop early once one start reaches
-EARLY_EXIT_RMS, or once a converged start repeats the rms of an earlier
-converged start to RMS_AGREEMENT: with noise the exact exit can never fire,
-and two starts agreeing on the rms have found the same minimum.
+The first start is a closed-form two-pole fit of the spectrum (see
+seed_initializer): exact on noiseless data, a few LM iterations from the
+minimum with noise. The other starts scatter around it; their level kicks
+are Hermitian (Re h1, Re h2), so every start keeps the seed's passive
+dissipative part. Starts run in a fixed order and stop early once one start
+reaches EARLY_EXIT_RMS, or once a converged start repeats the rms of an
+earlier converged start to RMS_AGREEMENT: with noise the exact exit can
+never fire, and two starts agreeing on the rms have found the same minimum,
+so the earlier of them is kept.
 
 Post-fit canonicalization: gauge-fix the matrix, rotate W along, then pick
 the representative with |W00| >= |W01| and W00, W11 >= 0 (column swap plus
@@ -39,6 +44,7 @@ makes noiseless fits reproduce the generating parameters instead of a
 random gauge copy.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,6 +55,7 @@ from .core import (
     EffHamiltonian,
     eigenvalues_sorted,
     extract_tau,
+    from_matrix,
     gauge_fix,
 )
 from .errors import (
@@ -71,6 +78,10 @@ EARLY_EXIT_RMS = 1.0e-9
 RMS_AGREEMENT = 1.0e-9
 
 CHANNEL_NAMES = ("S11", "S12", "S21", "S22")
+# S - _DELTA is the resonant part of S11, S12, S21, S22
+_DELTA = [1.0, 0.0, 0.0, 1.0]
+# reweighted passes of the closed-form seed; the first is unweighted
+SEED_PASSES = 3
 
 
 class Termination(Enum):
@@ -343,93 +354,80 @@ def _levenberg_marquardt(p0, spec, include, cfg):
 # -------------------------------------------------------------------- seeding
 
 
-def _half_depth_width(q, k, baseline, step):
-    """Full width of dip k at half depth, by walking the samples outward.
+def seed_initializer(spec, mask=None):
+    """Initial parameters from a closed-form two-pole fit of the spectrum.
 
-    Returns (width, clipped) where clipped means the walk ran off both grid
-    edges without recovering: the window does not contain the resonance.
+    As adj(f - H) = (f - tr H) + H for 2x2 matrices, the model obeys
+    (S - 1) d(f) = -2 pi i (f M1 + M0) with d = det(f - H), M1 = W W^T and
+    M0 = W (H - tr H) W^T, linear in d and the numerators (Levy). With
+    d = x^2 + c1 x + c0 on centred, scaled frequencies x, one (n, 2) QR
+    projects out the real numerator columns [x, 1] that all included
+    channels share, and c1, c0 solve a 2x2 complex normal system; each of
+    SEED_PASSES passes weights the rows by 1/|d| of the pass before
+    (Sanathanan-Koerner). Then W = sqrt(M1) and H = K - tr K with
+    K = W^-1 M0 W^-T; with one transmission masked, det K = c0 fixes its
+    entry of M0. Without a transmission or without both reflections M1 is
+    unidentified: W is then diagonal from the known reflections (their
+    mean for a missing one, 1 with none), and the levels are the roots of
+    d mixed equally between the basis states, so each channel sees both.
+
+    Raises UnresolvableDoubletError on fewer than 16 samples or a spectrum
+    without resonant structure, InsufficientSpanError when a seeded pole
+    lies outside the window or is amplifying.
     """
-    target = 0.5 * (q[k] + baseline)
-    left = k
-    while left > 0 and q[left] < target:
-        left -= 1
-    right = k
-    while right < q.size - 1 and q[right] < target:
-        right += 1
-    clipped = (left == 0 and q[0] < target) and (
-        right == q.size - 1 and q[-1] < target)
-    return max(right - left, 1) * step, clipped
+    include = _channel_row_mask(mask)
+    if spec.n_points < 16:
+        raise UnresolvableDoubletError(f"{spec.n_points} samples are too few")
+    f_lo, f_hi = float(spec.freqs[0]), float(spec.freqs[-1])
+    mid, half = 0.5 * (f_lo + f_hi), 0.5 * (f_hi - f_lo)
+    x = (spec.freqs - mid) / half
+    channels = np.flatnonzero(include)
+    r = spec.s.reshape(-1, 4).T[channels] - np.array(_DELTA)[channels, None]
+    powers = x ** np.array([2.0, 1.0, 0.0])[:, None, None]
+    d = np.ones_like(x)
+    for _ in range(SEED_PASSES):
+        w = 1.0 / np.abs(d)
+        q, tri = np.linalg.qr(np.stack([w * x, w], axis=1))
+        z = r * w * powers                # columns w r x^2, w r x, w r
+        z -= (z.reshape(-1, x.size) @ q @ q.T).reshape(z.shape)
+        gram = z.reshape(3, -1).conj() @ z.reshape(3, -1).T
+        scale = (gram[1, 1] * gram[2, 2]).real
+        if not scale - abs(gram[1, 2]) ** 2 > 1e-12 * scale:
+            raise UnresolvableDoubletError("the spectrum shows no resonance")
+        c1, c0 = np.linalg.solve(gram[1:, 1:], -gram[1:, 0])
+        d = x * (x + c1) + c0
 
-
-def seed_initializer(spec):
-    """Initial parameter vector from dip picking on the reflection spectra.
-
-    Finds the two deepest separated minima of (|S11|^2 + |S22|^2)/2, reads
-    positions and half-depth widths, inverts the one-level undercoupled
-    depth formula for the diagonal couplings, and seeds the off-diagonal
-    structure at 10% of the level spacing.
-    """
-    q = 0.5 * (np.abs(spec.s11) ** 2 + np.abs(spec.s22) ** 2)
-    n = q.size
-    if n < 16:
-        raise UnresolvableDoubletError(f"{n} samples are too few to seed from")
-    step = (spec.freqs[-1] - spec.freqs[0]) / (n - 1)
-    baseline = float(np.median(q))
-    if baseline < 0.6:
-        # a window that covers the doublet always holds off-resonant samples
-        # near unit reflection; a depressed median means the resonances
-        # extend past the grid edges
-        raise InsufficientSpanError(
-            f"median reflection {baseline:.3f} shows no off-resonant "
-            f"baseline inside the window; widen the grid")
-    k1 = int(np.argmin(q))
-    depth1 = baseline - q[k1]
-    if depth1 < 0.02:
-        raise UnresolvableDoubletError(
-            f"deepest dip ({depth1:.4f} below baseline) is too shallow")
-    span = float(spec.freqs[-1] - spec.freqs[0])
-    width1, clipped1 = _half_depth_width(q, k1, baseline, step)
-    if clipped1:
-        raise InsufficientSpanError(
-            f"the resonance never recovers to half depth inside the "
-            f"{span:.3g} MHz window; widen the grid")
-    # overlapping dips inflate the walk estimate; keep the start sane
-    width1 = min(width1, 0.25 * span)
-
-    # exclude a 4-width window around the first dip, then look again
-    half_window = max(int(round(2.0 * width1 / step)), 2)
-    masked = q.copy()
-    masked[max(0, k1 - half_window):k1 + half_window + 1] = np.inf
-    k2 = int(np.argmin(masked))
-    depth2 = baseline - masked[k2] if np.isfinite(masked[k2]) else -np.inf
-
-    if depth2 >= 0.02:
-        width2 = min(_half_depth_width(q, k2, baseline, step)[0], 0.25 * span)
-        dips = sorted([(spec.freqs[k1], width1, k1), (spec.freqs[k2], width2, k2)])
+    # numerators of the last weighting: M1, and M0 of H_x = (H - mid) / half
+    num = np.zeros((2, 4), dtype=complex)
+    num[:, channels] = 0.5j * half / math.pi * np.linalg.solve(
+        tri, q.T @ (r * (w * d)).T)
+    m1, m0 = num[0].real.reshape(2, 2), num[1].reshape(2, 2)
+    known = include.reshape(2, 2)
+    n_off = int(known[0, 1]) + int(known[1, 0])
+    m1[0, 1] = m1[1, 0] = (m1[0, 1] + m1[1, 0]) / max(n_off, 1)
+    evals, vecs = np.linalg.eigh(m1)
+    if known.diagonal().all() and n_off and evals[0] > 0.0:
+        w_ant = (vecs * np.sqrt(evals)) @ vecs.T
+        w_inv = np.linalg.inv(w_ant)
+        k = w_inv @ m0 @ w_inv.T
+        if n_off == 1:       # det(K + t a b^T) = det K + t b^T adj(K) a
+            a, b = w_inv[:, np.argwhere(~known)[0]].T
+            adj = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]])
+            # uncoupled levels and diagonal W make the denominator exactly 0
+            k += (c0 - np.linalg.det(k)) / (b @ adj @ a or 1.0) * np.outer(a, b)
+        h_x = k - np.trace(k) * np.eye(2)
     else:
-        # merged doublet: split the single dip symmetrically
-        f0, w0 = spec.freqs[k1], width1
-        dips = [(f0 - w0 / 4, w0 / 2, k1), (f0 + w0 / 4, w0 / 2, k1)]
-
-    (f_lo, w_lo, k_lo), (f_hi, w_hi, k_hi) = dips
-    e1 = complex(f_lo, -0.5 * w_lo)
-    e2 = complex(f_hi, -0.5 * w_hi)
-
-    # undercoupled inversion of the one-level dip depth, per antenna channel
-    def antenna_w(refl, k, gamma_tot):
-        depth = float(np.clip(1.0 - abs(refl[k]) ** 2, 0.0, 1.0))
-        gamma_a = 0.5 * gamma_tot * (1.0 - math.sqrt(1.0 - depth))
-        return math.sqrt(max(gamma_a, 1e-6) / (2.0 * math.pi))
-
-    w00 = antenna_w(spec.s11, k_lo, w_lo)
-    w11 = antenna_w(spec.s22, k_hi, w_hi)
-    w_off = 0.05 * 0.5 * (w00 + w11)
-    h1 = 0.1 * abs(e1 - e2)
-    return np.array([
-        e1.real, e1.imag, e2.real, e2.imag,
-        h1, 0.0, 0.0, 0.0,
-        w00, w_off, w_off, w11,
-    ])
+        diag = m1.diagonal()[known.diagonal()]
+        w_ant = np.diag(np.sqrt(np.abs(np.where(
+            known.diagonal(), m1.diagonal(), diag.mean() if diag.size else 1.0))))
+        disc = cmath.sqrt(c1 * c1 - 4.0 * c0)
+        h_x = np.array([[-c1, disc], [disc, -c1]]) / 2.0
+    p0 = pack_params(from_matrix(mid * np.eye(2) + half * h_x), w_ant)
+    if not _poles_physical(p0, f_lo, f_hi):
+        raise InsufficientSpanError(
+            f"the seeded poles lie outside the {f_lo:.6g}-{f_hi:.6g} MHz "
+            f"window or amplify; widen the grid")
+    return p0
 
 
 # ----------------------------------------------------------- canonical gauge
@@ -503,8 +501,8 @@ def _scatter_starts(p0, n_starts, rng):
     """The seed itself plus randomized variations around it.
 
     Positions move additively by fractions of the level spacing, widths and
-    couplings rescale log-uniformly; entries seeded at zero get a small
-    additive kick so no search direction starts out frozen.
+    couplings rescale log-uniformly, and Re h1, Re h2 get additive kicks.
+    Those are Hermitian, so every start keeps the seed's dissipative part.
     """
     starts = [np.array(p0, dtype=float)]
     spacing = max(abs(p0[0] - p0[2]), -4.0 * p0[1], -4.0 * p0[3], 0.5)
@@ -514,7 +512,7 @@ def _scatter_starts(p0, n_starts, rng):
         q[0] += rng.normal(0.0, 0.25 * spacing)
         q[2] += rng.normal(0.0, 0.25 * spacing)
         q[[1, 3]] *= np.exp(rng.uniform(-0.7, 0.7, size=2))
-        q[4:8] += rng.normal(0.0, 0.15 * spacing, size=4)
+        q[[4, 6]] += rng.normal(0.0, 0.15 * spacing, size=2)
         q[8:12] *= np.exp(rng.uniform(-0.35, 0.35, size=4))
         q[8:12] += rng.normal(0.0, 0.05 * w_scale, size=4)
         starts.append(q)
@@ -525,18 +523,19 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
     """Fit the two-level model to a spectrum.
 
     init may be a FitResult or a packed parameter vector; without it the
-    dip-picking seed is used. At most cfg.n_starts starts run, in a fixed
-    order: the loop stops after a start below EARLY_EXIT_RMS, or after a
-    converged start whose rms matches an earlier converged start's to
-    RMS_AGREEMENT. Raises InsufficientSpanError when the grid does not
-    cover 4x both seeded widths, NonConvergenceError (carrying the best
-    residual and the starts per termination reason) when no start
+    closed-form seed of the included channels is used. At most
+    cfg.n_starts starts run, in a fixed order: the loop stops after a start
+    below EARLY_EXIT_RMS, or after a converged start whose rms matches an
+    earlier converged start's to RMS_AGREEMENT, and then keeps the earlier
+    one. Raises InsufficientSpanError when the grid does not cover 4x the
+    widths of both seeded eigenvalues, NonConvergenceError (carrying the
+    best residual and the starts per termination reason) when no start
     converges.
     """
     cfg = cfg or FitConfig()
     include = _channel_row_mask(mask)
     if init is None:
-        p0 = seed_initializer(spec)
+        p0 = seed_initializer(spec, mask)
     elif isinstance(init, FitResult):
         p0 = pack_params(init.ham, init.coupling.antenna)
     else:
@@ -546,7 +545,7 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
                 f"init must have {N_PARAMS} entries, got {p0.shape}")
 
     span = float(spec.freqs[-1] - spec.freqs[0])
-    widths = (-2.0 * p0[1], -2.0 * p0[3])
+    widths = [-2.0 * e.imag for e in eigenvalues_sorted(unpack_params(p0)[0])]
     if span < 4.0 * max(*widths, 0.0):
         raise InsufficientSpanError(
             f"grid span {span:.3g} MHz does not cover 4x the seeded widths "
@@ -561,15 +560,14 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
             start, spec, include, cfg)
         counts[stop] += 1
         ok = bool(stop)
+        agrees = ok and any(abs(rms - prev) <= RMS_AGREEMENT * prev
+                            for prev in converged_rms)
         if best is None or (ok and not best[2]) or (
-                ok == best[2] and rms < best[1]):
+                ok == best[2] and rms < best[1] and not agrees):
             best = (p, rms, ok, iters, jtj_diag)
-        if best[2] and best[1] < EARLY_EXIT_RMS:
+        if agrees or (best[2] and best[1] < EARLY_EXIT_RMS):
             break
         if ok:
-            if any(abs(rms - prev) <= RMS_AGREEMENT * prev
-                   for prev in converged_rms):
-                break
             converged_rms.append(rms)
 
     p, rms, ok, iters, jtj_diag = best
@@ -584,10 +582,12 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
 
     ham_raw, w_raw = unpack_params(p)
     ham, w_ant = _canonicalize(ham_raw, w_raw)
+    # uncoupled levels have no off-diagonal ratio, so no phase to read
+    coupled = abs(ham.h1) + abs(ham.h2) > 1e-9 * abs(ham.h3)
     return FitResult(
         ham=ham,
         coupling=_reconstruct_coupling(ham, w_ant),
-        tau=extract_tau(ham),
+        tau=extract_tau(ham) if coupled else 0.0,
         residual_rms=rms,
         converged=True,
         covariance_proxy=jtj_diag,

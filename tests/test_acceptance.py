@@ -222,8 +222,8 @@ def test_criterion_09_end_to_end_recovery():
     """41x41 noiseless recovery < 1e-3 MHz at 99% of points in < 10 min,
     and 0.05 MHz at the 95th percentile over 100 noisy seeds."""
     fam = load_family("b38")
-    # default multi-start config: the scattered restarts are what rescue the
-    # strongly width-asymmetric doublets in the lower-left of this window
+    # default multi-start config: from the closed-form seed every point of
+    # this window converges in one LM iteration, so no scattered start runs
     cfg = FitConfig()
     s_values = np.round(np.arange(B38_EP[0] - 0.20, B38_EP[0] + 0.2001, 0.01), 6)
     d_values = np.round(np.arange(B38_EP[1] - 0.20, B38_EP[1] + 0.2001, 0.01), 6)

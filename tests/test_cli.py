@@ -249,14 +249,15 @@ def test_fit_failure_threshold_sets_exit_code(tmp_path):
                  "--out", str(out)]) == 0
 
 
-def test_failed_fit_keeps_its_detail(tmp_path):
+@pytest.mark.parametrize("span", ["0.3", "0.5", "1"])
+def test_failed_fit_keeps_its_detail(tmp_path, span):
     data, fits = tmp_path / "data", tmp_path / "fits"
     data.mkdir()
     fits.mkdir()
-    # a 1 MHz window at the EP holds no whole resonance: every start runs
-    # its poles out of the window
+    # a window at the EP narrower than the 1.875 MHz widths holds no whole
+    # resonance: the seed's poles are wider than a quarter of the span
     assert main(["synth", "--family", "b38", "--point", "1.72,41.78",
-                 "--span", "1", "--fstep", "0.01", "--out", str(data)]) == 0
+                 "--span", span, "--fstep", "0.01", "--out", str(data)]) == 0
     assert main(["fit", "--in", str(data), "--out", str(fits)]) == 3
 
     doc = json.loads((fits / "b38_s1.7200_d41.7800_fit.json").read_text())
@@ -265,12 +266,12 @@ def test_failed_fit_keeps_its_detail(tmp_path):
                    "config_hash": manifest["config_hash"],
                    "source": "b38_s1.7200_d41.7800.csv",
                    "s_mm": 1.72, "delta_mm": 41.78, "converged": False,
-                   "reason": "NonConvergenceError", "detail": doc["detail"]}
-    assert "8 starts run: 0 converged, 8 runaway" in doc["detail"]
+                   "reason": "InsufficientSpanError", "detail": doc["detail"]}
+    assert f"grid span {span} MHz does not cover 4x" in doc["detail"]
     assert manifest["files"] == ["b38_s1.7200_d41.7800_fit.json",
                                  "summary.csv"]
     summary = ScanResult.read_csv(fits / "summary.csv")
-    assert summary.reasons == {(0, 0): "NonConvergenceError"}
+    assert summary.reasons == {(0, 0): "InsufficientSpanError"}
 
 
 def test_fit_writes_each_result_as_it_arrives(dataset, tmp_path,
@@ -444,8 +445,10 @@ def test_help_and_missing_subcommand():
 
 
 def test_module_entry_point_runs():
+    # the child imports eplab from this process's path, as pytest set it up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "eplab", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "synth" in proc.stdout
 
