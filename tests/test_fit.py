@@ -238,6 +238,30 @@ def test_seed_eigenvalues_match_noiseless_truth(s, delta):
     assert paired_error(got, eigenvalues_sorted(fam.h_at(s, delta))) < 1e-6
 
 
+def test_seed_positions_within_half_width():
+    ham, w = separated_doublet(10.0)     # ~12 widths apart
+    spec = synth_spectrum(ham, w, *GRID)
+    p0 = seed_initializer(spec)
+    gamma = 2.0 * math.pi * (0.2 ** 2 + 0.3 ** 2)
+    assert abs(p0[0] - ham.e1.real) < 0.5 * gamma
+    assert abs(p0[2] - ham.e2.real) < 0.5 * gamma
+    assert 0.25 * gamma < -2.0 * p0[1] < 4.0 * gamma
+    assert 0.25 * gamma < -2.0 * p0[3] < 4.0 * gamma
+
+
+def test_seed_merged_doublet_splits_symmetrically():
+    fam = load_family("b38")
+    spec = synth_spectrum(fam.internal_at(*fam.ep_location), fam.coupling,
+                          *GRID)
+    q = 0.5 * (np.abs(spec.s11) ** 2 + np.abs(spec.s22) ** 2)
+    f_dip = spec.freqs[int(np.argmin(q))]
+    p0 = seed_initializer(spec)
+    assert p0[0] < p0[2]
+    assert abs(0.5 * (p0[0] + p0[2]) - f_dip) < 1.0
+    assert abs(p0[0] - p0[2]) < 4.0
+
+
+
 def test_seed_flat_spectrum_raises():
     # W = 0 gives S = identity; keep the lossless poles off the grid
     ham = EffHamiltonian(2720.0037, 2730.0041, 0.0, 0.0)
