@@ -3,8 +3,8 @@
 Subcommands
   synth          write spectrum CSVs (plus sidecars and a manifest) on a grid
   fit            fit spectra to the two-level model; JSON per file, CSV summary
-  analyze scan   tabulate the effective matrix over a parameter grid
-  analyze ep     locate the eigenvalue degeneracy on a scan or fit summary
+  analyze scan   tabulate a family's effective matrix over a parameter grid
+  analyze ep     locate the eigenvalue degeneracy on a scan table
   analyze curve  trace the real-splitting contour through the plane
   analyze pt     run the symmetry normal-form chain along a traced curve
   analyze braid  track eigenvalue exchange around a closed parameter loop
@@ -14,6 +14,11 @@ failure. Every output file embeds a 16-hex-digit hash of the resolved
 configuration, and re-running a command with the same configuration and seed
 rewrites outputs bit-identically. EPLAB_OUTPUT_ROOT sets the default output
 directory; an explicit --out wins, and the directory must already exist.
+
+`fit` is the one driver from spectra to a scan table. `analyze ep` and
+`analyze curve` read a table with --in from a scan CSV, or from a fit
+manifest.json, whose *_fit.json files carry the fitted matrices on to
+`analyze pt`; the schema tag tells the two apart.
 """
 
 import argparse
@@ -28,12 +33,12 @@ import sys
 
 import numpy as np
 
-from .core import observables, pt_report, radicand
+from .core import EffHamiltonian, pt_report, radicand
 from .epscan import (
     CurveTrace,
     ParamGrid,
     ScanResult,
-    SpectrumDirectory,
+    _scan_table,
     braid_loop,
     locate_ep,
     scan,
@@ -79,17 +84,21 @@ def _config_hash(resolved):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _read_json(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path!r}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} {path!r} is not valid JSON: {exc}")
+
+
 def _merge_config_file(ns, allowed):
     """Fill unset options from the JSON config file; flags win."""
     if ns.config is None:
         return
-    try:
-        with open(ns.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config file {ns.config!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {ns.config!r} is not valid JSON: {exc}")
+    doc = _read_json(ns.config, "config file")
     if not isinstance(doc, dict):
         raise DataError(f"config file {ns.config!r} must hold a JSON object")
     unknown = sorted(set(doc) - set(allowed))
@@ -237,26 +246,6 @@ def _pool_map(fn, items, jobs):
         yield from pool.map(fn, items, chunksize=chunk)
 
 
-def _grid_from_points(points):
-    """Infer the ParamGrid spanned by (s, delta) pairs; must be regular."""
-    ss = sorted({round(float(s), 6) for s, _ in points})
-    dd = sorted({round(float(d), 6) for _, d in points})
-
-    def axis_step(values):
-        if len(values) < 2:
-            return None
-        return float(np.min(np.diff(values)))
-
-    steps = [st for st in (axis_step(ss), axis_step(dd)) if st is not None]
-    step = min(steps) if steps else 0.01
-    grid = ParamGrid(ss[0], ss[-1], dd[0], dd[-1], step)
-    nodes_s = set(np.round(grid.s_values, 6))
-    nodes_d = set(np.round(grid.delta_values, 6))
-    if not (set(ss) <= nodes_s and set(dd) <= nodes_d):
-        raise DataError("spectrum coordinates do not form a regular grid")
-    return grid
-
-
 # ------------------------------------------------------------------- synth
 
 
@@ -327,7 +316,12 @@ def _cmd_synth(ns):
 
 
 def _spectrum_inputs(ns):
-    """Normalize --in / --manifest / positional files to (s, d, path)."""
+    """Normalize --in / --manifest / positional files to sorted (s, d, path).
+
+    Each spectrum needs a sidecar JSON whose s_mm and delta_mm (read to
+    1e-6 mm) are unique and sit on one grid. Under --in, a CSV with no
+    sidecar at all, such as a summary.csv written there, is passed over.
+    """
     given = sum(bool(x) for x in (ns.spectra, ns.indir, ns.manifest))
     if given == 0:
         raise UsageError("fit requires spectra: files, --in DIR, or "
@@ -337,17 +331,16 @@ def _spectrum_inputs(ns):
                          "not several at once")
 
     if ns.indir:
-        return SpectrumDirectory(ns.indir).points()
-
-    if ns.manifest:
-        try:
-            with open(ns.manifest, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read manifest {ns.manifest!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise DataError(f"manifest {ns.manifest!r} is not valid JSON: "
-                            f"{exc}")
+        if not os.path.isdir(ns.indir):
+            raise DataError(f"not a directory: {ns.indir}")
+        paths = [os.path.join(ns.indir, name)
+                 for name in sorted(os.listdir(ns.indir))
+                 if name.endswith(".csv") and os.path.exists(
+                     os.path.join(ns.indir, name[:-4] + ".json"))]
+        if not paths:
+            raise DataError(f"no spectrum files with sidecars in {ns.indir}")
+    elif ns.manifest:
+        doc = _read_json(ns.manifest, "manifest")
         names = [n for n in doc.get("files", []) if n.endswith(".csv")]
         if not names:
             raise DataError(f"manifest {ns.manifest!r} lists no CSV files")
@@ -363,39 +356,79 @@ def _spectrum_inputs(ns):
         try:
             with open(sidecar, encoding="utf-8") as fh:
                 meta = json.load(fh)
-            s = float(meta["s_mm"])
-            d = float(meta["delta_mm"])
+            key = (round(float(meta["s_mm"]), 6),
+                   round(float(meta["delta_mm"]), 6))
         except (OSError, ValueError, TypeError, KeyError):
             raise DataError(
                 f"{path}: no sidecar with s_mm/delta_mm coordinates")
-        key = (round(s, 6), round(d, 6))
         if key in seen:
             raise DataError(f"{path}: duplicates coordinates of {seen[key]}")
         seen[key] = path
-        points.append((s, d, path))
-    return sorted(points)
+        points.append((*key, path))
+    points.sort()
+    ParamGrid.from_points([s for s, _, _ in points], [d for _, d, _ in points],
+                          "spectrum coordinates")
+    return points
 
 
 def _fit_task(args):
     s, d, path, mask, cfg = args
     name = os.path.basename(path)
     try:
-        spec = read_spectrum(path)
-        res = fit_spectrum(spec, cfg, mask=mask)
+        doc = fit_spectrum(read_spectrum(path), cfg, mask=mask).to_json_dict()
     except EplabError as exc:
-        return {"name": name, "s": s, "d": d, "ok": False,
-                "doc": {"converged": False, "reason": type(exc).__name__,
-                        "detail": str(exc)}}
-    # the canonical matrix is gauge fixed already; tau is the fit's own
-    obs = observables(res.ham.e1, res.ham.e2, res.ham.h1, res.ham.h2)
-    return {
-        "name": name, "s": s, "d": d, "ok": True,
-        "row": tuple(float(v) for v in (obs.f1, obs.g1, obs.f2, obs.g2,
-                                        obs.reh2, obs.imh2, obs.cross,
-                                        res.tau)),
-        "ham": (res.ham.e1, res.ham.e2, res.ham.h1, res.ham.h2),
-        "doc": res.to_json_dict(),
-    }
+        doc = {"converged": False, "reason": type(exc).__name__,
+               "detail": str(exc)}
+    return name, s, d, doc
+
+
+def _fit_table(docs):
+    """Scan table of fit JSON documents, through the observables kernel.
+
+    Grid nodes with no document are failed as missing-spectrum, failed
+    fits with their recorded reason; converged fits are ok and keep the
+    tau of their document.
+    """
+    grid, i, j = ParamGrid.from_points([doc["s_mm"] for doc in docs],
+                                       [doc["delta_mm"] for doc in docs],
+                                       "fit coordinates")
+    mats = [np.full(grid.shape, np.nan, dtype=complex) for _ in range(4)]
+    tau = np.full(grid.shape, np.nan)
+    reasons = {(a, b): "missing-spectrum"
+               for a in range(grid.n_s) for b in range(grid.n_delta)}
+    for doc, a, b in zip(docs, i.tolist(), j.tolist()):
+        if not doc["converged"]:
+            reasons[(a, b)] = doc["reason"]
+            continue
+        del reasons[(a, b)]
+        ham = EffHamiltonian.from_json_dict(doc)
+        for arr, z in zip(mats, (ham.e1, ham.e2, ham.h1, ham.h2)):
+            arr[a, b] = z
+        tau[a, b] = float(doc["tau"])
+    return _scan_table(grid, "fit", mats, reasons, tau=tau)
+
+
+def _read_table(path):
+    """Scan table of a scan CSV or of a fit manifest, told by schema tag."""
+    with open(path, encoding="utf-8") as fh:
+        is_csv = fh.readline().startswith("# schema=")
+    if is_csv:
+        return ScanResult.read_csv(path)
+    doc = _read_json(path, "manifest")
+    if not (isinstance(doc, dict) and doc.get("schema") == MANIFEST_SCHEMA
+            and doc.get("command") == "fit"):
+        raise DataError(f"{path} is neither a scan CSV nor a fit manifest")
+    root = os.path.dirname(os.path.abspath(path))
+    docs = [_read_json(os.path.join(root, name), "fit result")
+            for name in doc.get("files", []) if name.endswith("_fit.json")]
+    if not docs:
+        raise DataError(f"manifest {path!r} lists no fit results")
+    try:
+        if any(fit.get("schema") != FIT_SCHEMA for fit in docs):
+            raise DataError(f"{path} lists a file without schema {FIT_SCHEMA}")
+        return _fit_table(docs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} lists a malformed fit result: {exc!r}")
 
 
 def _cmd_fit(ns):
@@ -409,7 +442,6 @@ def _cmd_fit(ns):
     max_failures = (float(ns.max_failures)
                     if ns.max_failures is not None else 0.2)
     out = _resolve_out(ns)
-    grid = _grid_from_points([(s, d) for s, d, _ in inputs])
 
     resolved = {"command": "fit",
                 "inputs": [os.path.basename(p) for _, _, p in inputs],
@@ -419,51 +451,27 @@ def _cmd_fit(ns):
     cfg_hash = _config_hash(resolved)
 
     # each *_fit.json is written as its result arrives, so an interrupted
-    # run keeps the fits it finished; the summary is assembled at the end
+    # run keeps the fits it finished; the summary is built from them at the
+    # end, as _read_table builds it from the manifest
     results = _pool_map(_fit_task,
                         [(s, d, p, mask, cfg) for s, d, p in inputs],
                         ns.jobs)
-
-    shape = grid.shape
-    cols = {k: np.full(shape, np.nan) for k in
-            ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau")}
-    mats = {k: np.full(shape, np.nan, dtype=complex) for k in
-            ("e1", "e2", "h1", "h2")}
-    ok = np.zeros(shape, dtype=bool)
-    reasons = {}
-    node_s = {round(v, 6): i for i, v in enumerate(grid.s_values)}
-    node_d = {round(v, 6): j for j, v in enumerate(grid.delta_values)}
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            reasons[(i, j)] = "missing-spectrum"
-
+    docs = []
     files = []
-    for res in results:
-        i = node_s[round(res["s"], 6)]
-        j = node_d[round(res["d"], 6)]
-        del reasons[(i, j)]
-        if res["ok"]:
-            ok[i, j] = True
-            for name, value in zip(cols, res["row"]):
-                cols[name][i, j] = value
-            for name, value in zip(mats, res["ham"]):
-                mats[name][i, j] = value
-        else:            # a failed fit keeps its reason and detail in its JSON
-            reasons[(i, j)] = res["doc"]["reason"]
+    for name, s, d, fit_doc in results:
         doc = {"schema": FIT_SCHEMA, "config_hash": cfg_hash,
-               "source": res["name"],
-               "s_mm": res["s"], "delta_mm": res["d"], **res["doc"]}
-        fit_name = os.path.splitext(res["name"])[0] + "_fit.json"
+               "source": name, "s_mm": s, "delta_mm": d, **fit_doc}
+        fit_name = os.path.splitext(name)[0] + "_fit.json"
         _write_json(os.path.join(out, fit_name), doc)
+        docs.append(doc)
         files.append(fit_name)
 
-    summary = ScanResult(grid=grid, provenance="fit", ok=ok, reasons=reasons,
-                         **cols, **mats)
-    summary.write_csv(os.path.join(out, "summary.csv"), config_hash=cfg_hash)
+    _fit_table(docs).write_csv(os.path.join(out, "summary.csv"),
+                               config_hash=cfg_hash)
     files.append("summary.csv")
     _write_manifest(out, "fit", cfg_hash, cfg.seed, files)
 
-    n_failed_fits = len(inputs) - int(ok.sum())
+    n_failed_fits = sum(not doc["converged"] for doc in docs)
     rate = n_failed_fits / len(inputs)
     print(f"fitted {len(inputs)} spectra, {n_failed_fits} failures "
           f"(rate {rate:.3f}); wrote summary.csv (config={cfg_hash})")
@@ -476,36 +484,31 @@ def _cmd_fit(ns):
 # ----------------------------------------------------------------- analyze
 
 
-def _scan_source(ns, require_family=False):
-    """Resolve --family/--in into a scan-ready (source, grid) pair."""
-    if ns.family and getattr(ns, "indir", None):
-        raise UsageError("give --family or --in, not both")
-    if ns.family:
-        fam = load_family(ns.family)
-        if getattr(ns, "grid", None):
-            grid = _parse_grid(ns.grid)
-        else:
-            grid = ParamGrid(fam.bounds_s[0], fam.bounds_s[1],
-                             fam.bounds_delta[0], fam.bounds_delta[1])
-        return fam, grid
-    if require_family:
+def _family_grid(ns):
+    """The --family preset and its --grid (default: the family bounds)."""
+    if not ns.family:
         raise UsageError("this command requires --family")
     if getattr(ns, "indir", None):
-        directory = SpectrumDirectory(ns.indir)
-        grid = _grid_from_points([(s, d) for s, d, _ in directory.points()])
-        return directory, grid
-    raise UsageError("requires a source: --family or --in")
+        raise UsageError("give --family or --in, not both")
+    fam = load_family(ns.family)
+    if ns.grid:
+        grid = _parse_grid(ns.grid)
+    else:
+        grid = ParamGrid(fam.bounds_s[0], fam.bounds_s[1],
+                         fam.bounds_delta[0], fam.bounds_delta[1])
+    return fam, grid
 
 
 def _cmd_analyze_scan(ns):
-    _merge_config_file(ns, ("family", "indir", "grid", "out"))
-    source, grid = _scan_source(ns)
+    _merge_config_file(ns, ("family", "grid", "out"))
+    fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
+    # "in" stays a key, always None, so existing scan.csv hashes still hold
     resolved = {"command": "analyze-scan", "family": ns.family,
-                "in": ns.indir, "grid": ns.grid, "out": out}
+                "in": None, "grid": ns.grid, "out": out}
     cfg_hash = _config_hash(resolved)
 
-    result = scan(grid, source)
+    result = scan(grid, fam)
     result.write_csv(os.path.join(out, "scan.csv"), config_hash=cfg_hash)
     print(f"scanned {grid.shape[0]}x{grid.shape[1]} grid, "
           f"{result.n_failed} failed points; wrote scan.csv "
@@ -516,8 +519,8 @@ def _cmd_analyze_scan(ns):
 def _cmd_analyze_ep(ns):
     _merge_config_file(ns, ("infile", "out"))
     if ns.infile is None:
-        raise UsageError("analyze ep requires --in CSV")
-    result = ScanResult.read_csv(ns.infile)
+        raise UsageError("analyze ep requires --in SCAN.csv or manifest.json")
+    result = _read_table(ns.infile)
     loc = locate_ep(result)
     out = _resolve_out(ns)
     resolved = {"command": "analyze-ep", "in": ns.infile, "out": out}
@@ -556,14 +559,15 @@ def _cmd_analyze_curve(ns):
                             "epsilon", "cstep", "out"))
     out = _resolve_out(ns)
     if ns.family:
-        source, grid = _scan_source(ns)
-        result = scan(grid, source)
+        fam, grid = _family_grid(ns)
+        result = scan(grid, fam)
         origin = {"family": ns.family, "grid": ns.grid}
     elif ns.indir:
-        result = ScanResult.read_csv(ns.indir)
+        result = _read_table(ns.indir)
         origin = {"scan": os.path.basename(ns.indir)}
     else:
-        raise UsageError("analyze curve requires --family or --in SCAN.csv")
+        raise UsageError("analyze curve requires --family or --in "
+                         "(SCAN.csv or manifest.json)")
 
     start_text = ns.start if ns.start is not None else "ep"
     if str(start_text).strip().lower() == "ep":
@@ -598,17 +602,14 @@ def _cmd_analyze_pt(ns):
     _merge_config_file(ns, ("curve", "out"))
     if ns.curve is None:
         raise UsageError("analyze pt requires --curve TRACE.json")
-    try:
-        with open(ns.curve, encoding="utf-8") as fh:
-            trace = CurveTrace.from_json_dict(json.load(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read curve {ns.curve!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"curve {ns.curve!r} is not valid JSON: {exc}")
+    trace = CurveTrace.from_json_dict(_read_json(ns.curve, "curve"))
     if trace.hams is None:
         raise DataError(
-            "trace carries no matrices; re-trace from a family or a scan "
-            "with full matrix columns")
+            "trace carries no matrices; re-trace from a family or a fit "
+            "manifest")
+    missing = [k for k, ham in enumerate(trace.hams) if ham is None]
+    if missing:
+        raise DataError(f"trace point {missing[0]} carries no matrix")
 
     out = _resolve_out(ns)
     resolved = {"command": "analyze-pt", "curve": ns.curve, "out": out}
@@ -616,8 +617,9 @@ def _cmd_analyze_pt(ns):
 
     rows = []
     phases = []
+    # each point is on the curve to the tolerance it was traced at
     for k, ham in enumerate(trace.hams):
-        rep = pt_report(ham)
+        rep = pt_report(ham, eps_cross=trace.epsilon)
         rad = radicand(ham)
         phase = "exact" if rad.reh2 >= rad.imh2 else "broken"
         phases.append(phase)
@@ -658,7 +660,7 @@ def _cmd_analyze_pt(ns):
 def _cmd_analyze_braid(ns):
     _merge_config_file(ns, ("family", "center", "radius", "points",
                             "turns", "out"))
-    fam, grid = _scan_source(ns, require_family=True)
+    fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
     radius = float(ns.radius) if ns.radius is not None else 0.1
     n_points = int(ns.points) if ns.points is not None else 64
@@ -730,21 +732,22 @@ def _build_parser():
     pa = sub.add_parser("analyze", help="plane analysis on fits or presets")
     mode = pa.add_subparsers(dest="mode", required=True)
 
-    p = mode.add_parser("scan", help="tabulate the plane on a grid")
+    p = mode.add_parser("scan", help="tabulate a family on a grid")
     p.add_argument("--family", help="preset name or JSON path")
-    p.add_argument("--in", dest="indir", help="directory of spectra to fit")
     p.add_argument("--grid", help="min:max:step x min:max:step in mm")
     _add_common(p)
     p.set_defaults(handler=_cmd_analyze_scan)
 
-    p = mode.add_parser("ep", help="locate the degeneracy on a scan CSV")
-    p.add_argument("--in", dest="infile", help="scan or fit-summary CSV")
+    p = mode.add_parser("ep", help="locate the degeneracy on a scan table")
+    p.add_argument("--in", dest="infile",
+                   help="scan CSV (also a fit summary.csv) or fit manifest")
     _add_common(p)
     p.set_defaults(handler=_cmd_analyze_ep)
 
     p = mode.add_parser("curve", help="trace the real-splitting contour")
     p.add_argument("--family", help="preset name or JSON path")
-    p.add_argument("--in", dest="indir", help="scan CSV to trace on")
+    p.add_argument("--in", dest="indir",
+                   help="scan CSV or fit manifest to trace on")
     p.add_argument("--grid", help="grid when scanning a family")
     p.add_argument("--start", help="s,delta start point or 'ep' (default)")
     p.add_argument("--epsilon", type=float, help="contour tolerance")

@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import (
     DegenerateGaugeError,
-    DegenerateRotationError,
     InvalidArgumentError,
     NotGaugeFixedError,
     NotOnPTCurveError,
@@ -561,14 +560,6 @@ def to_pt_form(ham_shifted, tau, eps_cross=EPS_CROSS):
     o = BasisTransform(TransformKind.ROT_O, 0.5 * two_phi)
     m2 = o.apply(m1)
 
-    # Unreachable through the minimizing angle; kept as a contract guard.
-    hscale = max(abs(m1.h1), abs(m1.h3), 1e-300)
-    if (math.sin(two_phi) == 0.0 and abs(m1.h1.imag) > 1e-9 * hscale) or (
-            math.cos(two_phi) == 0.0 and abs(m1.h1.real) > 1e-9 * hscale):
-        raise DegenerateRotationError(
-            f"rotation angle 2*Phi = {two_phi!r} inconsistent with h1 = {m1.h1!r}"
-        )
-
     mat = m2.matrix
     apb = 0.5 * (mat[0, 0] + mat[1, 1].conjugate())   # A + iB
     cpd = 0.5 * (mat[0, 1] + mat[1, 0].conjugate())   # C + iD
@@ -593,21 +584,6 @@ def pt_commutator_norm(m):
     return float(np.max(np.abs(k)))
 
 
-def pt_eigenvector_alignment(m):
-    """Per-eigenvector overlap |<v, sigma_x conj v>| / <v, v>.
-
-    Equals 1 when the eigenvector is (up to phase) an eigenvector of the
-    antilinear symmetry, and drops below 1 in the broken phase.
-    """
-    m = np.asarray(m, dtype=complex)
-    _, vecs = np.linalg.eig(m)
-    out = []
-    for j in range(2):
-        v = vecs[:, j]
-        out.append(abs(np.vdot(v, SIGMA_X @ np.conj(v))) / np.vdot(v, v).real)
-    return tuple(out)
-
-
 def is_ep(ham, eps_d=1e-8, eps_h=1e-9):
     """EP test: |D| small relative to |Re h|^2 + |Im h|^2, with h not tiny.
 
@@ -617,16 +593,6 @@ def is_ep(ham, eps_d=1e-8, eps_h=1e-9):
     rad = radicand(ham)
     scale = rad.reh2 + rad.imh2
     return bool(abs(rad.d) <= eps_d * scale and scale >= eps_h)
-
-
-def defectiveness(ham):
-    """Smallest singular value of the unit-column eigenvector matrix.
-
-    1 for a normal matrix, 0 at an EP where the eigenvectors coalesce.
-    """
-    _, vecs = np.linalg.eig(ham.matrix)
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    return float(np.linalg.svd(vecs, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)

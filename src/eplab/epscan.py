@@ -1,10 +1,11 @@
 """Parameter-plane analysis: scans, EP localization, contour tracing, braids.
 
 Everything here works in the two-dimensional (s, delta) plane (both in mm).
-A scan evaluates the effective matrix on a rectangular grid, either directly
-from a synthetic family or by fitting one measured spectrum per grid point,
-and stores per-point eigenvalues, the radicand split (reh2, imh2, cross) and
-the reciprocity angle tau. On top of a scan:
+A scan table holds the effective matrix on a rectangular grid, with the
+per-point eigenvalues, the radicand split (reh2, imh2, cross) and the
+reciprocity angle tau. scan evaluates a synthetic family in closed form; the
+`eplab fit` driver builds the same table from per-point fits. On top of a
+scan table:
 
   * locate_ep finds the grid cell minimizing |D| and refines it to sub-grid
     accuracy with a local quadratic model of |D|^2;
@@ -25,9 +26,7 @@ with a schema tag so readers can reject foreign content.
 """
 
 import enum
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,6 @@ from .core import EffHamiltonian, eigenvalues, observables, radicand
 from .errors import (
     DataError,
     EPOutsideWindowError,
-    EplabError,
     InvalidArgumentError,
     NoEPFoundError,
     NotOnPTCurveError,
@@ -44,8 +42,7 @@ from .errors import (
     RefineLoopError,
     ScanQualityError,
 )
-from .fit import FitConfig, fit_spectrum
-from .synth import SyntheticFamily, _write_rows, read_spectrum
+from .synth import SyntheticFamily, _write_rows
 
 SCAN_SCHEMA = "eplab.scan.v1"
 CURVE_SCHEMA = "eplab.curve.v1"
@@ -112,46 +109,30 @@ class ParamGrid:
         return (self.s_min - pad <= s <= self.s_max + pad
                 and self.delta_min - pad <= delta <= self.delta_max + pad)
 
+    @classmethod
+    def from_points(cls, s, delta, source):
+        """The grid that (s, delta) points sit on, and each point's node.
 
-class SpectrumDirectory:
-    """Directory of spectrum CSV files keyed by their sidecar (s, delta).
-
-    Every *.csv with a JSON sidecar carrying s_mm and delta_mm becomes one
-    grid point. Files without usable sidecars are ignored.
-    """
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._index = {}
-        if not os.path.isdir(self.path):
-            raise DataError(f"not a directory: {self.path}")
-        for name in sorted(os.listdir(self.path)):
-            if not name.endswith(".csv"):
-                continue
-            sidecar = os.path.join(self.path, os.path.splitext(name)[0] + ".json")
-            if not os.path.exists(sidecar):
-                continue
-            try:
-                with open(sidecar, encoding="utf-8") as fh:
-                    meta = json.load(fh)
-                key = (round(float(meta["s_mm"]), 6),
-                       round(float(meta["delta_mm"]), 6))
-            except (OSError, ValueError, TypeError, KeyError):
-                continue
-            self._index[key] = os.path.join(self.path, name)
-        if not self._index:
+        The step is the smallest spacing along either axis, the one along s
+        when the two agree to 1e-6 mm. The points need not fill the grid.
+        Returns (grid, i, j); raises DataError naming source unless each
+        point sits within 1e-6 mm of a node of its own.
+        """
+        s, delta = np.asarray(s, dtype=float), np.asarray(delta, dtype=float)
+        steps = [np.min(np.diff(np.unique(v))) for v in (s, delta)
+                 if np.ptp(v) > 0]
+        step = float(min(steps, key=lambda st: round(st, 6), default=0.01))
+        grid = cls(float(s.min()), float(s.max()),
+                   float(delta.min()), float(delta.max()), step)
+        i = np.rint((s - grid.s_min) / step).astype(int)
+        j = np.rint((delta - grid.delta_min) / step).astype(int)
+        if (np.max(np.abs(grid.s_values[i] - s)) > 1e-6
+                or np.max(np.abs(grid.delta_values[j] - delta)) > 1e-6
+                or np.unique(i * grid.n_delta + j).size != len(i)):
             raise DataError(
-                f"no spectrum files with (s_mm, delta_mm) sidecars in {self.path}")
-
-    def __len__(self):
-        return len(self._index)
-
-    def lookup(self, s, delta):
-        return self._index.get((round(float(s), 6), round(float(delta), 6)))
-
-    def points(self):
-        """All indexed spectra as sorted (s, delta, path) triples."""
-        return [(s, d, p) for (s, d), p in sorted(self._index.items())]
+                f"{source}: points do not sit on distinct nodes of a "
+                f"uniform grid")
+        return grid, i, j
 
 
 @dataclass
@@ -236,17 +217,8 @@ class ScanResult:
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}")
 
-        s_vals = np.unique(table[:, 0])
-        d_vals = np.unique(table[:, 1])
-        step_candidates = np.diff(s_vals) if len(s_vals) > 1 else np.diff(d_vals)
-        step = float(np.min(step_candidates)) if len(step_candidates) else 0.01
-        grid = ParamGrid(float(s_vals[0]), float(s_vals[-1]),
-                         float(d_vals[0]), float(d_vals[-1]), step)
-        i = np.searchsorted(s_vals, table[:, 0])
-        j = np.searchsorted(d_vals, table[:, 1])
-        if grid.shape != (len(s_vals), len(d_vals)) or \
-                len(table) != len(s_vals) * len(d_vals) or \
-                np.unique(i * len(d_vals) + j).size != len(table):
+        grid, i, j = ParamGrid.from_points(table[:, 0], table[:, 1], path)
+        if len(table) != grid.n_s * grid.n_delta:
             raise DataError(f"{path} rows do not form a complete uniform grid")
 
         data = {}
@@ -294,38 +266,42 @@ def _scan_csv_status(path, lines):
 # --------------------------------------------------------------------- scan
 
 
-def scan(grid, source, cfg=None):
-    """Evaluate the effective matrix on every grid point of the source.
+def scan(grid, family):
+    """Evaluate a SyntheticFamily in closed form on every grid point.
 
-    A SyntheticFamily is evaluated in closed form; a SpectrumDirectory is
-    fitted point by point with cfg (FitConfig). Per-point failures are
-    recorded, not fatal, unless they exceed 20% of the grid.
+    Points outside the family bounds are recorded as failed, not fatal,
+    unless failures exceed 20% of the grid.
     """
-    if isinstance(source, SyntheticFamily):
-        result = _scan_family(grid, source)
-    elif isinstance(source, SpectrumDirectory):
-        result = _scan_directory(grid, source, cfg or FitConfig())
-    else:
+    if not isinstance(family, SyntheticFamily):
         raise InvalidArgumentError(
-            f"source must be a SyntheticFamily or SpectrumDirectory, "
-            f"got {type(source).__name__}")
+            f"source must be a SyntheticFamily, got {type(family).__name__}")
+    s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
+    reasons = {(int(i), int(j)): "out-of-bounds"
+               for i, j in np.argwhere(~family.contains(s, d))}
+    result = _scan_table(grid, "family", family.h_grid(s, d), reasons,
+                         family=family)
     if result.n_failed > 0.2 * result.ok.size:
         raise ScanQualityError(
             f"{result.n_failed} of {result.ok.size} grid points failed")
     return result
 
 
-def _scan_table(grid, provenance, mats, reasons, family=None):
+def _scan_table(grid, provenance, mats, reasons, family=None, tau=None):
     """ScanResult of matrices on the grid through the observables kernel.
 
     mats are the (e1, e2, h1, h2) arrays; reasons names the points that
     have no matrix, and every other point the kernel fails on gets the
-    name of the exception the scalar chain would raise there.
+    name of the exception the scalar chain would raise there. A source
+    that reads tau itself passes it as tau: it replaces the kernel's, and
+    every point with a matrix is ok (a fit reads an uncoupled doublet as
+    tau = 0, where the kernel finds no ratio to read).
     """
     have = np.ones(grid.shape, dtype=bool)
     for key in reasons:
         have[key] = False
     obs = observables(*mats)
+    if tau is not None:
+        obs = obs._replace(tau=tau, failure=np.zeros_like(obs.failure))
     ok = have & (obs.failure == 0)
     reasons = dict(reasons)
     for i, j in np.argwhere(have & ~ok):
@@ -335,32 +311,6 @@ def _scan_table(grid, provenance, mats, reasons, family=None):
     mats = {name: np.where(ok, m, np.nan) for name, m in zip(_MATRICES, mats)}
     return ScanResult(grid=grid, provenance=provenance, ok=ok,
                       reasons=reasons, family=family, **data, **mats)
-
-
-def _scan_family(grid, fam):
-    s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
-    reasons = {(int(i), int(j)): "out-of-bounds"
-               for i, j in np.argwhere(~fam.contains(s, d))}
-    return _scan_table(grid, "family", fam.h_grid(s, d), reasons, family=fam)
-
-
-def _scan_directory(grid, directory, cfg):
-    mats = [np.full(grid.shape, np.nan, dtype=complex) for _ in _MATRICES]
-    reasons = {}
-    for i, s in enumerate(grid.s_values):
-        for j, d in enumerate(grid.delta_values):
-            path = directory.lookup(s, d)
-            if path is None:
-                reasons[(i, j)] = "missing-spectrum"
-                continue
-            try:
-                ham = fit_spectrum(read_spectrum(path), cfg).ham
-            except EplabError as err:
-                reasons[(i, j)] = type(err).__name__
-                continue
-            for arr, name in zip(mats, _MATRICES):
-                arr[i, j] = getattr(ham, name)
-    return _scan_table(grid, "fit", mats, reasons)
 
 
 # ---------------------------------------------------------- EP localization
@@ -513,11 +463,16 @@ class _PlaneField(object):
         return (*values, hams if matrix_backed else None)
 
     def cross_rel(self, s, delta):
-        if self.family is not None:
+        # read off the matrix where there is one, so a traced point meets
+        # the same test pt_report applies to the matrix stored with it
+        if self.family is not None or self.scan.has_matrices():
             try:
-                rad = radicand(self.family.h_at(s, delta))
+                ham = self.ham(s, delta)
             except OutOfBoundsError:
                 return math.nan
+            if ham is None:
+                return math.nan
+            rad = radicand(ham)
             return rad.cross / (rad.reh2 + rad.imh2)
         num = float(self._interp(self.scan.cross, s, delta))
         den = (float(self._interp(self.scan.reh2, s, delta))

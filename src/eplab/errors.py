@@ -30,10 +30,6 @@ class NotOnPTCurveError(EplabError):
     """Re h . Im h exceeds tolerance; no symmetrizing rotation exists."""
 
 
-class DegenerateRotationError(EplabError):
-    """Symmetrizing rotation angle hit a removable-singularity branch."""
-
-
 class PoleOnGridError(EplabError):
     """Resolvent singular at a sampled real frequency."""
 

@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import eplab.cli
-from eplab import load_family
+from eplab import CouplingSet, EffHamiltonian, load_family, synth_spectrum
 from eplab.cli import main
 from eplab.core import eigenvalues_sorted
 from eplab.epscan import ScanResult
@@ -31,6 +32,17 @@ def digest(path):
 def synth_args(out, grid="1.68:1.76:0.02x41.74:41.82:0.02", sigma="0"):
     return ["synth", "--family", "b38", "--grid", grid,
             "--sigma", sigma, "--seed", "3", "--out", str(out)]
+
+
+def write_flat(path, s, d):
+    """A spectrum with S = 1 everywhere, and its sidecar at (s, d)."""
+    rows = [CSV_HEADER]
+    for f in np.arange(2705.0, 2745.01, 0.5):
+        rows.append(",".join("%.17g" % v for v in
+                             (f, 1, 0, 0, 0, 0, 0, 1, 0)))
+    path.write_text("\n".join(rows) + "\n")
+    path.with_suffix(".json").write_text(
+        json.dumps({"s_mm": s, "delta_mm": d}))
 
 
 def paired_err(a1, a2, b1, b2):
@@ -229,18 +241,34 @@ def test_fit_rejects_duplicates_and_orphans(dataset, tmp_path):
     assert main(["fit", str(orphan), "--out", str(tmp_path)]) == 2
 
 
+def test_fit_input_forms_share_one_sidecar_check(dataset, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    out.mkdir()
+    name = "b38_s1.7200_d41.7800"
+    for suffix in (".csv", ".json"):
+        for copy in (name, "copy"):
+            shutil.copy(dataset / (name + suffix), data / (copy + suffix))
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps({"files": [name + ".csv", "copy.csv"]}))
+    forms = (["--in", str(data)], ["--manifest", str(manifest)],
+             [str(data / (name + ".csv")), str(data / "copy.csv")])
+
+    # two spectra at one point: every form refuses them
+    for form in forms:
+        assert main(["fit", *form, "--out", str(out)]) == 2
+    # so does a sidecar without coordinates
+    (data / "copy.json").write_text(json.dumps({"s_mm": 1.74}))
+    for form in forms:
+        assert main(["fit", *form, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_fit_failure_threshold_sets_exit_code(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    freqs = np.arange(2705.0, 2745.01, 0.5)
-    rows = [CSV_HEADER]
-    for f in freqs:
-        rows.append(",".join("%.17g" % v for v in
-                             (f, 1, 0, 0, 0, 0, 0, 1, 0)))
     flat = tmp_path / "flat.csv"
-    flat.write_text("\n".join(rows) + "\n")
-    (tmp_path / "flat.json").write_text(
-        json.dumps({"s_mm": 1.0, "delta_mm": 2.0}))
+    write_flat(flat, 1.0, 2.0)
 
     assert main(["fit", str(flat), "--out", str(out)]) == 3
     summary = ScanResult.read_csv(out / "summary.csv")
@@ -422,16 +450,149 @@ def test_analyze_braid_classes(tmp_path, capsys):
 
 
 def test_analyze_scan_from_spectra_directory(tmp_path):
+    # spectra become a scan table through `eplab fit` alone
     data = tmp_path / "data"
     data.mkdir()
     assert main(["synth", "--family", "b38",
                  "--grid", "1.69:1.69:0.01x41.80:41.81:0.01",
                  "--sigma", "0", "--out", str(data)]) == 0
     assert main(["analyze", "scan", "--in", str(data),
+                 "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_analyze_pt_names_a_point_without_matrix(tmp_path, capsys):
+    assert main(["analyze", "curve", "--family", "b38",
                  "--out", str(tmp_path)]) == 0
-    summary = ScanResult.read_csv(tmp_path / "scan.csv")
-    assert summary.grid.shape == (1, 2)
+    path = tmp_path / "trace.json"
+    doc = json.loads(path.read_text())
+    del doc["points"][3]["ham"]
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "pt", "--curve", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "trace point 3 carries no matrix" in capsys.readouterr().err
+
+
+def test_summary_csv_is_the_manifest_table(dataset, tmp_path):
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    for s in ("1.7000", "1.7200"):
+        for d in ("41.7600", "41.7800", "41.8000"):
+            for suffix in (".csv", ".json"):
+                name = f"b38_s{s}_d{d}{suffix}"
+                shutil.copy(dataset / name, data / name)
+    os.remove(data / "b38_s1.7200_d41.8000.csv")
+    write_flat(data / "b38_s1.7000_d41.7800.csv", 1.70, 41.78)
+    assert main(["fit", "--in", str(data), "--n-starts", "2",
+                 "--max-failures", "1", "--out", str(fits)]) == 0
+
+    table = eplab.cli._read_table(str(fits / "manifest.json"))
+    summary = ScanResult.read_csv(fits / "summary.csv")
+    assert table.has_matrices()
+    assert table.reasons == summary.reasons == {
+        (0, 1): "UnresolvableDoubletError", (1, 2): "missing-spectrum"}
+    assert table.ok.tobytes() == summary.ok.tobytes()
+    for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau"):
+        assert getattr(table, name).tobytes() == \
+            getattr(summary, name).tobytes(), name
+
+    # a manifest of another command is no scan table
+    assert main(["analyze", "ep", "--in", str(dataset / "manifest.json"),
+                 "--out", str(fits)]) == 2
+
+
+def test_fit_records_nodes_without_a_spectrum(dataset, tmp_path):
+    # no spectrum at s = 1.72 nor at delta = 41.76: the grid keeps both
+    # lines and records their nodes as missing, it does not refuse them
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    for s in ("1.6800", "1.7000", "1.7400"):
+        for d in ("41.7400", "41.7800"):
+            for suffix in (".csv", ".json"):
+                name = f"b38_s{s}_d{d}{suffix}"
+                shutil.copy(dataset / name, data / name)
+    assert main(["fit", "--in", str(data), "--n-starts", "2",
+                 "--out", str(fits)]) == 0
+
+    summary = ScanResult.read_csv(fits / "summary.csv")
+    table = eplab.cli._read_table(str(fits / "manifest.json"))
+    assert summary.grid.shape == table.grid.shape == (4, 3)
+    missing = {(2, 0), (2, 1), (2, 2), (0, 1), (1, 1), (3, 1)}
+    assert summary.reasons == table.reasons == dict.fromkeys(
+        missing, "missing-spectrum")
+    assert np.count_nonzero(summary.ok) == 6
+
+
+def test_fit_summary_keeps_an_uncoupled_fit(tmp_path):
+    # the fit lands exactly on h1 = h2 = 0 and reads tau = 0 there, where
+    # the kernel finds no off-diagonal ratio: the summary keeps its verdict
+    coupling = CouplingSet(np.array([[0.2, 0.0], [0.0, 0.2],
+                                     [0.3, 0.0], [0.0, 0.3]]))
+    spec = synth_spectrum(EffHamiltonian(2720.0, 2730.0, 0.0, 0.0),
+                          coupling, 2725.0, 40.0, 0.01,
+                          meta={"s_mm": 1.7, "delta_mm": 41.8})
+    spec.write_csv(tmp_path / "uncoupled.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["fit", str(tmp_path / "uncoupled.csv"),
+                 "--out", str(out)]) == 0
+
+    doc = json.loads((out / "uncoupled_fit.json").read_text())
+    assert doc["converged"] is True
+    assert doc["tau"] == 0.0
+    summary = ScanResult.read_csv(out / "summary.csv")
     assert summary.n_failed == 0
+    assert summary.tau[0, 0] == 0.0
+    assert eplab.cli._read_table(str(out / "manifest.json")).n_failed == 0
+
+
+def test_fitted_matrices_reach_the_symmetry_analysis(tmp_path):
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    assert main(["synth", "--family", "b38",
+                 "--grid", "1.62:1.82:0.02x41.68:41.88:0.02",
+                 "--sigma", "0.005", "--seed", "0", "--out", str(data)]) == 0
+    assert main(["fit", "--in", str(data), "--jobs", "2",
+                 "--out", str(fits)]) == 0
+    manifest = str(fits / "manifest.json")
+    assert main(["analyze", "ep", "--in", manifest, "--out", str(fits)]) == 0
+    ep = json.loads((fits / "ep.json").read_text())
+    assert abs(ep["s_mm"] - B38_EP[0]) <= 0.02
+    assert abs(ep["delta_mm"] - B38_EP[1]) <= 0.02
+
+    assert main(["analyze", "curve", "--in", manifest, "--start", "ep",
+                 "--out", str(fits)]) == 0
+    assert main(["analyze", "pt", "--curve", str(fits / "trace.json"),
+                 "--out", str(fits)]) == 0
+    doc = json.loads((fits / "pt.json").read_text())
+    assert len(doc["phase_flips"]) == 1
+    assert abs(doc["phase_flips"][0] - doc["crossing_index"]) <= 1
+    # sigma = 0.005 leaves a normal-form residual of 9.4e-4 MHz here
+    assert doc["max_residual"] <= 2e-3
+
+
+def test_every_traced_fit_point_passes_the_pt_gate(tmp_path):
+    # on this coarser, noisier grid the interpolated observables leave one
+    # traced point off the curve by the test pt_report applies to its
+    # interpolated matrix; tracing on the matrix itself keeps them all on
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    assert main(["synth", "--family", "b38",
+                 "--grid", "1.56:1.88:0.04x41.62:41.94:0.04",
+                 "--sigma", "0.01", "--seed", "0", "--out", str(data)]) == 0
+    assert main(["fit", "--in", str(data), "--jobs", "2",
+                 "--out", str(fits)]) == 0
+    assert main(["analyze", "curve", "--in", str(fits / "manifest.json"),
+                 "--start", "ep", "--out", str(fits)]) == 0
+    assert main(["analyze", "pt", "--curve", str(fits / "trace.json"),
+                 "--out", str(fits)]) == 0
+    doc = json.loads((fits / "pt.json").read_text())
+    assert len(doc["phase_flips"]) == 1
+    assert abs(doc["phase_flips"][0] - doc["crossing_index"]) <= 1
 
 
 # ------------------------------------------------------------- entry point

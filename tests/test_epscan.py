@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from eplab import SyntheticFamily, load_family, synth_spectrum
+from eplab.cli import _read_table, main
 from eplab.core import (
     eigenvalues_sorted,
     extract_tau,
@@ -27,7 +28,6 @@ from eplab.epscan import (
     ParamGrid,
     Permutation,
     ScanResult,
-    SpectrumDirectory,
     braid,
     braid_loop,
     locate_ep,
@@ -172,7 +172,7 @@ def test_scan_fails_loudly_when_mostly_outside(b38):
 
 def test_scan_rejects_unknown_source():
     with pytest.raises(InvalidArgumentError):
-        scan(ep_window(B38_EP), source="b38")
+        scan(ep_window(B38_EP), "b38")
 
 
 def test_family_scan_is_deterministic(b38):
@@ -301,6 +301,9 @@ def test_scan_reasons_match_the_scalar_chain(h, reason):
 
 
 # -------------------------------------------------------- spectrum archives
+#
+# `eplab fit` is the one driver from a directory of spectra to a scan table,
+# and its manifest carries the fitted matrices on.
 
 
 def write_point(fam, directory, s, d):
@@ -310,36 +313,45 @@ def write_point(fam, directory, s, d):
     spec.write_csv(directory / f"point_{s:.3f}_{d:.3f}.csv")
 
 
+def dirs(tmp_path):
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    return data, fits
+
+
 def test_spectrum_directory_indexes_sidecars(tmp_path, b38):
-    write_point(b38, tmp_path, 1.69, 41.80)
-    write_point(b38, tmp_path, 1.70, 41.80)
-    archive = SpectrumDirectory(tmp_path)
-    assert len(archive) == 2
-    assert archive.lookup(1.69, 41.80) is not None
-    assert archive.lookup(1.69, 41.81) is None
+    data, fits = dirs(tmp_path)
+    write_point(b38, data, 1.69, 41.80)
+    write_point(b38, data, 1.70, 41.80)
+    (data / "summary.csv").write_text("no sidecar, so not a spectrum\n")
+    assert main(["fit", "--in", str(data), "--out", str(fits)]) == 0
+    assert sorted(p.name for p in fits.glob("*_fit.json")) == [
+        "point_1.690_41.800_fit.json", "point_1.700_41.800_fit.json"]
 
 
 def test_spectrum_directory_requires_spectra(tmp_path):
-    with pytest.raises(DataError):
-        SpectrumDirectory(tmp_path)
-    with pytest.raises(DataError):
-        SpectrumDirectory(tmp_path / "missing")
+    assert main(["fit", "--in", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert main(["fit", "--in", str(tmp_path / "missing"),
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_scan_from_fitted_spectra_matches_family(tmp_path, b38):
-    grid = ParamGrid(1.69, 1.70, 41.80, 41.82, 0.01)
+    data, fits = dirs(tmp_path)
     points = [(s, d) for s in (1.69, 1.70)
               for d in (41.80, 41.81, 41.82)]
     for s, d in points[:-1]:             # drop one file: recorded, not fatal
-        write_point(b38, tmp_path, s, d)
+        write_point(b38, data, s, d)
+    assert main(["fit", "--in", str(data), "--out", str(fits)]) == 0
 
-    sr = scan(grid, SpectrumDirectory(tmp_path))
+    sr = _read_table(str(fits / "manifest.json"))
+    assert sr.grid.shape == (2, 3)
     assert sr.provenance == "fit"
     assert sr.n_failed == 1
     assert list(sr.reasons.values()) == ["missing-spectrum"]
     assert sr.has_matrices()
-    for i, s in enumerate(grid.s_values):
-        for j, d in enumerate(grid.delta_values):
+    for i, s in enumerate(sr.grid.s_values):
+        for j, d in enumerate(sr.grid.delta_values):
             if not sr.ok[i, j]:
                 continue
             pair = eigenvalues_sorted(b38.h_at(s, d))
