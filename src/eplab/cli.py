@@ -721,7 +721,9 @@ def _build_parser():
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--mask", help="channels to fit, e.g. S11 or S11,S22")
     p.add_argument("--n-starts", type=int,
-                   help="at most this many starts per fit (default 8)")
+                   help="at most this many starts per fit (default 8); a "
+                        "fit stops at its first exact or white-residual "
+                        "start")
     p.add_argument("--seed", type=int, help="fit RNG seed (default 0)")
     p.add_argument("--max-failures", type=float,
                    help="acceptable failure fraction (default 0.2)")

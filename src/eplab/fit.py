@@ -31,11 +31,16 @@ The first start is a closed-form two-pole fit of the spectrum (see
 seed_initializer): exact on noiseless data, a few LM iterations from the
 minimum with noise. The other starts scatter around it; their level kicks
 are Hermitian (Re h1, Re h2), so every start keeps the seed's passive
-dissipative part. Starts run in a fixed order and stop early once one start
-reaches EARLY_EXIT_RMS, or once a converged start repeats the rms of an
-earlier converged start to RMS_AGREEMENT: with noise the exact exit can
-never fire, and two starts agreeing on the rms have found the same minimum,
-so the earlier of them is kept.
+dissipative part. Starts run in a fixed order and stop early on one of
+three rules. A start that reaches EARLY_EXIT_RMS is exact. With noise that
+can never fire; instead a converged start that is the best so far stops
+the loop once its residual is white: its lag-1 correlation along frequency,
+pooled over the included channels, lies below NOISE_FLOOR_SIGMAS standard
+deviations of white noise (the Durbin-Watson statistic). A residual at the
+noise floor is white, while a wrong or unfinished minimum leaves a smooth,
+correlated one. Failing both, a converged start that repeats the rms of an
+earlier converged start to RMS_AGREEMENT has found the same minimum, so the
+earlier of them is kept; this also stops real data with correlated noise.
 
 Post-fit canonicalization: gauge-fix the matrix, rotate W along, then pick
 the representative with |W00| >= |W01| and W00, W11 >= 0 (column swap plus
@@ -76,6 +81,11 @@ EARLY_EXIT_RMS = 1.0e-9
 # a converged start whose rms matches an earlier converged start's to this
 # relative tolerance has found the same minimum; remaining starts are skipped
 RMS_AGREEMENT = 1.0e-9
+# a converged best start whose residual's lag-1 correlation lies below this
+# many standard deviations of white noise, NOISE_FLOOR_SIGMAS / sqrt(2 k n)
+# for k channels of n points, is at the noise floor; remaining starts are
+# skipped (Durbin & Watson, Biometrika 37, 409 (1950))
+NOISE_FLOOR_SIGMAS = 6.0
 
 CHANNEL_NAMES = ("S11", "S12", "S21", "S22")
 # S - _DELTA is the resonant part of S11, S12, S21, S22
@@ -101,7 +111,8 @@ class FitConfig:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-10
     step_tolerance: float = 1e-13
-    n_starts: int = 8           # at most; starts stop early, see fit_spectrum
+    n_starts: int = 8           # at most; a fit stops at its first exact or
+                                # white-residual start, see fit_spectrum
     damping_init: float = 1e-3
     seed: int = 0
 
@@ -127,6 +138,13 @@ class FitResult:
     starts_run: int = 0
     # starts per Termination value, every reason present, in enum order
     terminations: dict = field(default_factory=dict)
+    # what ended the starts: "exact", "noise_floor", "agreement" or
+    # "exhausted" (all cfg.n_starts ran); see fit_spectrum
+    stop_rule: str = "exhausted"
+    # lag-1 correlation of the kept start's residual along frequency
+    residual_lag1: float = 0.0
+    # negative eigenvalue magnitude clipped off the dissipative width block
+    clipped_dissipation: float = 0.0
 
     def to_json_dict(self):
         d = self.ham.to_json_dict()
@@ -138,6 +156,9 @@ class FitResult:
         d["iterations"] = int(self.iterations)
         d["starts_run"] = int(self.starts_run)
         d["terminations"] = dict(self.terminations)
+        d["stop_rule"] = self.stop_rule
+        d["residual_lag1"] = float(self.residual_lag1)
+        d["clipped_dissipation"] = float(self.clipped_dissipation)
         return d
 
 
@@ -254,6 +275,20 @@ class _Model:
         return jtj, grad
 
 
+def _residual_lag1(r):
+    """Lag-1 correlation of a complex (k, n) residual along frequency.
+
+    Pooled over the channels and over real and imaginary parts:
+    sum Re(conj(r[:, 1:]) r[:, :-1]) / sum |r|^2. White noise gives about
+    0 with standard deviation 1/sqrt(2 k n), a smooth misfit nearly 1; an
+    all-zero residual gives 0. Row by row, so no temporary array is made.
+    """
+    power = np.vdot(r, r).real
+    if power == 0.0:
+        return 0.0
+    return float(sum(np.vdot(row[1:], row[:-1]).real for row in r) / power)
+
+
 def residual_vector(params, spec, mask=None):
     """Real residual vector of length 8 x gridpoints.
 
@@ -286,11 +321,12 @@ def _poles_physical(params, f_lo, f_hi):
 def _levenberg_marquardt(p0, spec, include, cfg):
     """Damped least squares; cost is monotone over accepted steps.
 
-    Returns (params, rms, stop, iterations, jtj_diag, costs), where stop is
-    the Termination of this start. Trial steps with unphysical poles are
-    rejected like cost increases; if the step then shrinks below the step
-    tolerance, the start is pinned at the physical boundary and ends as a
-    runaway.
+    Returns (params, residual, rms, stop, iterations, jtj_diag, costs),
+    where residual is the complex (k, n) residual at params (None on a
+    resolvent pole) and stop is the Termination of this start. Trial steps
+    with unphysical poles are rejected like cost increases; if the step then
+    shrinks below the step tolerance, the start is pinned at the physical
+    boundary and ends as a runaway.
     """
     f_lo, f_hi = float(spec.freqs[0]), float(spec.freqs[-1])
     model = _Model(spec, include)
@@ -348,7 +384,7 @@ def _levenberg_marquardt(p0, spec, include, cfg):
         if not accepted:
             break
     rms = math.sqrt(2.0 * cost / model.rows)
-    return p, rms, stop, it, jtj_diag, costs
+    return p, r, rms, stop, it, jtj_diag, costs
 
 
 # -------------------------------------------------------------------- seeding
@@ -479,8 +515,10 @@ def _reconstruct_coupling(ham, w_ant):
 
     The total width matrix pi T = -Im(H) (as a real symmetric form) minus
     the antenna contribution leaves a dissipative block; its symmetric PSD
-    square root provides two fictitious channels. Slightly negative
-    eigenvalues (fit noise) are clipped to zero.
+    square root provides two fictitious channels. Negative eigenvalues (fit
+    noise, or widths the antennas cannot carry) are clipped to zero; returns
+    (coupling, clipped) with clipped the magnitude of the most negative
+    eigenvalue, 0.0 for a passive block.
     """
     t_total = np.array([
         [-ham.e1.imag / math.pi, -ham.h1.imag / math.pi],
@@ -489,9 +527,10 @@ def _reconstruct_coupling(ham, w_ant):
     t_diss = t_total - w_ant.T @ w_ant
     t_diss = 0.5 * (t_diss + t_diss.T)
     evals, vecs = np.linalg.eigh(t_diss)
+    clipped = max(0.0, -float(evals[0]))
     evals = np.clip(evals, 0.0, None)
     diss = vecs @ np.diag(np.sqrt(evals)) @ vecs.T
-    return CouplingSet(np.vstack([w_ant, diss]))
+    return CouplingSet(np.vstack([w_ant, diss])), clipped
 
 
 # ------------------------------------------------------------------ main fit
@@ -524,13 +563,19 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
 
     init may be a FitResult or a packed parameter vector; without it the
     closed-form seed of the included channels is used. At most
-    cfg.n_starts starts run, in a fixed order: the loop stops after a start
-    below EARLY_EXIT_RMS, or after a converged start whose rms matches an
-    earlier converged start's to RMS_AGREEMENT, and then keeps the earlier
-    one. Raises InsufficientSpanError when the grid does not cover 4x the
-    widths of both seeded eigenvalues, NonConvergenceError (carrying the
-    best residual and the starts per termination reason) when no start
-    converges.
+    cfg.n_starts starts run, in a fixed order. The loop stops after a
+    converged start that is the best so far and either lies below
+    EARLY_EXIT_RMS ("exact") or leaves a residual whose lag-1 correlation
+    along frequency is below NOISE_FLOOR_SIGMAS / sqrt(2 k n) for k
+    included channels of n points ("noise_floor"); or after a converged
+    start whose rms matches an earlier converged start's to RMS_AGREEMENT,
+    keeping the earlier one ("agreement"); else all starts run
+    ("exhausted"). The result records that rule as stop_rule, the kept
+    start's residual_lag1, and the dissipation clipped to keep the
+    reconstructed coupling passive. Raises InsufficientSpanError when the
+    grid does not cover 4x the widths of both seeded eigenvalues,
+    NonConvergenceError (carrying the best residual and the starts per
+    termination reason) when no start converges.
     """
     cfg = cfg or FitConfig()
     include = _channel_row_mask(mask)
@@ -551,12 +596,14 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
             f"grid span {span:.3g} MHz does not cover 4x the seeded widths "
             f"{widths[0]:.3g}, {widths[1]:.3g} MHz")
 
+    white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * include.sum() * spec.n_points)
     rng = np.random.default_rng(cfg.seed)
     best = None
     converged_rms = []
     counts = dict.fromkeys(Termination, 0)
+    stop_rule = "exhausted"
     for start in _scatter_starts(p0, cfg.n_starts, rng):
-        p, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
+        p, r, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
             start, spec, include, cfg)
         counts[stop] += 1
         ok = bool(stop)
@@ -564,13 +611,20 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
                             for prev in converged_rms)
         if best is None or (ok and not best[2]) or (
                 ok == best[2] and rms < best[1] and not agrees):
-            best = (p, rms, ok, iters, jtj_diag)
-        if agrees or (best[2] and best[1] < EARLY_EXIT_RMS):
+            lag1 = _residual_lag1(r) if ok else None
+            best = (p, rms, ok, iters, jtj_diag, lag1)
+            if ok and rms < EARLY_EXIT_RMS:
+                stop_rule = "exact"
+            elif ok and lag1 < white:
+                stop_rule = "noise_floor"
+        if agrees:
+            stop_rule = "agreement"
+        if stop_rule != "exhausted":
             break
         if ok:
             converged_rms.append(rms)
 
-    p, rms, ok, iters, jtj_diag = best
+    p, rms, ok, iters, jtj_diag, lag1 = best
     starts_run = sum(counts.values())
     terminations = {stop.value: n for stop, n in counts.items()}
     if not ok:
@@ -584,9 +638,10 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
     ham, w_ant = _canonicalize(ham_raw, w_raw)
     # uncoupled levels have no off-diagonal ratio, so no phase to read
     coupled = abs(ham.h1) + abs(ham.h2) > 1e-9 * abs(ham.h3)
+    coupling, clipped = _reconstruct_coupling(ham, w_ant)
     return FitResult(
         ham=ham,
-        coupling=_reconstruct_coupling(ham, w_ant),
+        coupling=coupling,
         tau=extract_tau(ham) if coupled else 0.0,
         residual_rms=rms,
         converged=True,
@@ -594,4 +649,7 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
         iterations=iters,
         starts_run=starts_run,
         terminations=terminations,
+        stop_rule=stop_rule,
+        residual_lag1=lag1,
+        clipped_dissipation=clipped,
     )

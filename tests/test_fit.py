@@ -8,10 +8,11 @@ contractually allowed to return only the canonical representative.
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eplab.fit
@@ -41,12 +42,15 @@ from eplab.fit import (
     FitResult,
     CHANNEL_NAMES,
     N_PARAMS,
+    NOISE_FLOOR_SIGMAS,
     POLE_SENTINEL,
     Termination,
     _Model,
     _canonicalize,
     _levenberg_marquardt,
     _channel_row_mask,
+    _reconstruct_coupling,
+    _residual_lag1,
     fit_spectrum,
     pack_params,
     residual_vector,
@@ -96,6 +100,11 @@ def separated_doublet(separation=10.0):
         [0.3, 0.0], [0.0, 0.3],          # dissipative
     ]))
     return ham, w
+
+
+def noise_floor_limit(spec):
+    """The lag-1 correlation below which a 4-channel residual is white."""
+    return NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * 4 * spec.n_points)
 
 
 # ------------------------------------------------------------------ residuals
@@ -453,7 +462,7 @@ def test_accepted_costs_never_increase():
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=3))
     p0 = seed_initializer(spec)
     include = _channel_row_mask(None)
-    _, _, converged, _, _, costs = _levenberg_marquardt(
+    _, _, _, converged, _, _, costs = _levenberg_marquardt(
         p0, spec, include, FitConfig())
     assert converged
     assert len(costs) >= 2
@@ -468,7 +477,7 @@ def test_lm_start_pinned_at_window_edge_is_runaway():
     spec = synth_spectrum(ham, w, *GRID)
     p0 = truth_params_of(ham, w)
     p0[2] = 2743.0
-    p, _, stop, _, _, costs = _levenberg_marquardt(
+    p, _, _, stop, _, _, costs = _levenberg_marquardt(
         p0, spec, _channel_row_mask(None), FitConfig())
     assert stop is Termination.RUNAWAY
     assert not stop                      # reads as converged=False
@@ -490,18 +499,89 @@ def test_fit_recovers_point_where_first_step_leaves_window():
                         eigenvalues_sorted(ham_c)) < 1e-3
 
 
-def test_noisy_fit_at_ep_stops_when_two_starts_agree():
+def test_noisy_fit_at_ep_stops_at_the_noise_floor():
     fam = load_family("b38")
     spec = synth_spectrum(fam.internal_at(*fam.ep_location), fam.coupling,
                           *GRID, NoiseSpec(0.005, seed=7))
     cfg = FitConfig()
     res = fit_spectrum(spec, cfg)
     assert res.converged
-    assert res.starts_run < cfg.n_starts
-    assert sum(res.terminations.values()) == res.starts_run
-    # noise keeps the rms far above EARLY_EXIT_RMS, so agreement stopped it
-    assert res.terminations["converged"] >= 2
+    # noise keeps the rms far above EARLY_EXIT_RMS, but the seed's start
+    # leaves a white residual, so no second start confirms it
+    assert res.starts_run == 1 < cfg.n_starts
+    assert res.terminations["converged"] == 1
+    assert res.stop_rule == "noise_floor"
+    assert abs(res.residual_lag1) < noise_floor_limit(spec)
     assert abs(res.residual_rms - 0.005) < 0.001
+
+
+def test_structured_residual_does_not_stop_the_starts(monkeypatch):
+    # the first start converges 0.03 MHz off the minimum in Re e1: 4% above
+    # the floor's rms, with a residual correlated along frequency
+    fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=1))
+    real_lm = eplab.fit._levenberg_marquardt
+    runs = []
+
+    def off_minimum_first(p0, spec, include, cfg):
+        out = real_lm(p0, spec, include, cfg)
+        if not runs:
+            p = out[0].copy()
+            p[0] += 0.03
+            r, cost = _Model(spec, include).residual(p)
+            rms = math.sqrt(2.0 * cost / (8 * spec.n_points))
+            out = (p, r, rms) + out[3:]
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", off_minimum_first)
+    res = fit_spectrum(spec)
+    first_r, first_rms = runs[0][1:3]
+    assert _residual_lag1(first_r) > 2.0 * noise_floor_limit(spec)
+    # the second start reaches the minimum, which is white
+    assert (res.starts_run, res.stop_rule) == (2, "noise_floor")
+    assert res.residual_rms == runs[1][2] < first_rms / 1.03
+
+
+def test_zero_residual_reads_white_without_warning(monkeypatch):
+    fam, spec = family_spectrum("b38", *GENERIC)
+    assert _residual_lag1(np.zeros((4, spec.n_points), dtype=complex)) == 0.0
+    p = truth_params(fam, *GENERIC)
+
+    def exact(p0, spec, include, cfg):
+        r = np.zeros((int(include.sum()), spec.n_points), dtype=complex)
+        return p, r, 0.0, Termination.CONVERGED, 1, np.ones(N_PARAMS), [0.0]
+
+    monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_spectrum(spec)
+    assert (res.starts_run, res.stop_rule, res.residual_lag1) == (1, "exact", 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1.69, 41.82), (1.72, 41.78), (1.57, 41.63)]),
+       st.floats(-7.0, math.log10(0.05)),
+       st.integers(0, 2**16))
+def test_white_first_start_is_the_fit(point, log_sigma, noise_seed):
+    # whenever the seed's own start converges to a white residual, the fit
+    # is that start, canonicalized, whatever the later starts would find
+    fam, spec = family_spectrum("b38", *point,
+                                NoiseSpec(10.0 ** log_sigma, seed=noise_seed))
+    try:
+        p0 = seed_initializer(spec)
+    except InsufficientSpanError:
+        # from sigma ~ 0.02 the seed at (1.57, 41.63) places an amplifying
+        # pole and the fit refuses before any start runs
+        assume(False)
+    p, r, rms, stop, iters, _, _ = _levenberg_marquardt(
+        p0, spec, _channel_row_mask(None), FitConfig())
+    assume(stop and _residual_lag1(r) < noise_floor_limit(spec))
+    res = fit_spectrum(spec)
+    ham, w = _canonicalize(*unpack_params(p))
+    assert (res.ham, res.residual_rms, res.iterations) == (ham, rms, iters)
+    assert np.array_equal(res.coupling.antenna, w)
+    assert (res.starts_run, res.stop_rule) == (1, "noise_floor")
+    assert res.residual_lag1 == _residual_lag1(r)
 
 
 def test_fit_reflection_only_mask_converges():
@@ -563,15 +643,18 @@ def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
     fam, spec = family_spectrum("b38", *GENERIC)
     p = truth_params(fam, *GENERIC)
     script = iter([(0.006, 12), (0.005, 17), (0.005 * (1.0 - 1e-12), 41)])
+    # a smooth residual, far from white, so only agreement stops the starts
+    r = np.ones((4, spec.n_points), dtype=complex)
 
     def scripted(p0, spec, include, cfg):
         rms, iters = next(script)
-        return p, rms, Termination.CONVERGED, iters, np.ones(N_PARAMS), [1.0]
+        return p, r, rms, Termination.CONVERGED, iters, np.ones(N_PARAMS), [1.0]
 
     monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", scripted)
     res = fit_spectrum(spec)
     assert res.starts_run == 3
     assert (res.residual_rms, res.iterations) == (0.005, 17)
+    assert res.stop_rule == "agreement"
 
 
 def test_nonconvergence_reports_best_residual():
@@ -597,8 +680,11 @@ def test_fit_result_serializes_with_stable_keys():
     res = fit_spectrum(spec)
     d = res.to_json_dict()
     for key in ("e1", "e2", "h1", "h2", "W", "tau",
-                "residual_rms", "converged", "starts_run", "terminations"):
+                "residual_rms", "converged", "starts_run", "terminations",
+                "stop_rule", "residual_lag1", "clipped_dissipation"):
         assert key in d
+    assert d["stop_rule"] == "exact"
+    assert d["clipped_dissipation"] == 0.0
     assert list(d["terminations"]) == [t.value for t in Termination]
     assert sum(d["terminations"].values()) == d["starts_run"] >= 1
     assert d["terminations"]["converged"] >= 1
@@ -620,6 +706,35 @@ def test_fit_result_gauge_is_canonical():
         assert abs(res.ham.e1.imag + math.pi * t00) < 1e-9
         assert abs(res.ham.e2.imag + math.pi * t11) < 1e-9
         assert abs(res.ham.h1.imag + math.pi * t01) < 1e-9
+
+
+def test_reconstruct_coupling_reports_the_clipped_dissipation():
+    # T_total = diag(0.1, 0.1) against W^T W = diag(0.25, 0.01): the first
+    # level would need a dissipative width of -0.15, which is clipped
+    ham = EffHamiltonian(2720.0 - 0.1j * math.pi, 2730.0 - 0.1j * math.pi,
+                         0.0, 0.0)
+    coupling, clipped = _reconstruct_coupling(ham, np.diag([0.5, 0.1]))
+    assert clipped == pytest.approx(0.15, abs=1e-12)
+    assert np.allclose(coupling.w[2:], np.diag([0.0, 0.3]), atol=1e-12)
+    _, clipped = _reconstruct_coupling(ham, np.diag([0.2, 0.1]))
+    assert clipped == 0.0
+
+
+def test_noisy_lossless_fit_reports_clipped_dissipation():
+    # no dissipative channel: with noise the fitted widths fall short of
+    # the antenna part as often as not, and the shortfall is reported
+    ham = EffHamiltonian(2720.0, 2730.0, 0.0, 0.0)
+    w = CouplingSet(np.array([[0.2, 0.0], [0.0, 0.2], [0.0, 0.0], [0.0, 0.0]]))
+    spec = synth_spectrum(ham, w, *GRID, NoiseSpec(0.005, seed=0))
+    res = fit_spectrum(spec)
+    t00, t01, t11 = (-z.imag / math.pi
+                     for z in (res.ham.e1, res.ham.h1, res.ham.e2))
+    antenna = res.coupling.antenna
+    t_diss = np.array([[t00, t01], [t01, t11]]) - antenna.T @ antenna
+    assert 0.0 < res.clipped_dissipation < 1e-3
+    assert res.clipped_dissipation == pytest.approx(
+        -np.linalg.eigvalsh(t_diss)[0], rel=1e-9)
+    assert res.to_json_dict()["clipped_dissipation"] == res.clipped_dissipation
 
 
 def test_covariance_proxy_well_formed():
