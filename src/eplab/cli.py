@@ -15,10 +15,11 @@ configuration, and re-running a command with the same configuration and seed
 rewrites outputs bit-identically. EPLAB_OUTPUT_ROOT sets the default output
 directory; an explicit --out wins, and the directory must already exist.
 
-`fit` is the one driver from spectra to a scan table. `analyze ep` and
-`analyze curve` read a table with --in from a scan CSV, or from a fit
-manifest.json, whose *_fit.json files carry the fitted matrices on to
-`analyze pt`; the schema tag tells the two apart.
+`fit` is the one driver from spectra to a scan table. `analyze ep` reads a
+table with --in from a scan CSV or from a fit manifest.json; the schema tag
+tells the two apart. `analyze curve --in` takes the manifest only: its
+*_fit.json files carry the fitted matrices that the tracer reads and passes
+on to `analyze pt`, where a scan CSV holds observables alone.
 """
 
 import argparse
@@ -33,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .core import EffHamiltonian, pt_report, radicand
+from .core import EffHamiltonian, pt_report
 from .epscan import (
     CurveTrace,
     ParamGrid,
@@ -405,7 +406,7 @@ def _fit_table(docs):
         for arr, z in zip(mats, (ham.e1, ham.e2, ham.h1, ham.h2)):
             arr[a, b] = z
         tau[a, b] = float(doc["tau"])
-    return _scan_table(grid, "fit", mats, reasons, tau=tau)
+    return _scan_table(grid, mats, reasons, tau=tau)
 
 
 def _read_table(path):
@@ -567,7 +568,7 @@ def _cmd_analyze_curve(ns):
         origin = {"scan": os.path.basename(ns.indir)}
     else:
         raise UsageError("analyze curve requires --family or --in "
-                         "(SCAN.csv or manifest.json)")
+                         "manifest.json")
 
     start_text = ns.start if ns.start is not None else "ep"
     if str(start_text).strip().lower() == "ep":
@@ -616,20 +617,17 @@ def _cmd_analyze_pt(ns):
     cfg_hash = _config_hash(resolved)
 
     rows = []
-    phases = []
     # each point is on the curve to the tolerance it was traced at
     for k, ham in enumerate(trace.hams):
         rep = pt_report(ham, eps_cross=trace.epsilon)
-        rad = radicand(ham)
-        phase = "exact" if rad.reh2 >= rad.imh2 else "broken"
-        phases.append(phase)
         rows.append({"index": k,
                      "s_mm": trace.points[k, 0],
                      "delta_mm": trace.points[k, 1],
-                     "tau": rep.tau, "phase": phase,
+                     "tau": rep.tau, "phase": rep.phase,
                      "residual": rep.form.residual,
                      "commutator_norm": rep.commutator_norm})
-    flips = [k for k in range(1, len(phases)) if phases[k] != phases[k - 1]]
+    flips = [k for k in range(1, len(rows))
+             if rows[k]["phase"] != rows[k - 1]["phase"]]
     max_residual = max(r["residual"] for r in rows)
     max_commutator = max(r["commutator_norm"] for r in rows)
 
@@ -749,7 +747,7 @@ def _build_parser():
     p = mode.add_parser("curve", help="trace the real-splitting contour")
     p.add_argument("--family", help="preset name or JSON path")
     p.add_argument("--in", dest="indir",
-                   help="scan CSV or fit manifest to trace on")
+                   help="fit manifest.json to trace on")
     p.add_argument("--grid", help="grid when scanning a family")
     p.add_argument("--start", help="s,delta start point or 'ep' (default)")
     p.add_argument("--epsilon", type=float, help="contour tolerance")

@@ -86,11 +86,6 @@ class EffHamiltonian:
         return 0.5 * (self.e1 - self.e2)
 
     @property
-    def h(self):
-        """Pauli vector (h1, h2, h3) as a complex ndarray."""
-        return np.array([self.h1, self.h2, self.h3], dtype=complex)
-
-    @property
     def matrix(self):
         return np.array(
             [[self.e1, self.h1 - 1j * self.h2],
@@ -138,22 +133,6 @@ class EigenPair:
     E1: complex
     E2: complex
 
-    @property
-    def f1(self):
-        return self.E1.real
-
-    @property
-    def f2(self):
-        return self.E2.real
-
-    @property
-    def gamma1(self):
-        return -2.0 * self.E1.imag
-
-    @property
-    def gamma2(self):
-        return -2.0 * self.E2.imag
-
 
 @dataclass(frozen=True)
 class Radicand:
@@ -198,9 +177,6 @@ class BasisTransform:
     def apply(self, ham):
         u = self.matrix
         return from_matrix(u @ ham.matrix @ u.conj().T)
-
-    def inverse(self):
-        return BasisTransform(self.kind, -self.angle)
 
 
 # --------------------------------------------------------- observables kernel
@@ -486,14 +462,6 @@ class PTNormalForm:
     residual: float
 
     @property
-    def matrix(self):
-        return np.array(
-            [[complex(self.a, self.b), complex(self.c, self.dpt)],
-             [complex(self.c, -self.dpt), complex(self.a, -self.b)]],
-            dtype=complex,
-        )
-
-    @property
     def eigenvalues(self):
         """A +- sqrt(C^2 + D^2 - B^2): real or a conjugate pair."""
         s = cmath.sqrt(complex(self.c * self.c + self.dpt * self.dpt
@@ -501,15 +469,6 @@ class PTNormalForm:
         if s.real == 0.0 and s.imag < 0.0:
             s = -s
         return (self.a + s, self.a - s)
-
-    @property
-    def eigenvalues_real(self):
-        """True in the unbroken phase: C^2 + D^2 >= B^2."""
-        return self.c * self.c + self.dpt * self.dpt >= self.b * self.b
-
-    @property
-    def phase(self):
-        return "real" if self.eigenvalues_real else "complex-conjugate"
 
 
 def _symmetrizing_angle(m):
@@ -601,7 +560,9 @@ class PTReport:
 
     offset is the applied imaginary shift (Gamma1+Gamma2)/4, phi0/tau/phi the
     transformation angles, form the resulting normal form, commutator_norm
-    the antilinear commutator of the actually transformed matrix.
+    the antilinear commutator of the actually transformed matrix. phase is
+    "exact" where |Re h|^2 >= |Im h|^2 (real shifted eigenvalues), else
+    "broken" (a complex-conjugate pair).
     """
 
     offset: float
@@ -610,25 +571,7 @@ class PTReport:
     phi: float
     form: PTNormalForm
     commutator_norm: float
-
-    @property
-    def phase(self):
-        return self.form.phase
-
-    def to_json_dict(self):
-        return {
-            "offset": self.offset,
-            "phi0": self.phi0,
-            "tau": self.tau,
-            "phi": self.phi,
-            "a": self.form.a,
-            "b": self.form.b,
-            "c": self.form.c,
-            "dpt": self.form.dpt,
-            "residual": self.form.residual,
-            "commutator_norm": self.commutator_norm,
-            "phase": self.phase,
-        }
+    phase: str
 
 
 def pt_report(ham, eps_cross=EPS_CROSS, offset=None):
@@ -644,6 +587,7 @@ def pt_report(ham, eps_cross=EPS_CROSS, offset=None):
     shifted = width_offset(fixed, offset=offset)
     form, u, o = to_pt_form(shifted, tau, eps_cross=eps_cross)
     transformed = o.apply(u.apply(shifted))
+    rad = radicand(ham)
     return PTReport(
         offset=float(offset),
         phi0=o0.angle,
@@ -651,4 +595,5 @@ def pt_report(ham, eps_cross=EPS_CROSS, offset=None):
         phi=o.angle,
         form=form,
         commutator_norm=pt_commutator_norm(transformed.matrix),
+        phase="exact" if rad.reh2 >= rad.imh2 else "broken",
     )

@@ -21,8 +21,9 @@ Scan tables serialize to CSV with columns
 
 where (f, g) are resonance frequency and full width (E = f - i g/2) in the
 deterministic reporting order, and failed points carry NaN data plus a
-status reason. Curve and braid traces serialize to JSON. All files start
-with a schema tag so readers can reject foreign content.
+status reason; a table read back holds no matrices, so it feeds locate_ep
+but not the tracer. Curve and braid traces serialize to JSON. All files
+start with a schema tag so readers can reject foreign content.
 """
 
 import enum
@@ -145,7 +146,6 @@ class ScanResult:
     """
 
     grid: ParamGrid
-    provenance: str                       # "family" or "fit"
     f1: np.ndarray
     g1: np.ndarray
     f2: np.ndarray
@@ -168,12 +168,6 @@ class ScanResult:
 
     def has_matrices(self):
         return self.e1 is not None
-
-    def ham_at_index(self, i, j):
-        if not self.has_matrices() or not self.ok[i, j]:
-            return None
-        return EffHamiltonian(complex(self.e1[i, j]), complex(self.e2[i, j]),
-                              complex(self.h1[i, j]), complex(self.h2[i, j]))
 
     def d_abs(self):
         """|D| per point via the eigenvalue identity D = ((E1-E2)/2)^2."""
@@ -231,8 +225,7 @@ class ScanResult:
             key = (int(i[row]), int(j[row]))
             ok[key] = False
             reasons[key] = reason
-        return ScanResult(grid=grid, provenance="fit", ok=ok, reasons=reasons,
-                          **data)
+        return ScanResult(grid=grid, ok=ok, reasons=reasons, **data)
 
 
 # lines a scan CSV reader passes over: comments and the header row
@@ -278,15 +271,14 @@ def scan(grid, family):
     s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
     reasons = {(int(i), int(j)): "out-of-bounds"
                for i, j in np.argwhere(~family.contains(s, d))}
-    result = _scan_table(grid, "family", family.h_grid(s, d), reasons,
-                         family=family)
+    result = _scan_table(grid, family.h_grid(s, d), reasons, family=family)
     if result.n_failed > 0.2 * result.ok.size:
         raise ScanQualityError(
             f"{result.n_failed} of {result.ok.size} grid points failed")
     return result
 
 
-def _scan_table(grid, provenance, mats, reasons, family=None, tau=None):
+def _scan_table(grid, mats, reasons, family=None, tau=None):
     """ScanResult of matrices on the grid through the observables kernel.
 
     mats are the (e1, e2, h1, h2) arrays; reasons names the points that
@@ -309,8 +301,8 @@ def _scan_table(grid, provenance, mats, reasons, family=None, tau=None):
     data = {name: np.where(ok, getattr(obs, name), np.nan)
             for name in _OBSERVABLES}
     mats = {name: np.where(ok, m, np.nan) for name, m in zip(_MATRICES, mats)}
-    return ScanResult(grid=grid, provenance=provenance, ok=ok,
-                      reasons=reasons, family=family, **data, **mats)
+    return ScanResult(grid=grid, ok=ok, reasons=reasons, family=family,
+                      **data, **mats)
 
 
 # ---------------------------------------------------------- EP localization
@@ -392,16 +384,14 @@ class _PlaneField(object):
     """Point evaluator behind tracing and braiding.
 
     Family-backed fields evaluate the effective matrix in closed form;
-    scan-backed fields interpolate the stored grids bilinearly. cross_rel
-    is the basis-invariant contour function cross/(reh2 + imh2).
+    scan-backed fields interpolate its stored matrix grids bilinearly.
+    cross_rel is the basis-invariant contour function cross/(reh2 + imh2).
     """
 
     def __init__(self, grid, family=None, scan_result=None):
         self.grid = grid
         self.family = family
         self.scan = scan_result
-        if family is None and scan_result is None:
-            raise InvalidArgumentError("field needs a family or a scan")
 
     def in_window(self, s, delta, margin=0.0):
         """Point inside the window, at least margin away from its edges."""
@@ -427,59 +417,41 @@ class _PlaneField(object):
                 + fx * fy * array[i + 1, j + 1])
 
     def ham(self, s, delta):
+        """The matrix at a point; None where an interpolated entry is NaN."""
         if self.family is not None:
             return self.family.h_at(s, delta)
-        if self.scan.has_matrices():
-            entries = [complex(self._interp(arr, s, delta)) for arr in
-                       (self.scan.e1, self.scan.e2, self.scan.h1, self.scan.h2)]
-            if all(math.isfinite(z.real) and math.isfinite(z.imag)
-                   for z in entries):
-                return EffHamiltonian(*entries)
+        entries = [complex(self._interp(arr, s, delta)) for arr in
+                   (self.scan.e1, self.scan.e2, self.scan.h1, self.scan.h2)]
+        if all(math.isfinite(z.real) and math.isfinite(z.imag)
+               for z in entries):
+            return EffHamiltonian(*entries)
         return None
 
     def curve_data(self, points):
-        """(reh2, imh2, cross, tau, |h1|^2, hams) along a list of points.
+        """(reh2, imh2, cross, tau, |h1|^2, hams) along traced points.
 
-        Points with a matrix go through the observables kernel in one call;
-        the others interpolate the scan's stored observables and carry NaN
-        |h1|^2. hams is None when the field has no matrices at all.
+        Their matrices go through the observables kernel in one call; each
+        has one, as cross_rel is NaN where there is none.
         """
         hams = [self.ham(s, d) for s, d in points]
-        have = np.array([h is not None for h in hams], dtype=bool)
-        values = np.full((5, len(hams)), np.nan)
-        if have.any():
-            e1, e2, h1, h2 = (np.array([getattr(h, name) for h in hams
-                                        if h is not None])
-                              for name in _MATRICES)
-            obs = observables(e1, e2, h1, h2)
-            obs.raise_first_failure()
-            values[:, have] = (obs.reh2, obs.imh2, obs.cross, obs.tau,
-                               np.hypot(h1.real, h1.imag) ** 2)
-        for k in np.flatnonzero(~have):
-            values[:4, k] = [float(self._interp(getattr(self.scan, name),
-                                                *points[k]))
-                             for name in ("reh2", "imh2", "cross", "tau")]
-        matrix_backed = self.family is not None or self.scan.has_matrices()
-        return (*values, hams if matrix_backed else None)
+        e1, e2, h1, h2 = (np.array([getattr(h, name) for h in hams])
+                          for name in _MATRICES)
+        obs = observables(e1, e2, h1, h2)
+        obs.raise_first_failure()
+        return (obs.reh2, obs.imh2, obs.cross, obs.tau,
+                np.hypot(h1.real, h1.imag) ** 2, hams)
 
     def cross_rel(self, s, delta):
-        # read off the matrix where there is one, so a traced point meets
-        # the same test pt_report applies to the matrix stored with it
-        if self.family is not None or self.scan.has_matrices():
-            try:
-                ham = self.ham(s, delta)
-            except OutOfBoundsError:
-                return math.nan
-            if ham is None:
-                return math.nan
-            rad = radicand(ham)
-            return rad.cross / (rad.reh2 + rad.imh2)
-        num = float(self._interp(self.scan.cross, s, delta))
-        den = (float(self._interp(self.scan.reh2, s, delta))
-               + float(self._interp(self.scan.imh2, s, delta)))
-        if not (den > 0):
+        # read off the matrix, so a traced point meets the same test
+        # pt_report applies to the matrix stored with it
+        try:
+            ham = self.ham(s, delta)
+        except OutOfBoundsError:
             return math.nan
-        return num / den
+        if ham is None:
+            return math.nan
+        rad = radicand(ham)
+        return rad.cross / (rad.reh2 + rad.imh2)
 
     def gradient(self, s, delta, h):
         gs = (self.cross_rel(s + h, delta) - self.cross_rel(s - h, delta)) / (2 * h)
@@ -493,6 +465,10 @@ def _field_for(source):
                          source.bounds_delta[0], source.bounds_delta[1])
         return _PlaneField(grid, family=source)
     if isinstance(source, ScanResult):
+        if source.family is None and not source.has_matrices():
+            raise DataError(
+                "a scan table read from CSV carries no matrices to trace; "
+                "trace the family (--family) or the fit manifest.json")
         return _PlaneField(source.grid, family=source.family,
                            scan_result=None if source.family else source)
     raise InvalidArgumentError(
@@ -505,9 +481,9 @@ class CurveTrace:
     """Ordered walk along the cross = 0 contour with per-point observables.
 
     h1_abs_sq carries |h1|^2 for the normalized presentation of the radicand
-    split; it is NaN when the source provides no matrices. The matrices
-    themselves ride along (when available) so symmetry analysis can rerun on
-    traced points without the original source.
+    split. The matrices themselves ride along so symmetry analysis can rerun
+    on traced points without the original source; hams is None only for a
+    trace read from JSON that stores none.
     """
 
     points: np.ndarray                   # (n, 2) of (s, delta)
@@ -657,9 +633,14 @@ def _march(field, start, direction, step, epsilon, fd_step):
 def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     """Trace the zero contour of cross through the window, both directions.
 
-    start must already satisfy |cross|/(reh2+imh2) <= epsilon. The returned
-    trace is ordered along the curve, carries Radicand components and tau
-    per point, and flags truncation when the corrector loses the contour.
+    scan_result is a SyntheticFamily or a ScanResult that carries matrices:
+    a family scan or a fit table. Every point is read off a matrix, the
+    family's closed form or the table's bilinearly interpolated entries; a
+    table read from CSV stores none and raises DataError. start must
+    already satisfy |cross|/(reh2+imh2) <= epsilon. The returned trace is
+    ordered along the curve, carries Radicand components, tau and the
+    matrix per point, and flags truncation when the corrector loses the
+    contour.
     """
     field = _field_for(scan_result)
     grid = field.grid

@@ -86,6 +86,12 @@ RMS_AGREEMENT = 1.0e-9
 # for k channels of n points, is at the noise floor; remaining starts are
 # skipped (Durbin & Watson, Biometrika 37, 409 (1950))
 NOISE_FLOOR_SIGMAS = 6.0
+# Levenberg-Marquardt: iteration cap per start, gradient and relative step
+# below which a start has converged, and the initial damping
+MAX_ITERATIONS = 200
+GRADIENT_TOLERANCE = 1e-10
+STEP_TOLERANCE = 1e-13
+DAMPING_INIT = 1e-3
 
 CHANNEL_NAMES = ("S11", "S12", "S21", "S22")
 # S - _DELTA is the resonant part of S11, S12, S21, S22
@@ -108,20 +114,13 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class FitConfig:
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-13
     n_starts: int = 8           # at most; a fit stops at its first exact or
                                 # white-residual start, see fit_spectrum
-    damping_init: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.n_starts < 1:
-            raise InvalidArgumentError("iteration and start counts must be >= 1")
-        for name in ("gradient_tolerance", "step_tolerance", "damping_init"):
-            if not getattr(self, name) > 0:
-                raise InvalidArgumentError(f"{name} must be positive")
+        if self.n_starts < 1:
+            raise InvalidArgumentError("the start count must be >= 1")
 
 
 @dataclass
@@ -318,7 +317,7 @@ def _poles_physical(params, f_lo, f_hi):
                for e in eigenvalues_sorted(unpack_params(params)[0]))
 
 
-def _levenberg_marquardt(p0, spec, include, cfg):
+def _levenberg_marquardt(p0, spec, include):
     """Damped least squares; cost is monotone over accepted steps.
 
     Returns (params, residual, rms, stop, iterations, jtj_diag, costs),
@@ -333,12 +332,12 @@ def _levenberg_marquardt(p0, spec, include, cfg):
     p = np.array(p0, dtype=float)
     r, cost = model.residual(p)
     costs = [cost]
-    lam = cfg.damping_init
+    lam = DAMPING_INIT
     nu = 2.0
     stop = Termination.MAX_ITERATIONS
     it = 0
     jtj_diag = None
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         try:
             jtj, grad = model.normal_equations(p, r)
         except PoleOnGridError:
@@ -346,7 +345,7 @@ def _levenberg_marquardt(p0, spec, include, cfg):
             stop = Termination.RUNAWAY
             break
         jtj_diag = np.diag(jtj).copy()
-        if np.max(np.abs(grad)) < cfg.gradient_tolerance:
+        if np.max(np.abs(grad)) < GRADIENT_TOLERANCE:
             stop = Termination.CONVERGED
             break
         scale = np.maximum(jtj_diag, 1e-12)
@@ -359,8 +358,8 @@ def _levenberg_marquardt(p0, spec, include, cfg):
                 lam *= nu
                 nu *= 2.0
                 continue
-            if np.linalg.norm(step) < cfg.step_tolerance * (
-                    np.linalg.norm(p) + cfg.step_tolerance):
+            if np.linalg.norm(step) < STEP_TOLERANCE * (
+                    np.linalg.norm(p) + STEP_TOLERANCE):
                 stop = Termination.RUNAWAY if blocked else Termination.CONVERGED
                 break
             trial = p + step
@@ -469,24 +468,6 @@ def seed_initializer(spec, mask=None):
 # ----------------------------------------------------------- canonical gauge
 
 
-def _conjugate_levels(ham, w_ant, kind):
-    """Apply one of the discrete level symmetries, compensating in W."""
-    if kind == "swap":           # sigma_x conjugation: relabel the two levels
-        ham2 = EffHamiltonian(ham.e2, ham.e1, ham.h1, -ham.h2)
-        w2 = w_ant[:, ::-1].copy()
-    elif kind == "flip0":        # diag(-1, 1) conjugation: level-1 sign
-        ham2 = EffHamiltonian(ham.e1, ham.e2, -ham.h1, -ham.h2)
-        w2 = w_ant.copy()
-        w2[:, 0] = -w2[:, 0]
-    elif kind == "flip1":        # diag(1, -1) conjugation: level-2 sign
-        ham2 = EffHamiltonian(ham.e1, ham.e2, -ham.h1, -ham.h2)
-        w2 = w_ant.copy()
-        w2[:, 1] = -w2[:, 1]
-    else:
-        raise ValueError(kind)
-    return ham2, w2
-
-
 def _canonicalize(ham, w_ant):
     """Gauge-fix and pick the discrete representative; S is unchanged.
 
@@ -501,12 +482,14 @@ def _canonicalize(ham, w_ant):
         fixed, transform = gauge_fix(ham)
         o = transform.matrix.real
         w = np.asarray(w_ant, dtype=float) @ o.T
-    if abs(w[0, 0]) < abs(w[0, 1]):
-        fixed, w = _conjugate_levels(fixed, w, "swap")
-    if w[0, 0] < 0:
-        fixed, w = _conjugate_levels(fixed, w, "flip0")
-    if w[1, 1] < 0:
-        fixed, w = _conjugate_levels(fixed, w, "flip1")
+    # each step is a level symmetry of H, compensated in W
+    if abs(w[0, 0]) < abs(w[0, 1]):      # sigma_x: relabel the two levels
+        fixed = EffHamiltonian(fixed.e2, fixed.e1, fixed.h1, -fixed.h2)
+        w = w[:, ::-1].copy()
+    for col in (0, 1):                   # diag(+-1): the sign of one level
+        if w[col, col] < 0:
+            fixed = EffHamiltonian(fixed.e1, fixed.e2, -fixed.h1, -fixed.h2)
+            w[:, col] = -w[:, col]
     return fixed, w
 
 
@@ -573,9 +556,11 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
     ("exhausted"). The result records that rule as stop_rule, the kept
     start's residual_lag1, and the dissipation clipped to keep the
     reconstructed coupling passive. Raises InsufficientSpanError when the
-    grid does not cover 4x the widths of both seeded eigenvalues,
-    NonConvergenceError (carrying the best residual and the starts per
-    termination reason) when no start converges.
+    grid does not cover 4x the widths of both eigenvalues of the kept
+    start, NonConvergenceError (carrying the best residual and the starts
+    per termination reason) when no start converges. The span check reads
+    the kept start, not the seed: with noise the seed's widths can come out
+    several times the fitted ones.
     """
     cfg = cfg or FitConfig()
     include = _channel_row_mask(mask)
@@ -589,13 +574,6 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
             raise InvalidArgumentError(
                 f"init must have {N_PARAMS} entries, got {p0.shape}")
 
-    span = float(spec.freqs[-1] - spec.freqs[0])
-    widths = [-2.0 * e.imag for e in eigenvalues_sorted(unpack_params(p0)[0])]
-    if span < 4.0 * max(*widths, 0.0):
-        raise InsufficientSpanError(
-            f"grid span {span:.3g} MHz does not cover 4x the seeded widths "
-            f"{widths[0]:.3g}, {widths[1]:.3g} MHz")
-
     white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * include.sum() * spec.n_points)
     rng = np.random.default_rng(cfg.seed)
     best = None
@@ -604,7 +582,7 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
     stop_rule = "exhausted"
     for start in _scatter_starts(p0, cfg.n_starts, rng):
         p, r, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
-            start, spec, include, cfg)
+            start, spec, include)
         counts[stop] += 1
         ok = bool(stop)
         agrees = ok and any(abs(rms - prev) <= RMS_AGREEMENT * prev
@@ -625,12 +603,18 @@ def fit_spectrum(spec, cfg=None, init=None, mask=None):
             converged_rms.append(rms)
 
     p, rms, ok, iters, jtj_diag, lag1 = best
+    span = float(spec.freqs[-1] - spec.freqs[0])
+    widths = [-2.0 * e.imag for e in eigenvalues_sorted(unpack_params(p)[0])]
+    if span < 4.0 * max(*widths, 0.0):
+        raise InsufficientSpanError(
+            f"grid span {span:.3g} MHz does not cover 4x the fitted widths "
+            f"{widths[0]:.3g}, {widths[1]:.3g} MHz")
     starts_run = sum(counts.values())
     terminations = {stop.value: n for stop, n in counts.items()}
     if not ok:
         tally = ", ".join(f"{n} {reason}" for reason, n in terminations.items())
         raise NonConvergenceError(
-            f"no start converged within {cfg.max_iterations} iterations "
+            f"no start converged within {MAX_ITERATIONS} iterations "
             f"(best residual rms {rms:.3e}; {starts_run} starts run: {tally})",
             best_rms=rms)
 

@@ -360,10 +360,6 @@ class SyntheticFamily:
         self.coupling = coupling
         self.spectrum_defaults = dict(spectrum_defaults)
 
-    @property
-    def ep_location(self):
-        return (self.s_ep, self.delta_ep)
-
     def contains(self, s, delta):
         """Inside the bounds; elementwise for arrays of points."""
         return ((self.bounds_s[0] <= s) & (s <= self.bounds_s[1])

@@ -18,7 +18,7 @@ import pytest
 import eplab.cli
 from eplab import CouplingSet, EffHamiltonian, load_family, synth_spectrum
 from eplab.cli import main
-from eplab.core import eigenvalues_sorted
+from eplab.core import eigenvalues_sorted, pt_report
 from eplab.epscan import ScanResult
 from eplab.synth import CSV_HEADER, read_spectrum
 
@@ -343,8 +343,15 @@ def _blas_threads(_):
     return [get() for get, _ in eplab.cli._openblas_thread_functions()]
 
 
+def _numpy_links_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
 def test_commands_run_one_blas_thread(monkeypatch):
     before = _blas_threads(None)
+    # an empty discovery would pass everything below as [] == []
+    assert before or not _numpy_links_openblas()
     seen = []
 
     def counting_fit(ns):
@@ -424,14 +431,54 @@ def test_analyze_curve_then_pt(tmp_path, capsys):
     assert "phase flips at index" in out
 
 
-def test_analyze_pt_needs_matrices(tmp_path):
+def test_analyze_pt_needs_matrices(tmp_path, capsys):
+    assert main(["analyze", "curve", "--family", "b38",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "trace.json"
+    doc = json.loads(path.read_text())
+    for row in doc["points"]:
+        del row["ham"]
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "pt", "--curve", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "trace carries no matrices" in capsys.readouterr().err
+    assert not (tmp_path / "pt.json").exists()
+
+
+def test_analyze_curve_refuses_a_scan_csv(tmp_path, capsys):
+    # a scan CSV holds observables only; the tracer reads matrices
     assert main(["analyze", "scan", "--family", "b38",
                  "--grid", "1.62:1.82:0.01x41.68:41.88:0.01",
                  "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     assert main(["analyze", "curve", "--in", str(tmp_path / "scan.csv"),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--family" in err and "manifest.json" in err
+    assert not (tmp_path / "trace.json").exists()
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def assert_pt_phases_are_the_report_phases(out):
+    """pt.json phases: pt_report's, and the radicand split of the trace."""
+    trace = json.loads((out / "trace.json").read_text())
+    rows = json.loads((out / "pt.json").read_text())["points"]
+    assert len(rows) == len(trace["points"])
+    for row, point in zip(rows, trace["points"]):
+        rep = pt_report(EffHamiltonian.from_json_dict(point["ham"]),
+                        eps_cross=trace["epsilon"])
+        assert row["phase"] == rep.phase
+        assert rep.phase == ("exact" if point["reh2"] >= point["imh2"]
+                             else "broken")
+
+
+@pytest.mark.parametrize("family", ["b38", "b0"])
+def test_pt_phases_are_the_report_phases_on_family_curves(tmp_path, family):
+    assert main(["analyze", "curve", "--family", family,
                  "--out", str(tmp_path)]) == 0
     assert main(["analyze", "pt", "--curve", str(tmp_path / "trace.json"),
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(tmp_path)]) == 0
+    assert_pt_phases_are_the_report_phases(tmp_path)
 
 
 def test_analyze_braid_classes(tmp_path, capsys):
@@ -572,6 +619,7 @@ def test_fitted_matrices_reach_the_symmetry_analysis(tmp_path):
     assert abs(doc["phase_flips"][0] - doc["crossing_index"]) <= 1
     # sigma = 0.005 leaves a normal-form residual of 9.4e-4 MHz here
     assert doc["max_residual"] <= 2e-3
+    assert_pt_phases_are_the_report_phases(fits)
 
 
 def test_every_traced_fit_point_passes_the_pt_gate(tmp_path):

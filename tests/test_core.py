@@ -112,9 +112,10 @@ def test_eigenvalue_branch_tiebreak_positive_imag():
 
 
 def test_eigenpair_width_accessors():
+    # E = f - i*Gamma/2: positions and widths read off the eigenvalues
     pair = eigenvalues(from_pauli(10 - 0.5j, 12 - 1.5j, 0, 0))
-    fs = sorted([pair.f1, pair.f2])
-    gs = sorted([pair.gamma1, pair.gamma2])
+    fs = sorted([pair.E1.real, pair.E2.real])
+    gs = sorted([-2.0 * pair.E1.imag, -2.0 * pair.E2.imag])
     assert fs == [10.0, 12.0]
     assert gs == [1.0, 3.0]
 
@@ -312,7 +313,7 @@ def test_to_pt_form_fixed_point():
     assert u.angle == 0.0 and o.angle == 0.0
     assert form.residual == 0.0
     assert (form.a, form.b, form.c, form.dpt) == (1.0, 0.5, 2.0, 0.0)
-    assert form.eigenvalues_real
+    assert all(e.imag == 0.0 for e in form.eigenvalues)
     want = math.sqrt(3.75)
     assert form.eigenvalues[0] == pytest.approx(1.0 + want, abs=1e-14)
 
@@ -322,8 +323,6 @@ def test_to_pt_form_broken_phase():
     mat = np.array([[1 + 2j, 0.5], [0.5, 1 - 2j]], dtype=complex)
     ham = from_matrix(mat)
     form, _, _ = to_pt_form(ham, extract_tau(ham))
-    assert not form.eigenvalues_real
-    assert form.phase == "complex-conjugate"
     want = 1.9364916731037085  # sqrt(3.75)
     assert abs(form.eigenvalues[0] - (1 + 1j * want)) < 1e-13
     assert abs(form.eigenvalues[1] - (1 - 1j * want)) < 1e-13
@@ -355,10 +354,13 @@ def test_to_pt_form_random_on_curve(broken):
         assert form.residual < 1e-9
         transformed = o.apply(u.apply(shifted))
         assert pt_commutator_norm(transformed.matrix) < 1e-9
-        # reality of the spectrum follows the sign of reh2 - imh2
+        # reality of the spectrum follows the sign of reh2 - imh2, the
+        # rule pt_report states as its phase
         rad = radicand(shifted)
-        assert form.eigenvalues_real == (rad.reh2 >= rad.imh2)
-        assert form.eigenvalues_real != broken
+        real = all(e.imag == 0.0 for e in form.eigenvalues)
+        assert real == (rad.reh2 >= rad.imh2)
+        assert real != broken
+        assert pt_report(ham).phase == ("broken" if broken else "exact")
 
 
 def test_to_pt_form_rejects_off_curve():
@@ -377,10 +379,8 @@ def test_pt_report_full_chain():
         assert -math.pi / 2 < rep.tau < math.pi / 2
         assert abs(rep.phi0) <= math.pi / 4 + 1e-12
         assert abs(rep.phi) <= math.pi / 4 + 1e-12
-        assert rep.phase in ("real", "complex-conjugate")
-        keys = set(rep.to_json_dict())
-        assert {"offset", "phi0", "tau", "phi", "a", "b", "c", "dpt",
-                "residual", "commutator_norm", "phase"} <= keys
+        rad = radicand(ham)
+        assert rep.phase == ("exact" if rad.reh2 >= rad.imh2 else "broken")
 
 
 # ------------------------------------------------------- antilinear commutator
@@ -446,7 +446,7 @@ def test_transform_inverse_roundtrip(kind):
     for _ in range(30):
         ham = _random_ham(rng)
         tr = BasisTransform(kind, rng.uniform(-1.5, 1.5))
-        back = tr.inverse().apply(tr.apply(ham))
+        back = BasisTransform(kind, -tr.angle).apply(tr.apply(ham))
         assert np.max(np.abs(back.matrix - ham.matrix)) < 1e-12
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from eplab import SyntheticFamily, load_family, synth_spectrum
+from eplab import EffHamiltonian, SyntheticFamily, load_family, synth_spectrum
 from eplab.cli import _read_table, main
 from eplab.core import (
     eigenvalues_sorted,
@@ -105,7 +105,7 @@ def test_param_grid_validation():
 
 
 def test_family_scan_is_complete_and_exact(b38, b38_scan):
-    assert b38_scan.provenance == "family"
+    assert b38_scan.family is b38
     assert b38_scan.n_failed == 0
     assert b38_scan.ok.shape == (51, 51)
 
@@ -121,7 +121,8 @@ def test_family_scan_is_complete_and_exact(b38, b38_scan):
     assert b38_scan.reh2[i, j] == rad.reh2
     assert b38_scan.cross[i, j] == rad.cross
     assert b38_scan.tau[i, j] == b38.tau_profile(s, d)
-    assert b38_scan.ham_at_index(i, j) == ham
+    assert EffHamiltonian(*(complex(getattr(b38_scan, name)[i, j])
+                            for name in ("e1", "e2", "h1", "h2"))) == ham
 
 
 def test_scan_minimum_splitting_at_planted_ep(b38_scan):
@@ -221,8 +222,7 @@ def test_scan_csv_bytes_match_per_row_format(tmp_path):
     data["cross"][3, 4] = -0.0
     failed = [tuple(int(v) for v in ij) for ij in np.argwhere(~ok)]
     reasons = {ij: "DegenerateGaugeError" for ij in failed[1:]}
-    table = ScanResult(grid=grid, provenance="family", ok=ok,
-                       reasons=reasons, **data)
+    table = ScanResult(grid=grid, ok=ok, reasons=reasons, **data)
     path = tmp_path / "scan.csv"
     table.write_csv(path, config_hash="cafe0123")
 
@@ -346,7 +346,7 @@ def test_scan_from_fitted_spectra_matches_family(tmp_path, b38):
 
     sr = _read_table(str(fits / "manifest.json"))
     assert sr.grid.shape == (2, 3)
-    assert sr.provenance == "fit"
+    assert sr.family is None
     assert sr.n_failed == 1
     assert list(sr.reasons.values()) == ["missing-spectrum"]
     assert sr.has_matrices()
@@ -484,7 +484,7 @@ def test_trace_rejects_bad_starts(b38_scan):
 def test_trace_interpolated_scan_without_closed_form(b38_scan):
     # same grids, but the walker only sees the sampled tables
     tables = ScanResult(
-        grid=b38_scan.grid, provenance="fit",
+        grid=b38_scan.grid,
         f1=b38_scan.f1, g1=b38_scan.g1, f2=b38_scan.f2, g2=b38_scan.g2,
         reh2=b38_scan.reh2, imh2=b38_scan.imh2, cross=b38_scan.cross,
         tau=b38_scan.tau, ok=b38_scan.ok,
@@ -498,13 +498,15 @@ def test_trace_interpolated_scan_without_closed_form(b38_scan):
     assert np.max(np.abs(tr.points[:, 1] - expected_delta)) < 5e-3
 
 
-def test_trace_csv_backed_scan_has_no_matrices(tmp_path, b38_scan):
+def test_trace_csv_backed_scan_is_refused(tmp_path, b38_scan):
+    # a scan CSV stores observables only; the tracer reads matrices
     path = tmp_path / "scan.csv"
     b38_scan.write_csv(path)
-    tr = trace_pt_curve(ScanResult.read_csv(path), B38_EP)
-    assert tr.hams is None
-    assert np.all(np.isnan(tr.h1_abs_sq))
-    assert tr.n_points > 40
+    table = ScanResult.read_csv(path)
+    with pytest.raises(DataError, match="manifest.json"):
+        trace_pt_curve(table, B38_EP)
+    with pytest.raises(DataError):
+        braid_loop(table, B38_EP, 0.1)
 
 
 def test_trace_json_roundtrip(b38_trace):

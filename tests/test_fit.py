@@ -260,7 +260,7 @@ def test_seed_positions_within_half_width():
 
 def test_seed_merged_doublet_splits_symmetrically():
     fam = load_family("b38")
-    spec = synth_spectrum(fam.internal_at(*fam.ep_location), fam.coupling,
+    spec = synth_spectrum(fam.internal_at(fam.s_ep, fam.delta_ep), fam.coupling,
                           *GRID)
     q = 0.5 * (np.abs(spec.s11) ** 2 + np.abs(spec.s22) ** 2)
     f_dip = spec.freqs[int(np.argmin(q))]
@@ -300,12 +300,16 @@ def test_seed_refuses_poles_outside_window_or_amplifying(levels):
 
 def test_span_check_reads_eigenvalue_widths():
     # diagonal widths 6.1 MHz pass 4x in the 40 MHz window, but the
-    # eigenvalues carry widths 0.1 and 12.1 MHz
-    fam, spec = family_spectrum("b38", *GENERIC)
-    p0 = pack_params(EffHamiltonian(2725.0 - 3.05j, 2725.0 - 3.05j, 3.0j, 0.0),
-                     fam.coupling.antenna)
-    with pytest.raises(InsufficientSpanError):
-        fit_spectrum(spec, init=p0)
+    # eigenvalues 2725 - i(3.05 -+ 3) carry widths 0.1 and 12.1 MHz
+    t = np.array([[3.05, -3.0], [-3.0, 3.05]]) / math.pi
+    evals, vecs = np.linalg.eigh(t)
+    w = CouplingSet((vecs * np.sqrt(evals)) @ vecs.T)
+    spec = synth_spectrum(EffHamiltonian(2725.0, 2725.0, 0.0, 0.0), w, *GRID)
+    widths = sorted(-2.0 * e.imag for e in eigenvalues_sorted(
+        effective_hamiltonian(EffHamiltonian(2725.0, 2725.0, 0.0, 0.0), w)))
+    assert widths == pytest.approx([0.1, 12.1])
+    with pytest.raises(InsufficientSpanError, match="4x the fitted widths"):
+        fit_spectrum(spec)
 
 
 def test_fit_raises_when_window_misses_baseline():
@@ -352,10 +356,10 @@ def test_fit_recovers_reciprocal_family_with_zero_tau():
 
 def test_fit_at_exceptional_point_uses_fallback_seed():
     fam = load_family("b38")
-    spec = synth_spectrum(fam.internal_at(*fam.ep_location), fam.coupling,
+    spec = synth_spectrum(fam.internal_at(fam.s_ep, fam.delta_ep), fam.coupling,
                           *GRID)
     res = fit_spectrum(spec)
-    ham_c, _ = canonical_truth(fam, *fam.ep_location)
+    ham_c, _ = canonical_truth(fam, fam.s_ep, fam.delta_ep)
     assert res.converged
     assert res.residual_rms < 1e-9
     assert paired_error(eigenvalues_sorted(res.ham),
@@ -378,7 +382,7 @@ def test_fit_uncoupled_doublet_reads_zero_tau(mask):
 
 def test_fitted_tau_matches_planted_profile():
     fam = load_family("b38")
-    s_ep, d_ep = fam.ep_location
+    s_ep, d_ep = fam.s_ep, fam.delta_ep
     for ds in (-0.05, 0.07):
         s, d = s_ep + ds, d_ep + ds      # the planted zero-cross diagonal
         spec = synth_spectrum(fam.internal_at(s, d), fam.coupling, *GRID)
@@ -462,8 +466,7 @@ def test_accepted_costs_never_increase():
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=3))
     p0 = seed_initializer(spec)
     include = _channel_row_mask(None)
-    _, _, _, converged, _, _, costs = _levenberg_marquardt(
-        p0, spec, include, FitConfig())
+    _, _, _, converged, _, _, costs = _levenberg_marquardt(p0, spec, include)
     assert converged
     assert len(costs) >= 2
     assert np.all(np.diff(costs) <= 0.0)
@@ -478,7 +481,7 @@ def test_lm_start_pinned_at_window_edge_is_runaway():
     p0 = truth_params_of(ham, w)
     p0[2] = 2743.0
     p, _, _, stop, _, _, costs = _levenberg_marquardt(
-        p0, spec, _channel_row_mask(None), FitConfig())
+        p0, spec, _channel_row_mask(None))
     assert stop is Termination.RUNAWAY
     assert not stop                      # reads as converged=False
     assert np.all(np.diff(costs) <= 0.0)
@@ -501,7 +504,7 @@ def test_fit_recovers_point_where_first_step_leaves_window():
 
 def test_noisy_fit_at_ep_stops_at_the_noise_floor():
     fam = load_family("b38")
-    spec = synth_spectrum(fam.internal_at(*fam.ep_location), fam.coupling,
+    spec = synth_spectrum(fam.internal_at(fam.s_ep, fam.delta_ep), fam.coupling,
                           *GRID, NoiseSpec(0.005, seed=7))
     cfg = FitConfig()
     res = fit_spectrum(spec, cfg)
@@ -522,8 +525,8 @@ def test_structured_residual_does_not_stop_the_starts(monkeypatch):
     real_lm = eplab.fit._levenberg_marquardt
     runs = []
 
-    def off_minimum_first(p0, spec, include, cfg):
-        out = real_lm(p0, spec, include, cfg)
+    def off_minimum_first(p0, spec, include):
+        out = real_lm(p0, spec, include)
         if not runs:
             p = out[0].copy()
             p[0] += 0.03
@@ -547,7 +550,7 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
     assert _residual_lag1(np.zeros((4, spec.n_points), dtype=complex)) == 0.0
     p = truth_params(fam, *GENERIC)
 
-    def exact(p0, spec, include, cfg):
+    def exact(p0, spec, include):
         r = np.zeros((int(include.sum()), spec.n_points), dtype=complex)
         return p, r, 0.0, Termination.CONVERGED, 1, np.ones(N_PARAMS), [0.0]
 
@@ -574,7 +577,7 @@ def test_white_first_start_is_the_fit(point, log_sigma, noise_seed):
         # pole and the fit refuses before any start runs
         assume(False)
     p, r, rms, stop, iters, _, _ = _levenberg_marquardt(
-        p0, spec, _channel_row_mask(None), FitConfig())
+        p0, spec, _channel_row_mask(None))
     assume(stop and _residual_lag1(r) < noise_floor_limit(spec))
     res = fit_spectrum(spec)
     ham, w = _canonicalize(*unpack_params(p))
@@ -646,7 +649,7 @@ def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
     # a smooth residual, far from white, so only agreement stops the starts
     r = np.ones((4, spec.n_points), dtype=complex)
 
-    def scripted(p0, spec, include, cfg):
+    def scripted(p0, spec, include):
         rms, iters = next(script)
         return p, r, rms, Termination.CONVERGED, iters, np.ones(N_PARAMS), [1.0]
 
@@ -657,12 +660,13 @@ def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
     assert res.stop_rule == "agreement"
 
 
-def test_nonconvergence_reports_best_residual():
+def test_nonconvergence_reports_best_residual(monkeypatch):
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=5))
-    cfg = FitConfig(max_iterations=1, n_starts=1,
-                    gradient_tolerance=1e-30, step_tolerance=1e-30)
+    monkeypatch.setattr(eplab.fit, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(eplab.fit, "GRADIENT_TOLERANCE", 1e-30)
+    monkeypatch.setattr(eplab.fit, "STEP_TOLERANCE", 1e-30)
     with pytest.raises(NonConvergenceError) as err:
-        fit_spectrum(spec, cfg)
+        fit_spectrum(spec, FitConfig(n_starts=1))
     assert err.value.best_rms is not None
     assert err.value.best_rms > 0.0
     message = str(err.value)
@@ -761,7 +765,3 @@ def test_pack_unpack_roundtrip():
 def test_fit_config_validates():
     with pytest.raises(InvalidArgumentError):
         FitConfig(n_starts=0)
-    with pytest.raises(InvalidArgumentError):
-        FitConfig(max_iterations=0)
-    with pytest.raises(InvalidArgumentError):
-        FitConfig(gradient_tolerance=0.0)

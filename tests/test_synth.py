@@ -202,7 +202,7 @@ def test_spectrum_validation():
                                                 ("b0", 1.68, 41.19)])
 def test_family_ep_planted_exactly(name, s_ep, delta_ep):
     fam = load_family(name)
-    assert fam.ep_location == (s_ep, delta_ep)
+    assert (fam.s_ep, fam.delta_ep) == (s_ep, delta_ep)
     ham = fam.h_at(s_ep, delta_ep)
     rad = radicand(ham)
     assert rad.d == 0j         # to the last bit, by construction
