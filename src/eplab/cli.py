@@ -91,18 +91,20 @@ def _read_json(path, what):
             return json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {what} {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:          # bad JSON, or text that is not UTF-8
         raise DataError(f"{what} {path!r} is not valid JSON: {exc}")
 
 
-def _merge_config_file(ns, allowed):
-    """Fill unset options from the JSON config file; flags win."""
+def _merge_config_file(ns):
+    """Fill unset options, keyed by dest name, from --config; flags win."""
     if ns.config is None:
         return
     doc = _read_json(ns.config, "config file")
     if not isinstance(doc, dict):
         raise DataError(f"config file {ns.config!r} must hold a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
+    options = set(vars(ns)) - {"command", "mode", "handler", "config",
+                               "spectra"}
+    unknown = sorted(set(doc) - options)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in doc.items():
@@ -269,8 +271,6 @@ def _synth_task(args):
 
 
 def _cmd_synth(ns):
-    _merge_config_file(ns, ("family", "grid", "point", "sigma", "seed",
-                            "f0", "span", "fstep", "out", "jobs"))
     if ns.family is None:
         raise UsageError("synth requires --family")
     if (ns.grid is None) == (ns.point is None):
@@ -411,8 +411,8 @@ def _fit_table(docs):
 
 def _read_table(path):
     """Scan table of a scan CSV or of a fit manifest, told by schema tag."""
-    with open(path, encoding="utf-8") as fh:
-        is_csv = fh.readline().startswith("# schema=")
+    with open(path, "rb") as fh:
+        is_csv = fh.readline().startswith(b"# schema=")
     if is_csv:
         return ScanResult.read_csv(path)
     doc = _read_json(path, "manifest")
@@ -433,8 +433,6 @@ def _read_table(path):
 
 
 def _cmd_fit(ns):
-    _merge_config_file(ns, ("indir", "manifest", "mask", "n_starts", "seed",
-                            "max_failures", "out", "jobs"))
     inputs = _spectrum_inputs(ns)
     mask = _parse_mask(ns.mask)
     cfg = FitConfig(
@@ -501,7 +499,6 @@ def _family_grid(ns):
 
 
 def _cmd_analyze_scan(ns):
-    _merge_config_file(ns, ("family", "grid", "out"))
     fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
     # "in" stays a key, always None, so existing scan.csv hashes still hold
@@ -518,7 +515,6 @@ def _cmd_analyze_scan(ns):
 
 
 def _cmd_analyze_ep(ns):
-    _merge_config_file(ns, ("infile", "out"))
     if ns.infile is None:
         raise UsageError("analyze ep requires --in SCAN.csv or manifest.json")
     result = _read_table(ns.infile)
@@ -542,22 +538,14 @@ def _write_curve_csv(path, trace, cfg_hash):
              "s_mm,delta_mm,reh2,imh2,cross,tau,d_re,d_im,"
              "reh2_norm,imh2_norm,cross_norm"]
     for k in range(trace.n_points):
-        norm = trace.h1_abs_sq[k]
-        if np.isfinite(norm) and norm > 0.0:
-            scaled = (trace.reh2[k] / norm, trace.imh2[k] / norm,
-                      trace.cross[k] / norm)
-        else:
-            scaled = (np.nan, np.nan, np.nan)
         vals = (trace.points[k, 0], trace.points[k, 1],
                 trace.reh2[k], trace.imh2[k], trace.cross[k], trace.tau[k],
-                trace.d[k].real, trace.d[k].imag, *scaled)
+                trace.d[k].real, trace.d[k].imag, *trace.split_norm[k])
         lines.append(",".join("%.17g" % v for v in vals))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _cmd_analyze_curve(ns):
-    _merge_config_file(ns, ("family", "indir", "grid", "start",
-                            "epsilon", "cstep", "out"))
     out = _resolve_out(ns)
     if ns.family:
         fam, grid = _family_grid(ns)
@@ -600,18 +588,9 @@ def _cmd_analyze_curve(ns):
 
 
 def _cmd_analyze_pt(ns):
-    _merge_config_file(ns, ("curve", "out"))
     if ns.curve is None:
         raise UsageError("analyze pt requires --curve TRACE.json")
     trace = CurveTrace.from_json_dict(_read_json(ns.curve, "curve"))
-    if trace.hams is None:
-        raise DataError(
-            "trace carries no matrices; re-trace from a family or a fit "
-            "manifest")
-    missing = [k for k, ham in enumerate(trace.hams) if ham is None]
-    if missing:
-        raise DataError(f"trace point {missing[0]} carries no matrix")
-
     out = _resolve_out(ns)
     resolved = {"command": "analyze-pt", "curve": ns.curve, "out": out}
     cfg_hash = _config_hash(resolved)
@@ -656,8 +635,6 @@ def _cmd_analyze_pt(ns):
 
 
 def _cmd_analyze_braid(ns):
-    _merge_config_file(ns, ("family", "center", "radius", "points",
-                            "turns", "out"))
     fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
     radius = float(ns.radius) if ns.radius is not None else 0.1
@@ -776,6 +753,7 @@ def _build_parser():
 def main(argv=None):
     try:
         ns = _build_parser().parse_args(argv)
+        _merge_config_file(ns)
         with _single_blas_thread():
             return ns.handler(ns)
     except SystemExit as exc:          # argparse --help

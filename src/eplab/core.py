@@ -279,7 +279,7 @@ def _gauge_parts(h1r, h1i, h2r, h2i, h3r, h3i):
             (s * h1r + c * h3r, s * h1i + c * h3i))
 
 
-def _tau_parts(h1r, h1i, h2r, h2i, ratio_tol):
+def _tau_parts(h1r, h1i, h2r, h2i):
     """(tau, |ratio|, failure class) of a gauge-fixed matrix.
 
     ratio = (h1 + i h2)/(h1 - i h2); its phase is read off
@@ -294,7 +294,7 @@ def _tau_parts(h1r, h1i, h2r, h2i, ratio_tol):
     mag = np.hypot(nr, ni) / _select(zero, 1.0, den)
     failure = _select(
         zero, _FAIL_DENOMINATOR,
-        _select(abs(mag - 1.0) > ratio_tol, _FAIL_NOT_FIXED,
+        _select(abs(mag - 1.0) > RATIO_TOL, _FAIL_NOT_FIXED,
                 _select((pim == 0.0) & (pr < 0.0), _FAIL_BOUNDARY,
                         _FAIL_NONE)))
     return 0.5 * np.arctan2(pim, pr), mag, failure
@@ -345,7 +345,7 @@ def observables(e1, e2, h1, h2):
     rad = _radicand_parts(*h)
     ar, ai, br, bi = _reporting_order(*_eigen_parts(e1r, e1i, e2r, e2i, *rad))
     _, degenerate, (g1r, g1i), _ = _gauge_parts(*h)
-    tau, _, failure = _tau_parts(g1r, g1i, h[2], h[3], RATIO_TOL)
+    tau, _, failure = _tau_parts(g1r, g1i, h[2], h[3])
     failure = _select(degenerate, _FAIL_GAUGE, failure)
     return Observables(f1=ar, g1=-2.0 * ai, f2=br, g2=-2.0 * bi,
                        reh2=rad[0], imh2=rad[1], cross=rad[2],
@@ -432,16 +432,16 @@ def gauge_fix(ham):
     return fixed, BasisTransform(TransformKind.GAUGE_O0, 0.5 * float(two_phi))
 
 
-def extract_tau(ham, ratio_tol=RATIO_TOL):
+def extract_tau(ham):
     """Half phase of the off-diagonal ratio, in (-pi/2, pi/2).
 
-    The input must already be gauge fixed (ratio modulus within ratio_tol
+    The input must already be gauge fixed (ratio modulus within RATIO_TOL
     of 1). tau = +-pi/4 is maximal time-reversal violation; h2 = 0 gives 0.
     """
     tau, mag, failure = _tau_parts(ham.h1.real, ham.h1.imag,
-                                   ham.h2.real, ham.h2.imag, ratio_tol)
+                                   ham.h2.real, ham.h2.imag)
     if failure:
-        detail = (f" (|ratio| = {float(mag):.9g}, tolerance {ratio_tol:g})"
+        detail = (f" (|ratio| = {float(mag):.9g}, tolerance {RATIO_TOL:g})"
                   if failure == _FAIL_NOT_FIXED else "")
         _raise_failure(failure, detail)
     return float(tau)
@@ -574,16 +574,16 @@ class PTReport:
     phase: str
 
 
-def pt_report(ham, eps_cross=EPS_CROSS, offset=None):
+def pt_report(ham, eps_cross=EPS_CROSS):
     """Run the full chain gauge_fix -> extract_tau -> width_offset -> to_pt_form.
 
-    Returns a PTReport; raises the underlying errors if the matrix is off the
-    curve or gauge-degenerate.
+    The width offset is this matrix's own (Gamma1+Gamma2)/4. Returns a
+    PTReport; raises the underlying errors if the matrix is off the curve
+    (|cross| above eps_cross relative to reh2 + imh2) or gauge-degenerate.
     """
     fixed, o0 = gauge_fix(ham)
     tau = extract_tau(fixed)
-    if offset is None:
-        offset = -0.5 * (fixed.e1.imag + fixed.e2.imag)
+    offset = -0.5 * (fixed.e1.imag + fixed.e2.imag)
     shifted = width_offset(fixed, offset=offset)
     form, u, o = to_pt_form(shifted, tau, eps_cross=eps_cross)
     transformed = o.apply(u.apply(shifted))

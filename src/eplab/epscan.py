@@ -22,7 +22,8 @@ Scan tables serialize to CSV with columns
 where (f, g) are resonance frequency and full width (E = f - i g/2) in the
 deterministic reporting order, and failed points carry NaN data plus a
 status reason; a table read back holds no matrices, so it feeds locate_ep
-but not the tracer. Curve and braid traces serialize to JSON. All files
+but not the tracer. Curve and braid traces serialize to JSON; a curve
+trace is read back from its matrices alone. All files
 start with a schema tag so readers can reject foreign content.
 """
 
@@ -104,11 +105,6 @@ class ParamGrid:
     @property
     def delta_values(self):
         return self.delta_min + self.step * np.arange(self.n_delta)
-
-    def contains(self, s, delta):
-        pad = 1e-9 * self.step
-        return (self.s_min - pad <= s <= self.s_max + pad
-                and self.delta_min - pad <= delta <= self.delta_max + pad)
 
     @classmethod
     def from_points(cls, s, delta, source):
@@ -197,19 +193,20 @@ class ScanResult:
 
     @staticmethod
     def read_csv(path):
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline().strip()
-            if first != f"# schema={SCAN_SCHEMA}":
-                raise DataError(f"{path} does not carry schema {SCAN_SCHEMA}")
-            n_rows, failed = _scan_csv_status(path, fh)
-            if not n_rows:
-                raise DataError(f"{path} has no data rows")
-            fh.seek(0)
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                first = fh.readline().strip()
+                if first != f"# schema={SCAN_SCHEMA}":
+                    raise DataError(
+                        f"{path} does not carry schema {SCAN_SCHEMA}")
+                n_rows, failed = _scan_csv_status(path, fh)
+                if not n_rows:
+                    raise DataError(f"{path} has no data rows")
+                fh.seek(0)
                 table = np.loadtxt(fh, delimiter=",", comments=_SKIPPED_LINES,
                                    usecols=range(10), ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}")
+        except ValueError as exc:         # also text that is not UTF-8
+            raise DataError(f"{path}: {exc}")
 
         grid, i, j = ParamGrid.from_points(table[:, 0], table[:, 1], path)
         if len(table) != grid.n_s * grid.n_delta:
@@ -427,20 +424,6 @@ class _PlaneField(object):
             return EffHamiltonian(*entries)
         return None
 
-    def curve_data(self, points):
-        """(reh2, imh2, cross, tau, |h1|^2, hams) along traced points.
-
-        Their matrices go through the observables kernel in one call; each
-        has one, as cross_rel is NaN where there is none.
-        """
-        hams = [self.ham(s, d) for s, d in points]
-        e1, e2, h1, h2 = (np.array([getattr(h, name) for h in hams])
-                          for name in _MATRICES)
-        obs = observables(e1, e2, h1, h2)
-        obs.raise_first_failure()
-        return (obs.reh2, obs.imh2, obs.cross, obs.tau,
-                np.hypot(h1.real, h1.imag) ** 2, hams)
-
     def cross_rel(self, s, delta):
         # read off the matrix, so a traced point meets the same test
         # pt_report applies to the matrix stored with it
@@ -478,27 +461,40 @@ def _field_for(source):
 
 @dataclass
 class CurveTrace:
-    """Ordered walk along the cross = 0 contour with per-point observables.
+    """Ordered walk along the cross = 0 contour: its points and matrices.
 
-    h1_abs_sq carries |h1|^2 for the normalized presentation of the radicand
-    split. The matrices themselves ride along so symmetry analysis can rerun
-    on traced points without the original source; hams is None only for a
-    trace read from JSON that stores none.
+    points and hams (the matrix at each point) are the trace's source.
+    Everything else is derived from hams once, by one observables call, so
+    a trace read back from JSON holds the bits it was traced with: reh2,
+    imh2, cross and tau per point, the complex radicand d, h1_abs_sq =
+    |h1|^2, split_norm = (reh2, imh2, cross)/|h1|^2 (NaN rows where |h1|^2
+    is not positive) and crossing_index, where |reh2 - imh2| is smallest.
     """
 
     points: np.ndarray                   # (n, 2) of (s, delta)
-    reh2: np.ndarray
-    imh2: np.ndarray
-    cross: np.ndarray
-    tau: np.ndarray
-    d: np.ndarray                        # complex radicand per point
-    h1_abs_sq: np.ndarray
-    crossing_index: int
+    hams: list = field(repr=False)       # EffHamiltonian per point
     truncated: bool
     epsilon: float
     step: float
     provenance: str
-    hams: list = field(default=None, repr=False)
+
+    def __post_init__(self):
+        e1, e2, h1, h2 = (np.array([getattr(h, name) for h in self.hams])
+                          for name in _MATRICES)
+        obs = observables(e1, e2, h1, h2)
+        obs.raise_first_failure()
+        self.reh2, self.imh2, self.cross, self.tau = (
+            obs.reh2, obs.imh2, obs.cross, obs.tau)
+        self.d = np.empty(len(self.hams), dtype=complex)
+        self.d.real = obs.reh2 - obs.imh2
+        self.d.imag = 2.0 * obs.cross
+        self.h1_abs_sq = np.hypot(h1.real, h1.imag) ** 2
+        self.split_norm = np.full((len(self.hams), 3), np.nan)
+        np.divide(np.column_stack((obs.reh2, obs.imh2, obs.cross)),
+                  self.h1_abs_sq[:, None], out=self.split_norm,
+                  where=(np.isfinite(self.h1_abs_sq)
+                         & (self.h1_abs_sq > 0.0))[:, None])
+        self.crossing_index = int(np.argmin(np.abs(obs.reh2 - obs.imh2)))
 
     @property
     def n_points(self):
@@ -517,16 +513,14 @@ class CurveTrace:
                 "d": [float(self.d[k].real), float(self.d[k].imag)],
                 "h1_abs_sq": float(self.h1_abs_sq[k]),
             }
-            if math.isfinite(self.h1_abs_sq[k]) and self.h1_abs_sq[k] > 0:
-                row["reh2_norm"] = float(self.reh2[k] / self.h1_abs_sq[k])
-                row["imh2_norm"] = float(self.imh2[k] / self.h1_abs_sq[k])
-                row["cross_norm"] = float(self.cross[k] / self.h1_abs_sq[k])
-            if self.hams is not None and self.hams[k] is not None:
-                row["ham"] = self.hams[k].to_json_dict()
+            if not np.isnan(self.split_norm[k, 0]):
+                row.update(zip(("reh2_norm", "imh2_norm", "cross_norm"),
+                               self.split_norm[k].tolist()))
+            row["ham"] = self.hams[k].to_json_dict()
             rows.append(row)
         out = {
             "schema": CURVE_SCHEMA,
-            "crossing_index": int(self.crossing_index),
+            "crossing_index": self.crossing_index,
             "truncated": bool(self.truncated),
             "epsilon": self.epsilon,
             "step": self.step,
@@ -541,30 +535,29 @@ class CurveTrace:
 
     @staticmethod
     def from_json_dict(d):
-        if d.get("schema") != CURVE_SCHEMA:
+        """The trace of a JSON document; DataError unless every point
+        carries its coordinates and matrix."""
+        if not isinstance(d, dict) or d.get("schema") != CURVE_SCHEMA:
             raise DataError(f"expected schema {CURVE_SCHEMA}")
-        rows = d["points"]
-        n = len(rows)
-        points = np.array([[r["s_mm"], r["delta_mm"]] for r in rows])
-        hams = None
-        if any("ham" in r for r in rows):
-            hams = [EffHamiltonian.from_json_dict(r["ham"])
-                    if "ham" in r else None for r in rows]
-        return CurveTrace(
-            points=points,
-            reh2=np.array([r["reh2"] for r in rows]),
-            imh2=np.array([r["imh2"] for r in rows]),
-            cross=np.array([r["cross"] for r in rows]),
-            tau=np.array([r["tau"] for r in rows]),
-            d=np.array([complex(*r["d"]) for r in rows]),
-            h1_abs_sq=np.array([r["h1_abs_sq"] for r in rows]),
-            crossing_index=int(d["crossing_index"]),
-            truncated=bool(d["truncated"]),
-            epsilon=float(d["epsilon"]),
-            step=float(d["step"]),
-            provenance=str(d["provenance"]),
-            hams=hams,
-        )
+        try:
+            rows = d["points"]
+            if not any("ham" in r for r in rows):
+                raise DataError("trace carries no matrices; re-trace from a "
+                                "family or a fit manifest")
+            for k, r in enumerate(rows):
+                if "ham" not in r:
+                    raise DataError(f"trace point {k} carries no matrix")
+            return CurveTrace(
+                points=np.array([[r["s_mm"], r["delta_mm"]] for r in rows],
+                                dtype=float),
+                hams=[EffHamiltonian.from_json_dict(r["ham"]) for r in rows],
+                truncated=bool(d["truncated"]),
+                epsilon=float(d["epsilon"]),
+                step=float(d["step"]),
+                provenance=str(d["provenance"]),
+            )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed trace: {exc!r}")
 
 
 def _correct_onto_contour(field, point, epsilon, fd_step):
@@ -638,9 +631,9 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     family's closed form or the table's bilinearly interpolated entries; a
     table read from CSV stores none and raises DataError. start must
     already satisfy |cross|/(reh2+imh2) <= epsilon. The returned trace is
-    ordered along the curve, carries Radicand components, tau and the
-    matrix per point, and flags truncation when the corrector loses the
-    contour.
+    ordered along the curve and holds the matrix per point, from which
+    CurveTrace derives the radicand split, tau and crossing_index; it flags
+    truncation when the corrector loses the contour.
     """
     field = _field_for(scan_result)
     grid = field.grid
@@ -673,19 +666,11 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     backward, trunc_b = _march(field, (s0, d0), -tangent, step, epsilon, fd_step)
     pts = np.array(backward[::-1] + [[s0, d0]] + forward)
 
-    reh2, imh2, cross, tau, h1sq, hams = field.curve_data(pts)
-    dvals = np.empty(pts.shape[0], dtype=complex)
-    dvals.real = reh2 - imh2
-    dvals.imag = 2.0 * cross
-
     return CurveTrace(
-        points=pts, reh2=reh2, imh2=imh2, cross=cross, tau=tau, d=dvals,
-        h1_abs_sq=h1sq,
-        crossing_index=int(np.argmin(np.abs(reh2 - imh2))),
+        points=pts, hams=[field.ham(s, d) for s, d in pts],
         truncated=bool(trunc_f or trunc_b),
         epsilon=float(epsilon), step=float(step),
         provenance="family" if field.family is not None else "fit",
-        hams=hams,
     )
 
 

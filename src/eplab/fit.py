@@ -541,38 +541,29 @@ def _scatter_starts(p0, n_starts, rng):
     return starts
 
 
-def fit_spectrum(spec, cfg=None, init=None, mask=None):
+def fit_spectrum(spec, cfg=None, mask=None):
     """Fit the two-level model to a spectrum.
 
-    init may be a FitResult or a packed parameter vector; without it the
-    closed-form seed of the included channels is used. At most
-    cfg.n_starts starts run, in a fixed order. The loop stops after a
-    converged start that is the best so far and either lies below
-    EARLY_EXIT_RMS ("exact") or leaves a residual whose lag-1 correlation
-    along frequency is below NOISE_FLOOR_SIGMAS / sqrt(2 k n) for k
-    included channels of n points ("noise_floor"); or after a converged
-    start whose rms matches an earlier converged start's to RMS_AGREEMENT,
-    keeping the earlier one ("agreement"); else all starts run
-    ("exhausted"). The result records that rule as stop_rule, the kept
+    The first start is the closed-form seed of the included channels
+    (seed_initializer); at most cfg.n_starts starts run, in a fixed order.
+    The loop stops after a converged start that is the best so far and
+    either lies below EARLY_EXIT_RMS ("exact") or leaves a residual whose
+    lag-1 correlation along frequency is below NOISE_FLOOR_SIGMAS /
+    sqrt(2 k n) for k included channels of n points ("noise_floor"); or after a
+    converged start whose rms matches an earlier converged start's to
+    RMS_AGREEMENT, keeping the earlier one ("agreement"); else all starts
+    run ("exhausted"). The result records that rule as stop_rule, the kept
     start's residual_lag1, and the dissipation clipped to keep the
     reconstructed coupling passive. Raises InsufficientSpanError when the
-    grid does not cover 4x the widths of both eigenvalues of the kept
-    start, NonConvergenceError (carrying the best residual and the starts
-    per termination reason) when no start converges. The span check reads
-    the kept start, not the seed: with noise the seed's widths can come out
+    grid does not cover 4x the widths of both eigenvalues of the kept start,
+    NonConvergenceError (carrying the best residual and the starts per
+    termination reason) when no start converges. The span check reads the
+    kept start, not the seed: with noise the seed's widths can come out
     several times the fitted ones.
     """
     cfg = cfg or FitConfig()
     include = _channel_row_mask(mask)
-    if init is None:
-        p0 = seed_initializer(spec, mask)
-    elif isinstance(init, FitResult):
-        p0 = pack_params(init.ham, init.coupling.antenna)
-    else:
-        p0 = np.asarray(init, dtype=float)
-        if p0.shape != (N_PARAMS,):
-            raise InvalidArgumentError(
-                f"init must have {N_PARAMS} entries, got {p0.shape}")
+    p0 = seed_initializer(spec, mask)
 
     white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * include.sum() * spec.n_points)
     rng = np.random.default_rng(cfg.seed)

@@ -198,8 +198,12 @@ def _sidecar_path(csv_path):
 
 
 def read_spectrum(path):
-    """Load a spectrum CSV (and its sidecar, when present)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Load a spectrum CSV (and its sidecar, when present); DataError if
+    its table does not parse as numbers."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")
     if data.shape[1] != 9:
         raise DataError(f"{path}: expected 9 columns, got {data.shape[1]}")
     s = np.empty((data.shape[0], 2, 2), dtype=complex)

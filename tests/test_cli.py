@@ -496,6 +496,42 @@ def test_analyze_braid_classes(tmp_path, capsys):
     assert doc["permutation"] == "identity"
 
 
+@pytest.mark.parametrize("family, grid", [
+    ("b38", "1.62:1.82:0.01x41.68:41.88:0.01"),
+    ("b0", "1.58:1.78:0.01x41.09:41.29:0.01")])
+def test_family_analysis_is_idempotent(tmp_path, family, grid):
+    out = str(tmp_path)
+    commands = (
+        ["analyze", "scan", "--family", family, "--grid", grid],
+        ["analyze", "ep", "--in", str(tmp_path / "scan.csv")],
+        ["analyze", "curve", "--family", family],
+        ["analyze", "pt", "--curve", str(tmp_path / "trace.json")],
+        ["analyze", "braid", "--family", family],
+    )
+    runs = []
+    for _ in range(2):
+        for argv in commands:
+            assert main(argv + ["--out", out]) == 0
+        runs.append({p.name: digest(p) for p in sorted(tmp_path.iterdir())})
+    assert len(runs[0]) == 7
+    assert runs[0] == runs[1]
+
+
+def test_braid_takes_its_grid_from_a_config_file(tmp_path):
+    grid = "1.62:1.82:0.01x41.68:41.88:0.01"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "out"
+    out.mkdir()
+    base = ["analyze", "braid", "--family", "b38", "--out", str(out)]
+    digests = []
+    for extra in (["--grid", grid], ["--config", str(cfg)], []):
+        assert main(base + extra) == 0
+        digests.append(digest(out / "braid.json"))
+    # the grid places the loop centre at its EP, so the default grid differs
+    assert digests[0] == digests[1] != digests[2]
+
+
 def test_analyze_scan_from_spectra_directory(tmp_path):
     # spectra become a scan table through `eplab fit` alone
     data = tmp_path / "data"
@@ -641,6 +677,80 @@ def test_every_traced_fit_point_passes_the_pt_gate(tmp_path):
     doc = json.loads((fits / "pt.json").read_text())
     assert len(doc["phase_flips"]) == 1
     assert abs(doc["phase_flips"][0] - doc["crossing_index"]) <= 1
+
+
+# --------------------------------------------------------- unreadable input
+
+
+def assert_data_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eplab: ")
+    assert "Traceback" not in err
+
+
+def test_fit_records_a_non_numeric_spectrum_and_goes_on(dataset, tmp_path,
+                                                        capsys):
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    names = [f"b38_s{s}_d{d}" for s in ("1.7000", "1.7200")
+             for d in ("41.7600", "41.7800")]
+    for name in names:
+        for suffix in (".csv", ".json"):
+            shutil.copy(dataset / (name + suffix), data / (name + suffix))
+    bad = data / (names[1] + ".csv")
+    lines = bad.read_text().splitlines()
+    lines[100] = "abc" + lines[100][lines[100].index(","):]
+    bad.write_text("\n".join(lines) + "\n")
+
+    # one failure in four exceeds the default threshold of 0.2
+    assert main(["fit", "--in", str(data), "--n-starts", "2",
+                 "--out", str(fits)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((fits / (names[1] + "_fit.json")).read_text())
+    assert doc["converged"] is False
+    assert doc["reason"] == "DataError"
+    assert str(bad) in doc["detail"]
+    for name in names[:1] + names[2:]:
+        doc = json.loads((fits / (name + "_fit.json")).read_text())
+        assert doc["converged"] is True
+    summary = ScanResult.read_csv(fits / "summary.csv")
+    assert summary.reasons == {(0, 1): "DataError"}
+
+
+def test_analyze_ep_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "table"
+    path.write_bytes(b"\xff\xfe\x00{\x93\n")
+    assert_data_error(main(["analyze", "ep", "--in", str(path),
+                            "--out", str(tmp_path)]), capsys)
+
+
+def test_analyze_ep_refuses_a_scan_csv_line_that_is_not_utf8(tmp_path,
+                                                             capsys):
+    assert main(["analyze", "scan", "--family", "b38",
+                 "--grid", "1.62:1.82:0.01x41.68:41.88:0.01",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "scan.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[10] = b"1.63,\xff\xfe\n"
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert_data_error(main(["analyze", "ep", "--in", str(path),
+                            "--out", str(tmp_path)]), capsys)
+
+
+def test_analyze_pt_refuses_a_malformed_trace_row(tmp_path, capsys):
+    assert main(["analyze", "curve", "--family", "b38",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "trace.json"
+    doc = json.loads(path.read_text())
+    del doc["points"][2]["delta_mm"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert_data_error(main(["analyze", "pt", "--curve", str(path),
+                            "--out", str(tmp_path)]), capsys)
+    assert not (tmp_path / "pt.json").exists()
 
 
 # ------------------------------------------------------------- entry point
