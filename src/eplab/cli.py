@@ -53,7 +53,13 @@ from .errors import (
     UsageError,
 )
 from .fit import FitConfig, fit_spectrum
-from .synth import NoiseSpec, load_family, read_spectrum, synth_spectrum
+from .synth import (
+    NoiseSpec,
+    _write_table,
+    load_family,
+    read_spectrum,
+    synth_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,21 +101,19 @@ def _read_json(path, what):
         raise DataError(f"{what} {path!r} is not valid JSON: {exc}")
 
 
-def _merge_config_file(ns):
-    """Fill unset options, keyed by dest name, from --config; flags win."""
-    if ns.config is None:
-        return
+def _config_defaults(ns):
+    """Set --config values as the command's option defaults, as text, so
+    parsing argv again converts each by its option's type; flags win."""
     doc = _read_json(ns.config, "config file")
     if not isinstance(doc, dict):
         raise DataError(f"config file {ns.config!r} must hold a JSON object")
-    options = set(vars(ns)) - {"command", "mode", "handler", "config",
-                               "spectra"}
+    options = set(vars(ns)) - {"command", "mode", "handler", "parser",
+                               "config", "spectra"}
     unknown = sorted(set(doc) - options)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in doc.items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, value)
+    ns.parser.set_defaults(**{key: str(value) for key, value in doc.items()
+                              if value is not None})
 
 
 def _resolve_out(ns):
@@ -155,13 +159,9 @@ def _parse_mask(text):
     return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _write_manifest(out, command, cfg_hash, seed, files):
@@ -202,15 +202,17 @@ def _openblas_thread_functions():
 
 
 def _pin_blas_thread():
-    """Run OpenBLAS in this process on one thread.
+    """Run OpenBLAS in this process on one thread; return [(setter, old)].
 
     The thread count is read from the environment when numpy loads, so
     only the library's setter changes it afterwards. Also the pool
     initializer: a forked worker inherits the pinned count, but a spawned
     one starts at OpenBLAS's default.
     """
-    for _, put in _openblas_thread_functions():
+    saved = [(put, get()) for get, put in _openblas_thread_functions()]
+    for put, _ in saved:
         put(1)
+    return saved
 
 
 @contextlib.contextmanager
@@ -222,14 +224,11 @@ def _single_blas_thread():
     thread count, so one thread everywhere gives the same bits for any
     --jobs and for fits run in this process.
     """
-    functions = _openblas_thread_functions()
-    saved = [get() for get, _ in functions]
-    for _, put in functions:
-        put(1)
+    saved = _pin_blas_thread()
     try:
         yield
     finally:
-        for (_, put), n in zip(functions, saved):
+        for put, n in saved:
             put(n)
 
 
@@ -281,8 +280,6 @@ def _cmd_synth(ns):
     f0 = ns.f0 if ns.f0 is not None else defaults["f_center_mhz"]
     span = ns.span if ns.span is not None else defaults["span_mhz"]
     fstep = ns.fstep if ns.fstep is not None else defaults["step_mhz"]
-    sigma = float(ns.sigma) if ns.sigma is not None else 0.0
-    seed = int(ns.seed) if ns.seed is not None else 0
     out = _resolve_out(ns)
 
     if ns.grid is not None:
@@ -297,19 +294,19 @@ def _cmd_synth(ns):
                 f"s in {fam.bounds_s}, delta in {fam.bounds_delta}")
 
     resolved = {"command": "synth", "family": fam.name,
-                "grid": ns.grid, "point": ns.point, "sigma": sigma,
-                "seed": seed, "f0": f0, "span": span, "fstep": fstep,
+                "grid": ns.grid, "point": ns.point, "sigma": ns.sigma,
+                "seed": ns.seed, "f0": f0, "span": span, "fstep": fstep,
                 "out": out}
     cfg_hash = _config_hash(resolved)
 
-    tasks = [(fam, s, d, f0, span, fstep, sigma, _point_seed(seed, k),
+    tasks = [(fam, s, d, f0, span, fstep, ns.sigma, _point_seed(ns.seed, k),
               cfg_hash, out)
              for k, (s, d) in enumerate(points)]
     files = list(_pool_map(_synth_task, tasks, ns.jobs))
     sidecars = [os.path.splitext(f)[0] + ".json" for f in files]
-    _write_manifest(out, "synth", cfg_hash, seed, files + sidecars)
+    _write_manifest(out, "synth", cfg_hash, ns.seed, files + sidecars)
     print(f"wrote {len(files)} spectra to {out} "
-          f"(sigma={sigma:g}, seed={seed}, config={cfg_hash})")
+          f"(sigma={ns.sigma:g}, seed={ns.seed}, config={cfg_hash})")
     return EXIT_OK
 
 
@@ -435,18 +432,14 @@ def _read_table(path):
 def _cmd_fit(ns):
     inputs = _spectrum_inputs(ns)
     mask = _parse_mask(ns.mask)
-    cfg = FitConfig(
-        n_starts=int(ns.n_starts) if ns.n_starts is not None else 8,
-        seed=int(ns.seed) if ns.seed is not None else 0)
-    max_failures = (float(ns.max_failures)
-                    if ns.max_failures is not None else 0.2)
+    cfg = FitConfig(n_starts=ns.n_starts, seed=ns.seed)
     out = _resolve_out(ns)
 
     resolved = {"command": "fit",
                 "inputs": [os.path.basename(p) for _, _, p in inputs],
                 "mask": list(mask) if mask else None,
                 "n_starts": cfg.n_starts, "seed": cfg.seed,
-                "max_failures": max_failures, "out": out}
+                "max_failures": ns.max_failures, "out": out}
     cfg_hash = _config_hash(resolved)
 
     # each *_fit.json is written as its result arrives, so an interrupted
@@ -474,8 +467,8 @@ def _cmd_fit(ns):
     rate = n_failed_fits / len(inputs)
     print(f"fitted {len(inputs)} spectra, {n_failed_fits} failures "
           f"(rate {rate:.3f}); wrote summary.csv (config={cfg_hash})")
-    if rate > max_failures:
-        print(f"failure rate {rate:.3f} exceeds threshold {max_failures:g}")
+    if rate > ns.max_failures:
+        print(f"failure rate {rate:.3f} exceeds threshold {ns.max_failures:g}")
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -533,18 +526,6 @@ def _cmd_analyze_ep(ns):
     return EXIT_OK
 
 
-def _write_curve_csv(path, trace, cfg_hash):
-    lines = [f"# schema={CURVE_CSV_SCHEMA}", f"# config_hash={cfg_hash}",
-             "s_mm,delta_mm,reh2,imh2,cross,tau,d_re,d_im,"
-             "reh2_norm,imh2_norm,cross_norm"]
-    for k in range(trace.n_points):
-        vals = (trace.points[k, 0], trace.points[k, 1],
-                trace.reh2[k], trace.imh2[k], trace.cross[k], trace.tau[k],
-                trace.d[k].real, trace.d[k].imag, *trace.split_norm[k])
-        lines.append(",".join("%.17g" % v for v in vals))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 def _cmd_analyze_curve(ns):
     out = _resolve_out(ns)
     if ns.family:
@@ -579,7 +560,11 @@ def _cmd_analyze_curve(ns):
     trace = trace_pt_curve(result, start, epsilon=ns.epsilon, step=ns.cstep)
     doc = trace.to_json_dict(source=origin, config_hash=cfg_hash)
     _write_json(os.path.join(out, "trace.json"), doc)
-    _write_curve_csv(os.path.join(out, "curve.csv"), trace, cfg_hash)
+    _write_table(os.path.join(out, "curve.csv"), CURVE_CSV_SCHEMA, cfg_hash,
+                 ("s_mm", "delta_mm", "reh2", "imh2", "cross", "tau", "d_re",
+                  "d_im", "reh2_norm", "imh2_norm", "cross_norm"),
+                 [*trace.points.T, trace.reh2, trace.imh2, trace.cross,
+                  trace.tau, trace.d.real, trace.d.imag, *trace.split_norm.T])
     flag = " (truncated)" if trace.truncated else ""
     print(f"traced {trace.n_points} points, crossing at index "
           f"{trace.crossing_index}{flag}; wrote trace.json, curve.csv "
@@ -617,14 +602,11 @@ def _cmd_analyze_pt(ns):
            "max_commutator_norm": max_commutator, "points": rows}
     _write_json(os.path.join(out, "pt.json"), doc)
 
-    lines = [f"# schema={PT_CSV_SCHEMA}", f"# config_hash={cfg_hash}",
-             "index,s_mm,delta_mm,tau,phase,residual,commutator_norm"]
-    for r in rows:
-        lines.append(",".join((
-            str(r["index"]), "%.17g" % r["s_mm"], "%.17g" % r["delta_mm"],
-            "%.17g" % r["tau"], r["phase"],
-            "%.17g" % r["residual"], "%.17g" % r["commutator_norm"])))
-    _write_text(os.path.join(out, "pt.csv"), "\n".join(lines) + "\n")
+    _write_table(os.path.join(out, "pt.csv"), PT_CSV_SCHEMA, cfg_hash,
+                 tuple(rows[0]),
+                 [np.array([r[k] for r in rows],
+                           dtype=object if k in ("index", "phase") else float)
+                  for k in rows[0]])
 
     flip_txt = ", ".join(str(k) for k in flips) if flips else "never"
     print(f"{len(rows)} points: phase flips at index {flip_txt} "
@@ -637,9 +619,6 @@ def _cmd_analyze_pt(ns):
 def _cmd_analyze_braid(ns):
     fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
-    radius = float(ns.radius) if ns.radius is not None else 0.1
-    n_points = int(ns.points) if ns.points is not None else 64
-    turns = int(ns.turns) if ns.turns is not None else 1
 
     center_text = ns.center if ns.center is not None else "ep"
     if str(center_text).strip().lower() == "ep":
@@ -649,19 +628,20 @@ def _cmd_analyze_braid(ns):
         center = _parse_point(center_text, what="--center")
 
     resolved = {"command": "analyze-braid", "family": fam.name,
-                "center": ns.center, "radius": radius,
-                "points": n_points, "turns": turns, "out": out}
+                "center": ns.center, "radius": ns.radius,
+                "points": ns.points, "turns": ns.turns, "out": out}
     cfg_hash = _config_hash(resolved)
 
-    trace = braid_loop(fam, center, radius, n_points=n_points, turns=turns)
+    trace = braid_loop(fam, center, ns.radius, n_points=ns.points,
+                       turns=ns.turns)
     doc = trace.to_json_dict(config_hash=cfg_hash)
     doc["center"] = [center[0], center[1]]
-    doc["radius"] = radius
-    doc["turns"] = turns
+    doc["radius"] = ns.radius
+    doc["turns"] = ns.turns
     _write_json(os.path.join(out, "braid.json"), doc)
     print(f"permutation: {trace.permutation.value} "
-          f"(center {center[0]:.4f},{center[1]:.4f}, radius {radius:g}, "
-          f"turns {turns})")
+          f"(center {center[0]:.4f},{center[1]:.4f}, radius {ns.radius:g}, "
+          f"turns {ns.turns})")
     return EXIT_OK
 
 
@@ -681,30 +661,33 @@ def _build_parser():
     p.add_argument("--family", help="preset name (b38, b0) or JSON path")
     p.add_argument("--grid", help="min:max:step x min:max:step in mm")
     p.add_argument("--point", help="single s,delta point in mm")
-    p.add_argument("--sigma", type=float, help="noise level (default 0)")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+    p.add_argument("--sigma", type=float, default=0.0,
+                   help="noise level (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base RNG seed (default %(default)s)")
     p.add_argument("--f0", type=float, help="center frequency MHz")
     p.add_argument("--span", type=float, help="frequency span MHz")
     p.add_argument("--fstep", type=float, help="frequency step MHz")
     p.add_argument("--jobs", type=int, help="worker processes")
     _add_common(p)
-    p.set_defaults(handler=_cmd_synth)
+    p.set_defaults(handler=_cmd_synth, parser=p)
 
     p = sub.add_parser("fit", help="fit spectra to the two-level model")
     p.add_argument("spectra", nargs="*", help="spectrum CSV files")
     p.add_argument("--in", dest="indir", help="directory of spectra")
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--mask", help="channels to fit, e.g. S11 or S11,S22")
-    p.add_argument("--n-starts", type=int,
-                   help="at most this many starts per fit (default 8); a "
-                        "fit stops at its first exact or white-residual "
-                        "start")
-    p.add_argument("--seed", type=int, help="fit RNG seed (default 0)")
-    p.add_argument("--max-failures", type=float,
-                   help="acceptable failure fraction (default 0.2)")
+    p.add_argument("--n-starts", type=int, default=FitConfig.n_starts,
+                   help="at most this many starts per fit (default "
+                        "%(default)s); a fit stops at its first exact or "
+                        "white-residual start")
+    p.add_argument("--seed", type=int, default=FitConfig.seed,
+                   help="fit RNG seed (default %(default)s)")
+    p.add_argument("--max-failures", type=float, default=0.2,
+                   help="acceptable failure fraction (default %(default)s)")
     p.add_argument("--jobs", type=int, help="worker processes")
     _add_common(p)
-    p.set_defaults(handler=_cmd_fit)
+    p.set_defaults(handler=_cmd_fit, parser=p)
 
     pa = sub.add_parser("analyze", help="plane analysis on fits or presets")
     mode = pa.add_subparsers(dest="mode", required=True)
@@ -713,13 +696,13 @@ def _build_parser():
     p.add_argument("--family", help="preset name or JSON path")
     p.add_argument("--grid", help="min:max:step x min:max:step in mm")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_scan)
+    p.set_defaults(handler=_cmd_analyze_scan, parser=p)
 
     p = mode.add_parser("ep", help="locate the degeneracy on a scan table")
     p.add_argument("--in", dest="infile",
                    help="scan CSV (also a fit summary.csv) or fit manifest")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_ep)
+    p.set_defaults(handler=_cmd_analyze_ep, parser=p)
 
     p = mode.add_parser("curve", help="trace the real-splitting contour")
     p.add_argument("--family", help="preset name or JSON path")
@@ -730,30 +713,36 @@ def _build_parser():
     p.add_argument("--epsilon", type=float, help="contour tolerance")
     p.add_argument("--cstep", type=float, help="marching step in mm")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_curve)
+    p.set_defaults(handler=_cmd_analyze_curve, parser=p)
 
     p = mode.add_parser("pt", help="symmetry analysis along a traced curve")
     p.add_argument("--curve", help="trace.json from analyze curve")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_pt)
+    p.set_defaults(handler=_cmd_analyze_pt, parser=p)
 
     p = mode.add_parser("braid", help="eigenvalue exchange around a loop")
     p.add_argument("--family", help="preset name or JSON path")
     p.add_argument("--center", help="loop center s,delta or 'ep' (default)")
-    p.add_argument("--radius", type=float, help="loop radius mm (default 0.1)")
-    p.add_argument("--points", type=int, help="loop samples (default 64)")
-    p.add_argument("--turns", type=int, help="windings (default 1)")
+    p.add_argument("--radius", type=float, default=0.1,
+                   help="loop radius mm (default %(default)s)")
+    p.add_argument("--points", type=int, default=64,
+                   help="loop samples (default %(default)s)")
+    p.add_argument("--turns", type=int, default=1,
+                   help="windings (default %(default)s)")
     p.add_argument("--grid", help="grid for locating the center")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_braid)
+    p.set_defaults(handler=_cmd_analyze_braid, parser=p)
 
     return top
 
 
 def main(argv=None):
     try:
-        ns = _build_parser().parse_args(argv)
-        _merge_config_file(ns)
+        parser = _build_parser()
+        ns = parser.parse_args(argv)
+        if ns.config is not None:
+            _config_defaults(ns)
+            ns = parser.parse_args(argv)
         with _single_blas_thread():
             return ns.handler(ns)
     except SystemExit as exc:          # argparse --help

@@ -126,16 +126,14 @@ def from_matrix(m):
     return EffHamiltonian(complex(m[0, 0]), complex(m[1, 1]), complex(h1), complex(h2))
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """Eigenvalues E_j = f_j - i*Gamma_j/2, E1 on the '+' sqrt branch."""
 
     E1: complex
     E2: complex
 
 
-@dataclass(frozen=True)
-class Radicand:
+class Radicand(NamedTuple):
     """Basis-invariant decomposition of the eigenvalue radicand [MHz^2]."""
 
     reh2: float
@@ -153,8 +151,7 @@ class TransformKind(Enum):
     ROT_O = "rot_o"         # plane rotation onto the symmetric normal form
 
 
-@dataclass(frozen=True)
-class BasisTransform:
+class BasisTransform(NamedTuple):
     """A conjugation M -> U M U^dagger.
 
     angle is Phi0 for GAUGE_O0, tau/2 for TAU_U and Phi for ROT_O.
@@ -447,8 +444,7 @@ def extract_tau(ham):
     return float(tau)
 
 
-@dataclass(frozen=True)
-class PTNormalForm:
+class PTNormalForm(NamedTuple):
     """Entries of the symmetric normal form [[A+iB, C+iD], [C-iD, A-iB]].
 
     residual is the largest entrywise distance of the actually transformed
@@ -554,8 +550,7 @@ def is_ep(ham, eps_d=1e-8, eps_h=1e-9):
     return bool(abs(rad.d) <= eps_d * scale and scale >= eps_h)
 
 
-@dataclass(frozen=True)
-class PTReport:
+class PTReport(NamedTuple):
     """Full symmetry analysis of one Hamiltonian.
 
     offset is the applied imaginary shift (Gamma1+Gamma2)/4, phi0/tau/phi the

@@ -7,8 +7,8 @@ reciprocity angle tau. scan evaluates a synthetic family in closed form; the
 `eplab fit` driver builds the same table from per-point fits. On top of a
 scan table:
 
-  * locate_ep finds the grid cell minimizing |D| and refines it to sub-grid
-    accuracy with a local quadratic model of |D|^2;
+  * locate_ep finds the grid node minimizing |D| and solves D = 0 on the
+    quadratic model of complex D over its 3x3 stencil;
   * trace_pt_curve follows the zero contour of cross = Re h . Im h (the
     curve on which the shifted matrix has the antiunitary symmetry) with a
     predictor-corrector walker;
@@ -30,6 +30,7 @@ start with a schema tag so readers can reject foreign content.
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     RefineLoopError,
     ScanQualityError,
 )
-from .synth import SyntheticFamily, _write_rows
+from .synth import SyntheticFamily, _write_table
 
 SCAN_SCHEMA = "eplab.scan.v1"
 CURVE_SCHEMA = "eplab.curve.v1"
@@ -165,13 +166,6 @@ class ScanResult:
     def has_matrices(self):
         return self.e1 is not None
 
-    def d_abs(self):
-        """|D| per point via the eigenvalue identity D = ((E1-E2)/2)^2."""
-        split = (self.f1 - 1j * self.g1 / 2.0) - (self.f2 - 1j * self.g2 / 2.0)
-        out = np.abs(split / 2.0) ** 2
-        out[~self.ok] = np.nan
-        return out
-
     def write_csv(self, path, config_hash=None):
         n_s, n_d = self.grid.shape
         status = np.full(self.ok.size, "ok", dtype=object)
@@ -184,12 +178,8 @@ class ScanResult:
                                          self.grid.delta_values))
         columns = [np.repeat(s_text, n_d), np.tile(d_text, n_s)]
         columns += [getattr(self, name).ravel() for name in _OBSERVABLES]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# schema={SCAN_SCHEMA}\n")
-            if config_hash is not None:
-                fh.write(f"# config_hash={config_hash}\n")
-            fh.write(",".join(SCAN_COLUMNS) + "\n")
-            _write_rows(fh, columns + [status])
+        _write_table(path, SCAN_SCHEMA, config_hash, SCAN_COLUMNS,
+                     columns + [status])
 
     @staticmethod
     def read_csv(path):
@@ -320,56 +310,59 @@ class EPLocation:
 
 
 def locate_ep(scan_result):
-    """Locate the radicand zero on a scan: argmin |D| plus quadratic refinement.
+    """Locate the zero of the radicand D = reh2 - imh2 + 2i cross on a scan.
 
+    The node of least |D| is refined by Newton steps on the quadratic model
+    of complex D that central differences give on its 3x3 stencil, which is
+    exact for an affine family; the refinement stays on the stencil.
     Raises EPOutsideWindowError when the minimum sits on the grid boundary
     and NoEPFoundError when the |D| landscape is too flat to single out a
     minimum (min above half the median).
     """
-    absd = scan_result.d_abs()
+    d = np.where(scan_result.ok, scan_result.reh2 - scan_result.imh2
+                 + 2j * scan_result.cross, np.nan)
+    absd = np.abs(d)
     if not np.any(np.isfinite(absd)):
         raise NoEPFoundError("no valid grid points in scan")
-    flat = np.where(np.isfinite(absd), absd, np.inf)
-    i, j = np.unravel_index(int(np.argmin(flat)), flat.shape)
-    n_s, n_d = flat.shape
+    i, j = np.unravel_index(int(np.nanargmin(absd)), absd.shape)
+    n_s, n_d = absd.shape
 
-    finite = absd[np.isfinite(absd)]
-    median = float(np.median(finite))
-    if flat[i, j] >= 0.5 * median:
+    median = float(np.nanmedian(absd))
+    if absd[i, j] >= 0.5 * median:
         raise NoEPFoundError(
-            f"|D| landscape is flat: minimum {flat[i, j]:.3g} vs median "
+            f"|D| landscape is flat: minimum {absd[i, j]:.3g} vs median "
             f"{median:.3g}")
     if i in (0, n_s - 1) or j in (0, n_d - 1):
         raise EPOutsideWindowError(
             f"|D| minimum sits on the scan boundary at index ({i}, {j})")
 
-    # local quadratic model of |D|^2 on the 3x3 neighborhood
-    patch = flat[i - 1:i + 2, j - 1:j + 2] ** 2
-    if not np.all(np.isfinite(patch)):
-        off_x = off_y = 0.0
-    else:
-        xs, ys = np.meshgrid((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), indexing="ij")
-        a = np.column_stack([np.ones(9), xs.ravel(), ys.ravel(),
-                             xs.ravel() ** 2, (xs * ys).ravel(),
-                             ys.ravel() ** 2])
-        coef, *_ = np.linalg.lstsq(a, patch.ravel(), rcond=None)
-        _, b, c, dxx, dxy, dyy = coef
-        hess = np.array([[2.0 * dxx, dxy], [dxy, 2.0 * dyy]])
-        try:
-            off = np.linalg.solve(hess, -np.array([b, c]))
-        except np.linalg.LinAlgError:
-            off = np.zeros(2)
-        if np.all(np.linalg.eigvalsh(hess) > 0):
-            off_x, off_y = np.clip(off, -1.0, 1.0)
-        else:
-            off_x = off_y = 0.0
+    # D(x, y) in steps from the node: D0 + dx x + dy y + dxx x^2/2 + dxy x y
+    # + dyy y^2/2, solved for Re D = Im D = 0
+    off = np.zeros(2)
+    p = d[i - 1:i + 2, j - 1:j + 2]
+    if np.all(np.isfinite(p)):
+        dx, dy = 0.5 * (p[2, 1] - p[0, 1]), 0.5 * (p[1, 2] - p[1, 0])
+        dxx = p[2, 1] - 2.0 * p[1, 1] + p[0, 1]
+        dyy = p[1, 2] - 2.0 * p[1, 1] + p[1, 0]
+        dxy = 0.25 * (p[2, 2] - p[2, 0] - p[0, 2] + p[0, 0])
+        for _ in range(8):
+            x, y = off
+            model = (p[1, 1] + dx * x + dy * y + 0.5 * dxx * x * x
+                     + dxy * x * y + 0.5 * dyy * y * y)
+            gx, gy = dx + dxx * x + dxy * y, dy + dxy * x + dyy * y
+            jac = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
+            try:
+                step = np.linalg.solve(jac, [-model.real, -model.imag])
+            except np.linalg.LinAlgError:
+                break
+            off = np.clip(off + step, -1.0, 1.0)
 
     grid = scan_result.grid
     return EPLocation(
-        s=float(grid.s_values[i] + off_x * grid.step),
-        delta=float(grid.delta_values[j] + off_y * grid.step),
-        offset_s=float(off_x),
-        offset_delta=float(off_y),
+        s=float(grid.s_values[i] + off[0] * grid.step),
+        delta=float(grid.delta_values[j] + off[1] * grid.step),
+        offset_s=float(off[0]),
+        offset_delta=float(off[1]),
         uncertainty=grid.step,
     )
 
@@ -677,8 +670,7 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
 # ------------------------------------------------------------------ braiding
 
 
-@dataclass
-class BraidTrace:
+class BraidTrace(NamedTuple):
     """Eigenvalue paths around a closed loop and the resulting permutation."""
 
     loop: np.ndarray                     # (n, 2), first row equals last

@@ -72,6 +72,17 @@ def _write_rows(fh, columns):
         fh.write(row * (stop - start) % tuple(block.ravel()))
 
 
+def _write_table(path, schema, config_hash, header, columns):
+    """Write a schema-tagged CSV: tag, config hash (when given), header
+    of column names, then the columns as _write_rows writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# schema={schema}\n")
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, columns)
+
+
 class CouplingSet:
     """Real, frequency-independent channel couplings.
 
@@ -199,7 +210,7 @@ def _sidecar_path(csv_path):
 
 def read_spectrum(path):
     """Load a spectrum CSV (and its sidecar, when present); DataError if
-    its table does not parse as numbers."""
+    its table does not parse as numbers or its sidecar as a JSON object."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
@@ -212,8 +223,13 @@ def read_spectrum(path):
     meta = {}
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            meta = json.load(fh)
+        try:
+            with open(sidecar, encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:      # bad JSON, or text that is not UTF-8
+            raise DataError(f"{sidecar} is not valid JSON: {exc}")
+        if not isinstance(meta, dict):
+            raise DataError(f"{sidecar} must hold a JSON object")
     return Spectrum(data[:, 0], s, meta)
 
 

@@ -160,6 +160,46 @@ def test_config_file_rejects_unknown_keys(tmp_path):
                  "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+def test_config_values_parse_like_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    braid = ["analyze", "braid", "--family", "b38", "--out", str(tmp_path)]
+    for doc, message in (({"radius": "abc"}, "argument --radius: invalid "
+                          "float value: 'abc'"),
+                         ({"points": True}, "argument --points: invalid "
+                          "int value: 'True'")):
+        cfg.write_text(json.dumps(doc))
+        assert main(braid + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eplab: ") and message in err
+
+    # a value in the file gives the bytes its flag gives; null is unset
+    runs = (
+        (["synth", "--family", "b38", "--sigma", "0.005", "--grid",
+          "1.70:1.72:0.02x41.78:41.78:0.02"], ["--jobs", "2"], {"jobs": "2"}),
+        (["fit", "--in", str(tmp_path)],
+         ["--n-starts", "3", "--max-failures", "0.5", "--seed", "5"],
+         {"n_starts": 3, "max_failures": "0.5", "seed": 5, "mask": None}),
+        (braid, ["--radius", "0.05", "--points", "32", "--turns", "2"],
+         {"radius": 0.05, "points": "32", "turns": 2, "center": None}),
+    )
+    for argv, flags, doc in runs:
+        cfg.write_text(json.dumps(doc))
+        digests = []
+        for extra in (flags, ["--config", str(cfg)]):
+            assert main(argv + extra + ["--out", str(tmp_path)]) == 0
+            digests.append({p.name: digest(p) for p in tmp_path.iterdir()
+                            if p.suffix in (".csv", ".json") and p != cfg})
+        assert digests[0] == digests[1]
+
+
+def test_help_shows_the_defaults(capsys):
+    for argv in (["synth"], ["fit"], ["analyze", "scan"], ["analyze", "ep"],
+                 ["analyze", "curve"], ["analyze", "pt"],
+                 ["analyze", "braid"]):
+        assert main(argv + ["--help"]) == 0
+    assert "(default 0.1)" in capsys.readouterr().out      # braid --radius
+
+
 # ---------------------------------------------------------------------- fit
 
 
@@ -366,6 +406,34 @@ def test_commands_run_one_blas_thread(monkeypatch):
     assert _blas_threads(None) == before         # the caller's count is back
 
 
+@pytest.mark.skipif(not eplab.cli._openblas_thread_functions()
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs numpy's own OpenBLAS and two cores")
+def test_fits_ignore_the_callers_blas_threads(tmp_path):
+    # OpenBLAS sums in an order that depends on its thread count; these fits
+    # give other bits on two threads unless eplab pins its own count
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    assert main(synth_args(data, grid="1.62:1.67:0.05x41.68:41.78:0.05",
+                           sigma="0.005")) == 0
+    functions = eplab.cli._openblas_thread_functions()
+    before = [get() for get, _ in functions]
+    runs = []
+    try:
+        for threads in (2, 1):
+            for _, put in functions:
+                put(threads)
+            assert main(["fit", "--in", str(data), "--jobs", "1",
+                         "--out", str(fits)]) == 0
+            runs.append({p.name: digest(p) for p in fits.iterdir()})
+    finally:
+        for (_, put), n in zip(functions, before):
+            put(n)
+    assert len(runs[0]) == 6 + 2                 # fits, summary, manifest
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -525,11 +593,15 @@ def test_braid_takes_its_grid_from_a_config_file(tmp_path):
     out.mkdir()
     base = ["analyze", "braid", "--family", "b38", "--out", str(out)]
     digests = []
-    for extra in (["--grid", grid], ["--config", str(cfg)], []):
+    for extra in (["--grid", grid], ["--config", str(cfg)]):
         assert main(base + extra) == 0
         digests.append(digest(out / "braid.json"))
-    # the grid places the loop centre at its EP, so the default grid differs
-    assert digests[0] == digests[1] != digests[2]
+    assert digests[0] == digests[1]
+    # a grid without the EP leaves no loop centre, given either way
+    no_ep = "1.80:1.92:0.01x41.58:41.78:0.01"
+    cfg.write_text(json.dumps({"grid": no_ep}))
+    assert main(base + ["--grid", no_ep]) == 3
+    assert main(base + ["--config", str(cfg)]) == 3
 
 
 def test_analyze_scan_from_spectra_directory(tmp_path):

@@ -126,7 +126,7 @@ def test_family_scan_is_complete_and_exact(b38, b38_scan):
 
 
 def test_scan_minimum_splitting_at_planted_ep(b38_scan):
-    absd = b38_scan.d_abs()
+    absd = np.abs(b38_scan.reh2 - b38_scan.imh2 + 2j * b38_scan.cross)
     i, j = np.unravel_index(np.nanargmin(absd), absd.shape)
     assert math.isclose(b38_scan.grid.s_values[i], B38_EP[0], abs_tol=1e-12)
     assert math.isclose(b38_scan.grid.delta_values[j], B38_EP[1], abs_tol=1e-12)
@@ -380,6 +380,16 @@ def test_locate_ep_refines_between_grid_nodes(b38):
     loc = locate_ep(scan(g, b38))
     assert abs(loc.s - B38_EP[0]) < 0.005
     assert abs(loc.delta - B38_EP[1]) < 0.005
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.003, 0.0071, -0.0049])
+def test_locate_ep_solves_the_radicand_zero(b38, b0, shift):
+    # the family entries are affine, so D is quadratic in (s, delta) and
+    # its central-difference model on the 3x3 stencil is exact
+    for fam, ep in ((b38, B38_EP), (b0, B0_EP)):
+        loc = locate_ep(scan(ep_window((ep[0] + shift, ep[1] + shift)), fam))
+        assert abs(loc.s - ep[0]) <= 1e-9
+        assert abs(loc.delta - ep[1]) <= 1e-9
 
 
 def test_locate_ep_boundary_minimum_raises(b38):

@@ -364,6 +364,18 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert (tmp_path / "point_s1.900_d41.900.json").exists()
 
 
+@pytest.mark.parametrize("sidecar",
+                         [b"{not json", b'{"s_mm": "\xff"}', b"[1, 2]"])
+def test_read_spectrum_refuses_a_sidecar_that_is_not_json(tmp_path, sidecar):
+    fam = load_family("b38")
+    path = tmp_path / "point.csv"
+    synth_spectrum(fam.internal_at(1.9, 41.9), fam.coupling,
+                   2725.0, 4.0, 0.1).write_csv(path)
+    (tmp_path / "point.json").write_bytes(sidecar)
+    with pytest.raises(DataError, match="point.json"):
+        read_spectrum(path)
+
+
 def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
     # 4001 rows span more than one formatting block; magnitudes from 1e-12
     # up, a NaN and signed zeros exercise every "%.17g" branch
