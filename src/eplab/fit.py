@@ -21,21 +21,23 @@ distinct complex columns, for the included channels only, into one workspace
 per start and takes J^T J and J^T r from their complex Gram matrix and the
 complex residual. A trial step that moves a pole out of the frequency window
 or makes it amplifying (Im E > 0) is rejected like a cost increase, so the
-damping grows; a start whose steps only shrink to nothing because of such
-rejections ends as a runaway, not as converged. The model has an exact
-one-parameter gauge freedom (a common real orthogonal rotation of levels and
-couplings), so the curvature matrix is singular along that direction;
-damping regularizes it and the gauge is fixed after convergence, not during.
+damping grows. A start ends when its step shrinks to nothing or an accepted
+step gains less than CHI2_STALL of chi^2 per row; as a runaway, not
+converged, if a rejection came first. The model has an exact one-parameter
+gauge freedom (a common real orthogonal rotation of levels and couplings),
+so the curvature matrix is singular along that direction; damping
+regularizes it and the gauge is fixed after convergence, not during.
 
-The first start is a closed-form two-pole fit of the spectrum (see
-seed_initializer): exact on noiseless data, a few LM iterations from the
-minimum with noise. The other starts scatter around it; their level kicks
-are Hermitian (Re h1, Re h2), so every start keeps the seed's passive
-dissipative part. Starts run in a fixed order and stop early on one of
-three rules. A start that reaches EARLY_EXIT_RMS is exact. With noise that
-can never fire; instead a converged start that is the best so far stops
-the loop once its residual is white: its lag-1 correlation along frequency,
-pooled over the included channels, lies below NOISE_FLOOR_SIGMAS standard
+The first start is a closed-form two-pole fit of the spectrum from weighted
+moments (see seed_initializer): exact on noiseless data, a few LM iterations
+from the minimum with noise, and passive even where noise seeds an
+amplifying pole. The other starts scatter around it; their level kicks are
+Hermitian (Re h1, Re h2), so every start keeps the seed's passive
+dissipative part. Starts run in a fixed order and stop early on one of three
+rules. A start that reaches EARLY_EXIT_RMS is exact. With noise that can
+never fire; instead a converged start that is the best so far stops the loop
+once its residual is white: its lag-1 correlation along frequency, pooled
+over the included channels, lies below NOISE_FLOOR_SIGMAS standard
 deviations of white noise (the Durbin-Watson statistic). A residual at the
 noise floor is white, while a wrong or unfinished minimum leaves a smooth,
 correlated one. Failing both, a converged start that repeats the rms of an
@@ -81,6 +83,8 @@ EARLY_EXIT_RMS = 1.0e-9
 # a converged start whose rms matches an earlier converged start's to this
 # relative tolerance has found the same minimum; remaining starts are skipped
 RMS_AGREEMENT = 1.0e-9
+# a start ends at a step gaining less chi^2 per row (Numerical Recipes 15.5)
+CHI2_STALL = 1e-3
 # a converged best start whose residual's lag-1 correlation lies below this
 # many standard deviations of white noise, NOISE_FLOOR_SIGMAS / sqrt(2 k n)
 # for k channels of n points, is at the noise floor; remaining starts are
@@ -323,9 +327,9 @@ def _levenberg_marquardt(p0, spec, include):
     Returns (params, residual, rms, stop, iterations, jtj_diag, costs),
     where residual is the complex (k, n) residual at params (None on a
     resolvent pole) and stop is the Termination of this start. Trial steps
-    with unphysical poles are rejected like cost increases; if the step then
-    shrinks below the step tolerance, the start is pinned at the physical
-    boundary and ends as a runaway.
+    with unphysical poles are rejected like cost increases. A step below the
+    step tolerance, or an accepted one gaining less than CHI2_STALL * cost /
+    rows, ends the start: as a runaway if a trial of it was unphysical.
     """
     f_lo, f_hi = float(spec.freqs[0]), float(spec.freqs[-1])
     model = _Model(spec, include)
@@ -382,11 +386,38 @@ def _levenberg_marquardt(p0, spec, include):
             stop = Termination.DAMPING_OVERFLOW
         if not accepted:
             break
+        if costs[-2] - cost < CHI2_STALL * cost / model.rows:
+            stop = Termination.RUNAWAY if blocked else Termination.CONVERGED
+            break
     rms = math.sqrt(2.0 * cost / model.rows)
     return p, r, rms, stop, it, jtj_diag, costs
 
 
 # -------------------------------------------------------------------- seeding
+
+
+def _two_pole_moments(x, r):
+    """(c1, c0, num): d = x^2 + c1 x + c0 and the (2, k) x and 1 coefficients
+    of the numerators of r's k rows. Projecting B = [w x, w], w = 1/|d|, out
+    of w r x^(2-j) leaves the Gram sum rho w^2 x^(4-j-l) - b_j^H (B^T B)^-1
+    b_l: rho = sum_ch |r_ch|^2, b_j = [m_(3-j), m_(2-j)], m_k = sum w^2 x^k r"""
+    powers = np.array([np.ones_like(x), x, x * x, x * x * x, x * x * x * x])
+    rows = np.ones((2 + 2 * len(r), x.size))      # 1, rho, Re and Im of r_ch
+    rows[2::2], rows[3::2] = r.real, r.imag
+    np.sum(rows[2:] ** 2, axis=0, out=rows[1])
+    d = np.ones_like(x)
+    for _ in range(SEED_PASSES):
+        mom = (powers / (d.real ** 2 + d.imag ** 2)) @ rows.T
+        b = mom[:4, 2:].view(complex)[[[3, 2], [2, 1], [1, 0]]]
+        bb_inv = np.linalg.inv(mom[[[2, 1], [1, 0]], 0])
+        gram = (mom[4 - np.add.outer(range(3), range(3)), 1]
+                - np.einsum("jac,ab,lbc->jl", b.conj(), bb_inv, b))
+        scale = (gram[1, 1] * gram[2, 2]).real
+        if not scale - abs(gram[1, 2]) ** 2 > 1e-12 * scale:
+            raise UnresolvableDoubletError("the spectrum shows no resonance")
+        c1, c0 = np.linalg.solve(gram[1:, 1:], -gram[1:, 0])
+        d = x * (x + c1) + c0
+    return c1, c0, bb_inv @ (b[0] + c1 * b[1] + c0 * b[2])
 
 
 def seed_initializer(spec, mask=None):
@@ -395,20 +426,22 @@ def seed_initializer(spec, mask=None):
     As adj(f - H) = (f - tr H) + H for 2x2 matrices, the model obeys
     (S - 1) d(f) = -2 pi i (f M1 + M0) with d = det(f - H), M1 = W W^T and
     M0 = W (H - tr H) W^T, linear in d and the numerators (Levy). With
-    d = x^2 + c1 x + c0 on centred, scaled frequencies x, one (n, 2) QR
-    projects out the real numerator columns [x, 1] that all included
+    d = x^2 + c1 x + c0 on centred, scaled frequencies x, weighted moments
+    project out the real numerator columns [x, 1] that all included
     channels share, and c1, c0 solve a 2x2 complex normal system; each of
     SEED_PASSES passes weights the rows by 1/|d| of the pass before
-    (Sanathanan-Koerner). Then W = sqrt(M1) and H = K - tr K with
-    K = W^-1 M0 W^-T; with one transmission masked, det K = c0 fixes its
-    entry of M0. Without a transmission or without both reflections M1 is
-    unidentified: W is then diagonal from the known reflections (their
-    mean for a missing one, 1 with none), and the levels are the roots of
-    d mixed equally between the basis states, so each channel sees both.
+    (Sanathanan-Koerner; see _two_pole_moments). Then W = sqrt(M1) and
+    H = K - tr K with K = W^-1 M0 W^-T; with one transmission masked,
+    det K = c0 fixes its entry of M0. Without a transmission or without both
+    reflections M1 is unidentified: W is then diagonal from the known
+    reflections (their mean for a missing one, 1 with none), and the levels
+    are the roots of d mixed equally between the basis states, so each
+    channel sees both. An amplifying seeded pole is moved, not refused: both
+    Im e drop by its Im E plus 0.05 MHz, which keeps the positions.
 
     Raises UnresolvableDoubletError on fewer than 16 samples or a spectrum
     without resonant structure, InsufficientSpanError when a seeded pole
-    lies outside the window or is amplifying.
+    lies outside the window.
     """
     include = _channel_row_mask(mask)
     if spec.n_points < 16:
@@ -418,24 +451,9 @@ def seed_initializer(spec, mask=None):
     x = (spec.freqs - mid) / half
     channels = np.flatnonzero(include)
     r = spec.s.reshape(-1, 4).T[channels] - np.array(_DELTA)[channels, None]
-    powers = x ** np.array([2.0, 1.0, 0.0])[:, None, None]
-    d = np.ones_like(x)
-    for _ in range(SEED_PASSES):
-        w = 1.0 / np.abs(d)
-        q, tri = np.linalg.qr(np.stack([w * x, w], axis=1))
-        z = r * w * powers                # columns w r x^2, w r x, w r
-        z -= (z.reshape(-1, x.size) @ q @ q.T).reshape(z.shape)
-        gram = z.reshape(3, -1).conj() @ z.reshape(3, -1).T
-        scale = (gram[1, 1] * gram[2, 2]).real
-        if not scale - abs(gram[1, 2]) ** 2 > 1e-12 * scale:
-            raise UnresolvableDoubletError("the spectrum shows no resonance")
-        c1, c0 = np.linalg.solve(gram[1:, 1:], -gram[1:, 0])
-        d = x * (x + c1) + c0
-
-    # numerators of the last weighting: M1, and M0 of H_x = (H - mid) / half
-    num = np.zeros((2, 4), dtype=complex)
-    num[:, channels] = 0.5j * half / math.pi * np.linalg.solve(
-        tri, q.T @ (r * (w * d)).T)
+    c1, c0, coef = _two_pole_moments(x, r)
+    num = np.zeros((2, 4), dtype=complex)   # M1, M0 of H_x = (H - mid) / half
+    num[:, channels] = 0.5j * half / math.pi * coef
     m1, m0 = num[0].real.reshape(2, 2), num[1].reshape(2, 2)
     known = include.reshape(2, 2)
     n_off = int(known[0, 1]) + int(known[1, 0])
@@ -458,10 +476,13 @@ def seed_initializer(spec, mask=None):
         disc = cmath.sqrt(c1 * c1 - 4.0 * c0)
         h_x = np.array([[-c1, disc], [disc, -c1]]) / 2.0
     p0 = pack_params(from_matrix(mid * np.eye(2) + half * h_x), w_ant)
+    lift = max(e.imag for e in eigenvalues_sorted(unpack_params(p0)[0]))
+    if lift > 0.0:                # amplifying: 0.05 MHz below the real axis
+        p0[[1, 3]] -= lift + 0.05
     if not _poles_physical(p0, f_lo, f_hi):
         raise InsufficientSpanError(
             f"the seeded poles lie outside the {f_lo:.6g}-{f_hi:.6g} MHz "
-            f"window or amplify; widen the grid")
+            f"window; widen the grid")
     return p0
 
 
@@ -520,13 +541,13 @@ def _reconstruct_coupling(ham, w_ant):
 
 
 def _scatter_starts(p0, n_starts, rng):
-    """The seed itself plus randomized variations around it.
+    """The seed itself, then randomized variations around it, drawn lazily.
 
     Positions move additively by fractions of the level spacing, widths and
     couplings rescale log-uniformly, and Re h1, Re h2 get additive kicks.
     Those are Hermitian, so every start keeps the seed's dissipative part.
     """
-    starts = [np.array(p0, dtype=float)]
+    yield np.array(p0, dtype=float)
     spacing = max(abs(p0[0] - p0[2]), -4.0 * p0[1], -4.0 * p0[3], 0.5)
     w_scale = 0.25 * (abs(p0[8]) + abs(p0[11]))
     for _ in range(n_starts - 1):
@@ -537,8 +558,7 @@ def _scatter_starts(p0, n_starts, rng):
         q[[4, 6]] += rng.normal(0.0, 0.15 * spacing, size=2)
         q[8:12] *= np.exp(rng.uniform(-0.35, 0.35, size=4))
         q[8:12] += rng.normal(0.0, 0.05 * w_scale, size=4)
-        starts.append(q)
-    return starts
+        yield q
 
 
 def fit_spectrum(spec, cfg=None, mask=None):
