@@ -8,146 +8,14 @@ Layout:
   cli     the `eplab` command line front end
 """
 
-from .core import (
-    EPS_CROSS,
-    BasisTransform,
-    EffHamiltonian,
-    EigenPair,
-    Observables,
-    PTNormalForm,
-    PTReport,
-    Radicand,
-    TransformKind,
-    eigenvalues,
-    extract_tau,
-    from_matrix,
-    from_pauli,
-    gauge_fix,
-    is_ep,
-    observables,
-    pt_commutator_norm,
-    pt_report,
-    radicand,
-    to_pt_form,
-    width_offset,
-)
-from .synth import (
-    CSV_HEADER,
-    CouplingSet,
-    NoiseSpec,
-    Spectrum,
-    SyntheticFamily,
-    effective_hamiltonian,
-    frequency_grid,
-    load_family,
-    read_spectrum,
-    smatrix_at,
-    synth_spectrum,
-)
-from .fit import (
-    FitConfig,
-    FitResult,
-    fit_spectrum,
-    seed_initializer,
-)
-from .epscan import (
-    BraidTrace,
-    CurveTrace,
-    EPLocation,
-    ParamGrid,
-    Permutation,
-    ScanResult,
-    braid,
-    braid_loop,
-    locate_ep,
-    scan,
-    trace_pt_curve,
-)
-from .errors import (
-    DataError,
-    DegenerateGaugeError,
-    EPOutsideWindowError,
-    EplabError,
-    InsufficientSpanError,
-    InvalidArgumentError,
-    NoEPFoundError,
-    NonConvergenceError,
-    NotGaugeFixedError,
-    NotOnPTCurveError,
-    OutOfBoundsError,
-    PoleOnGridError,
-    RefineLoopError,
-    ScanQualityError,
-    SingularRatioError,
-    UnresolvableDoubletError,
-    UsageError,
-)
+from . import core, epscan, errors, fit, synth
+from .core import *
+from .synth import *
+from .fit import *
+from .epscan import *
+from .errors import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS_CROSS",
-    "BasisTransform",
-    "EffHamiltonian",
-    "EigenPair",
-    "Observables",
-    "PTNormalForm",
-    "PTReport",
-    "Radicand",
-    "TransformKind",
-    "eigenvalues",
-    "extract_tau",
-    "from_matrix",
-    "from_pauli",
-    "gauge_fix",
-    "is_ep",
-    "observables",
-    "pt_commutator_norm",
-    "pt_report",
-    "radicand",
-    "to_pt_form",
-    "width_offset",
-    "CSV_HEADER",
-    "CouplingSet",
-    "NoiseSpec",
-    "Spectrum",
-    "SyntheticFamily",
-    "effective_hamiltonian",
-    "frequency_grid",
-    "load_family",
-    "read_spectrum",
-    "smatrix_at",
-    "synth_spectrum",
-    "FitConfig",
-    "FitResult",
-    "fit_spectrum",
-    "seed_initializer",
-    "BraidTrace",
-    "CurveTrace",
-    "EPLocation",
-    "ParamGrid",
-    "Permutation",
-    "ScanResult",
-    "braid",
-    "braid_loop",
-    "locate_ep",
-    "scan",
-    "trace_pt_curve",
-    "EplabError",
-    "InvalidArgumentError",
-    "DegenerateGaugeError",
-    "NotGaugeFixedError",
-    "SingularRatioError",
-    "NotOnPTCurveError",
-    "OutOfBoundsError",
-    "PoleOnGridError",
-    "UnresolvableDoubletError",
-    "InsufficientSpanError",
-    "NonConvergenceError",
-    "ScanQualityError",
-    "EPOutsideWindowError",
-    "NoEPFoundError",
-    "RefineLoopError",
-    "UsageError",
-    "DataError",
-]
+__all__ = (core.__all__ + synth.__all__ + fit.__all__ + epscan.__all__
+           + errors.__all__)

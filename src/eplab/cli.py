@@ -52,7 +52,7 @@ from .errors import (
     OutOfBoundsError,
     UsageError,
 )
-from .fit import FitConfig, fit_spectrum
+from .fit import FitConfig, _channel_row_mask, fit_spectrum
 from .synth import (
     NoiseSpec,
     _write_table,
@@ -154,9 +154,12 @@ def _parse_point(text, what="point"):
 
 
 def _parse_mask(text):
+    """The --mask channels as typed, checked like fit_spectrum checks them."""
     if text is None:
         return None
-    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+    mask = tuple(part.strip() for part in str(text).split(",") if part.strip())
+    _channel_row_mask(mask)
+    return mask
 
 
 def _write_json(path, doc):
@@ -628,7 +631,7 @@ def _cmd_analyze_braid(ns):
         center = _parse_point(center_text, what="--center")
 
     resolved = {"command": "analyze-braid", "family": fam.name,
-                "center": ns.center, "radius": ns.radius,
+                "grid": ns.grid, "center": ns.center, "radius": ns.radius,
                 "points": ns.points, "turns": ns.turns, "out": out}
     cfg_hash = _config_hash(resolved)
 

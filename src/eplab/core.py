@@ -30,9 +30,19 @@ One kernel, observables, evaluates the eigenvalues, the radicand split and
 tau of a single matrix or of a whole grid, with the same bits either way;
 eigenvalues, radicand, gauge_fix and extract_tau are views of its stages.
 
+One function, pt_report, is the symmetry chain: gauge fix, tau, width
+shift, then the twist and rotation onto the symmetric normal form
+[[A+iB, C+iD], [C-iD, A-iB]], with its residual and commutator norm.
+
 All types are immutable values and all operations are pure functions; they
 are safe to call from any number of workers.
 """
+
+__all__ = ["EPS_CROSS", "BasisTransform", "EffHamiltonian", "EigenPair",
+           "Observables", "PTNormalForm", "PTReport", "Radicand",
+           "TransformKind", "eigenvalues", "extract_tau", "from_matrix",
+           "from_pauli", "gauge_fix", "is_ep", "observables",
+           "pt_commutator_norm", "pt_report", "radicand", "width_offset"]
 
 import cmath
 import math
@@ -54,6 +64,8 @@ from .errors import (
 # Default tolerances (MHz^2 scales are relative to reh2+imh2).
 EPS_CROSS = 1e-6     # relative |Re h . Im h| gate for the symmetrizing step
 RATIO_TOL = 1e-6     # allowed deviation of |off-diagonal ratio| from 1
+EP_EPS_D = 1e-8      # relative |D| below which is_ep sees an EP
+EP_EPS_H = 1e-9      # MHz^2 floor on reh2+imh2 below which H is scalar
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -382,15 +394,13 @@ def radicand(ham):
     return Radicand(*_radicand_parts(*_ham_parts(ham)))
 
 
-def width_offset(ham, offset=None):
-    """Shift H by +i*offset*I so the trace becomes real.
+def width_offset(ham):
+    """Shift H by +i*(Gamma1+Gamma2)/4 * I so the trace becomes real.
 
-    offset defaults to the local (Gamma1+Gamma2)/4 of this matrix; pass a
-    fixed value to apply one global shift along a whole curve. h (and hence
-    the radicand) is untouched; only the eigenvalue centroid moves.
+    The offset is this matrix's own (Gamma1+Gamma2)/4. h (and hence the
+    radicand) is untouched; only the eigenvalue centroid moves.
     """
-    if offset is None:
-        offset = -0.5 * (ham.e1.imag + ham.e2.imag)   # = (Gamma1+Gamma2)/4
+    offset = -0.5 * (ham.e1.imag + ham.e2.imag)   # = (Gamma1+Gamma2)/4
     pair = eigenvalues(ham)
     tol = 1e-12 * max(1.0, abs(pair.E1), abs(pair.E2))
     if pair.E1.imag > tol or pair.E2.imag > tol:
@@ -480,53 +490,6 @@ def _symmetrizing_angle(m):
     return 0.5 * math.atan2(-2.0 * gam, -(alpha - beta))
 
 
-def to_pt_form(ham_shifted, tau, eps_cross=EPS_CROSS):
-    """Transform a width-shifted, gauge-fixed H onto the symmetric pattern.
-
-    Applies the phase twist U(tau/2) followed by a plane rotation O(Phi) and
-    reads off (A, B, C, D) plus the residual deviation from the pattern.
-
-    Parameters
-    ----------
-    ham_shifted : EffHamiltonian
-        Output of width_offset on a gauge-fixed matrix.
-    tau : float
-        Value from extract_tau of the same matrix.
-    eps_cross : float
-        Relative tolerance on |Re h . Im h| / (|Re h|^2 + |Im h|^2).
-
-    Returns
-    -------
-    (PTNormalForm, BasisTransform, BasisTransform)
-        The form plus the U (angle tau/2) and O (angle Phi) transforms,
-        in application order.
-    """
-    rad = radicand(ham_shifted)
-    scale = rad.reh2 + rad.imh2
-    if abs(rad.cross) > eps_cross * scale:
-        raise NotOnPTCurveError(
-            f"|Re h . Im h| = {abs(rad.cross):.3e} exceeds "
-            f"{eps_cross:g} * (reh2+imh2) = {eps_cross * scale:.3e}"
-        )
-
-    u = BasisTransform(TransformKind.TAU_U, 0.5 * tau)
-    m1 = u.apply(ham_shifted)
-    two_phi = _symmetrizing_angle(m1)
-    o = BasisTransform(TransformKind.ROT_O, 0.5 * two_phi)
-    m2 = o.apply(m1)
-
-    mat = m2.matrix
-    apb = 0.5 * (mat[0, 0] + mat[1, 1].conjugate())   # A + iB
-    cpd = 0.5 * (mat[0, 1] + mat[1, 0].conjugate())   # C + iD
-    residual = 0.5 * max(
-        abs(mat[0, 0] - mat[1, 1].conjugate()),
-        abs(mat[0, 1] - mat[1, 0].conjugate()),
-    )
-    form = PTNormalForm(a=apb.real, b=apb.imag, c=cpd.real, dpt=cpd.imag,
-                        residual=residual)
-    return form, u, o
-
-
 def pt_commutator_norm(m):
     """Max-entry norm of the antilinear commutator with sigma_x * conj.
 
@@ -539,15 +502,15 @@ def pt_commutator_norm(m):
     return float(np.max(np.abs(k)))
 
 
-def is_ep(ham, eps_d=1e-8, eps_h=1e-9):
+def is_ep(ham):
     """EP test: |D| small relative to |Re h|^2 + |Im h|^2, with h not tiny.
 
-    The eps_h floor excludes the scalar-matrix case h ~ 0, which is a
-    diabolic degeneracy, not an EP.
+    |D| must be within EP_EPS_D of the scale; the EP_EPS_H floor excludes
+    the scalar-matrix case h ~ 0, which is a diabolic degeneracy, not an EP.
     """
     rad = radicand(ham)
     scale = rad.reh2 + rad.imh2
-    return bool(abs(rad.d) <= eps_d * scale and scale >= eps_h)
+    return bool(abs(rad.d) <= EP_EPS_D * scale and scale >= EP_EPS_H)
 
 
 class PTReport(NamedTuple):
@@ -570,25 +533,48 @@ class PTReport(NamedTuple):
 
 
 def pt_report(ham, eps_cross=EPS_CROSS):
-    """Run the full chain gauge_fix -> extract_tau -> width_offset -> to_pt_form.
+    """Run the full symmetry chain on one Hamiltonian.
 
-    The width offset is this matrix's own (Gamma1+Gamma2)/4. Returns a
-    PTReport; raises the underlying errors if the matrix is off the curve
-    (|cross| above eps_cross relative to reh2 + imh2) or gauge-degenerate.
+    gauge_fix, then extract_tau, then width_offset by this matrix's own
+    (Gamma1+Gamma2)/4; then the phase twist U(tau/2) and the plane rotation
+    O(Phi) take the shifted matrix onto the symmetric pattern. The normal
+    form, its residual and the commutator norm all read that one
+    transformed matrix.
+
+    Raises NotOnPTCurveError where |Re h . Im h| exceeds eps_cross times
+    reh2 + imh2, and the errors of gauge_fix and extract_tau.
     """
     fixed, o0 = gauge_fix(ham)
     tau = extract_tau(fixed)
     offset = -0.5 * (fixed.e1.imag + fixed.e2.imag)
-    shifted = width_offset(fixed, offset=offset)
-    form, u, o = to_pt_form(shifted, tau, eps_cross=eps_cross)
-    transformed = o.apply(u.apply(shifted))
-    rad = radicand(ham)
+    shifted = width_offset(fixed)
+    rad = radicand(shifted)
+    scale = rad.reh2 + rad.imh2
+    if abs(rad.cross) > eps_cross * scale:
+        raise NotOnPTCurveError(
+            f"|Re h . Im h| = {abs(rad.cross):.3e} exceeds "
+            f"{eps_cross:g} * (reh2+imh2) = {eps_cross * scale:.3e}"
+        )
+
+    u = BasisTransform(TransformKind.TAU_U, 0.5 * tau)
+    twisted = u.apply(shifted)
+    o = BasisTransform(TransformKind.ROT_O,
+                       0.5 * _symmetrizing_angle(twisted))
+    mat = o.apply(twisted).matrix
+    apb = 0.5 * (mat[0, 0] + mat[1, 1].conjugate())   # A + iB
+    cpd = 0.5 * (mat[0, 1] + mat[1, 0].conjugate())   # C + iD
+    residual = 0.5 * max(
+        abs(mat[0, 0] - mat[1, 1].conjugate()),
+        abs(mat[0, 1] - mat[1, 0].conjugate()),
+    )
+    reh2, imh2, _ = radicand(ham)
     return PTReport(
         offset=float(offset),
         phi0=o0.angle,
         tau=tau,
         phi=o.angle,
-        form=form,
-        commutator_norm=pt_commutator_norm(transformed.matrix),
-        phase="exact" if rad.reh2 >= rad.imh2 else "broken",
+        form=PTNormalForm(a=apb.real, b=apb.imag, c=cpd.real, dpt=cpd.imag,
+                          residual=residual),
+        commutator_norm=pt_commutator_norm(mat),
+        phase="exact" if reh2 >= imh2 else "broken",
     )

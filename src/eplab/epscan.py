@@ -27,6 +27,10 @@ trace is read back from its matrices alone. All files
 start with a schema tag so readers can reject foreign content.
 """
 
+__all__ = ["BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
+           "Permutation", "ScanResult", "braid", "braid_loop", "locate_ep",
+           "scan", "trace_pt_curve"]
+
 import enum
 import math
 from dataclasses import dataclass, field
@@ -61,6 +65,7 @@ EPSILON_CURVE_EXACT = 1e-9      # closed-form family evaluations
 EPSILON_CURVE_FITTED = 1e-3     # per-point fits, noise limited
 
 _MAX_TRACE_POINTS = 100_000
+_MAX_LOOP_POINTS = 4096         # braid_loop stops doubling its samples here
 
 
 class Permutation(enum.Enum):
@@ -740,11 +745,12 @@ def braid(loop, source):
                       else Permutation.IDENTITY)
 
 
-def braid_loop(source, center, radius, n_points=64, turns=1, max_points=4096):
+def braid_loop(source, center, radius, n_points=64, turns=1):
     """Braid around a circle, doubling the resolution until it resolves.
 
     turns > 1 traverses the circle repeatedly before closing, which composes
-    the permutation with itself.
+    the permutation with itself. The doubling stops past _MAX_LOOP_POINTS
+    samples per turn, where RefineLoopError propagates.
     """
     if radius <= 0:
         raise InvalidArgumentError(f"radius must be positive, got {radius}")
@@ -760,6 +766,6 @@ def braid_loop(source, center, radius, n_points=64, turns=1, max_points=4096):
         try:
             return braid(loop, source)
         except RefineLoopError:
-            if 2 * n > max_points:
+            if 2 * n > _MAX_LOOP_POINTS:
                 raise
             n *= 2

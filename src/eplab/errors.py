@@ -5,6 +5,13 @@ callers (and the CLI exit-code mapping) can tell usage/data problems from
 numerical ones.
 """
 
+__all__ = ["EplabError", "InvalidArgumentError", "DegenerateGaugeError",
+           "NotGaugeFixedError", "SingularRatioError", "NotOnPTCurveError",
+           "OutOfBoundsError", "PoleOnGridError", "UnresolvableDoubletError",
+           "InsufficientSpanError", "NonConvergenceError", "ScanQualityError",
+           "EPOutsideWindowError", "NoEPFoundError", "RefineLoopError",
+           "UsageError", "DataError"]
+
 
 class EplabError(Exception):
     """Base class for all package-specific errors."""

@@ -51,6 +51,8 @@ makes noiseless fits reproduce the generating parameters instead of a
 random gauge copy.
 """
 
+__all__ = ["FitConfig", "FitResult", "fit_spectrum", "seed_initializer"]
+
 import cmath
 import math
 from dataclasses import dataclass, field

@@ -29,6 +29,10 @@ Units: frequencies and widths in MHz, couplings in sqrt(MHz), mechanical
 parameters in mm.
 """
 
+__all__ = ["CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum",
+           "SyntheticFamily", "effective_hamiltonian", "frequency_grid",
+           "load_family", "read_spectrum", "smatrix_at", "synth_spectrum"]
+
 import importlib.resources
 import json
 import math

@@ -342,6 +342,24 @@ def test_failed_fit_keeps_its_detail(tmp_path, span):
     assert summary.reasons == {(0, 0): "InsufficientSpanError"}
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_fit_refuses_an_unknown_mask_channel_before_any_fit(dataset, tmp_path,
+                                                            capsys, how):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["fit", "--in", str(dataset), "--out", str(out)]
+    if how == "flag":
+        argv += ["--mask", "S11,S13"]
+    else:
+        # a JSON list is not the comma-separated text --mask takes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mask": ["S11", "S22"]}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert "unknown channel" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_fit_writes_each_result_as_it_arrives(dataset, tmp_path,
                                               monkeypatch):
     real_task = eplab.cli._fit_task
@@ -604,6 +622,17 @@ def test_braid_takes_its_grid_from_a_config_file(tmp_path):
     assert main(base + ["--config", str(cfg)]) == 3
 
 
+def test_braid_hash_covers_the_grid(tmp_path):
+    # the grid moves the located centre, so it must move the hash
+    base = ["analyze", "braid", "--family", "b38", "--out", str(tmp_path)]
+    docs = []
+    for extra in ([], ["--grid", "1.603:1.803:0.013x41.663:41.863:0.013"]):
+        assert main(base + extra) == 0
+        docs.append(json.loads((tmp_path / "braid.json").read_text()))
+    assert docs[0]["center"] != docs[1]["center"]
+    assert docs[0]["config_hash"] != docs[1]["config_hash"]
+
+
 def test_analyze_scan_from_spectra_directory(tmp_path):
     # spectra become a scan table through `eplab fit` alone
     data = tmp_path / "data"
@@ -849,3 +878,32 @@ def test_importing_the_main_module_does_not_run_the_cli(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["eplab", "--help"])
     monkeypatch.delitem(sys.modules, "eplab.__main__", raising=False)
     importlib.import_module("eplab.__main__")
+
+
+PUBLIC_NAMES = [
+    "EPS_CROSS", "BasisTransform", "EffHamiltonian", "EigenPair",
+    "Observables", "PTNormalForm", "PTReport", "Radicand", "TransformKind",
+    "eigenvalues", "extract_tau", "from_matrix", "from_pauli", "gauge_fix",
+    "is_ep", "observables", "pt_commutator_norm", "pt_report", "radicand",
+    "width_offset",
+    "CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum", "SyntheticFamily",
+    "effective_hamiltonian", "frequency_grid", "load_family",
+    "read_spectrum", "smatrix_at", "synth_spectrum",
+    "FitConfig", "FitResult", "fit_spectrum", "seed_initializer",
+    "BraidTrace", "CurveTrace", "EPLocation", "ParamGrid", "Permutation",
+    "ScanResult", "braid", "braid_loop", "locate_ep", "scan",
+    "trace_pt_curve",
+    "EplabError", "InvalidArgumentError", "DegenerateGaugeError",
+    "NotGaugeFixedError", "SingularRatioError", "NotOnPTCurveError",
+    "OutOfBoundsError", "PoleOnGridError", "UnresolvableDoubletError",
+    "InsufficientSpanError", "NonConvergenceError", "ScanQualityError",
+    "EPOutsideWindowError", "NoEPFoundError", "RefineLoopError",
+    "UsageError", "DataError",
+]
+
+
+def test_public_names_are_listed_once():
+    assert eplab.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from eplab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)

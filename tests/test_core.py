@@ -6,6 +6,7 @@ must not be regenerated from the code under test.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -13,14 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eplab.core
 from eplab import (
+    EPS_CROSS,
     BasisTransform,
+    CurveTrace,
     DegenerateGaugeError,
     EffHamiltonian,
     EplabError,
     InvalidArgumentError,
     NotGaugeFixedError,
     NotOnPTCurveError,
+    PTNormalForm,
+    PTReport,
     SingularRatioError,
     TransformKind,
     eigenvalues,
@@ -33,9 +39,9 @@ from eplab import (
     pt_commutator_norm,
     pt_report,
     radicand,
-    to_pt_form,
     width_offset,
 )
+from eplab.cli import main
 from eplab.core import eigenvalues_sorted
 
 # ---------------------------------------------------------------- construction
@@ -211,13 +217,6 @@ def test_width_offset_warns_on_amplifying_input():
         width_offset(ham)
 
 
-def test_width_offset_explicit_offset():
-    ham = from_pauli(10 - 0.5j, 12 - 1.5j, 0, 0)
-    shifted = width_offset(ham, offset=0.25)
-    assert shifted.e1 == 10 - 0.25j
-    assert shifted.e2 == 12 - 1.25j
-
-
 # ----------------------------------------------------------------- gauge fix
 
 
@@ -303,14 +302,16 @@ def test_extract_tau_boundary_excluded():
 
 
 # ------------------------------------------------------------- PT normal form
+# pt_report takes a matrix to the PT form: the test_to_pt_form_* tests check
+# that step through it.
 
 
 def test_to_pt_form_fixed_point():
     # already of the symmetric pattern: A=1, B=0.5, C=2
     mat = np.array([[1 + 0.5j, 2], [2, 1 - 0.5j]], dtype=complex)
-    ham = from_matrix(mat)
-    form, u, o = to_pt_form(ham, extract_tau(ham))
-    assert u.angle == 0.0 and o.angle == 0.0
+    rep = pt_report(from_matrix(mat))
+    assert rep.tau == 0.0 and rep.phi == 0.0
+    form = rep.form
     assert form.residual == 0.0
     assert (form.a, form.b, form.c, form.dpt) == (1.0, 0.5, 2.0, 0.0)
     assert all(e.imag == 0.0 for e in form.eigenvalues)
@@ -319,10 +320,10 @@ def test_to_pt_form_fixed_point():
 
 
 def test_to_pt_form_broken_phase():
-    # B=2 > C=0.5: conjugate pair A +- i sqrt(B^2 - C^2)
-    mat = np.array([[1 + 2j, 0.5], [0.5, 1 - 2j]], dtype=complex)
-    ham = from_matrix(mat)
-    form, _, _ = to_pt_form(ham, extract_tau(ham))
+    # B=2 > C=0.5: conjugate pair A +- i sqrt(B^2 - C^2), once the width
+    # shift of 3 has centred the dissipative matrix on the real axis
+    mat = np.array([[1 - 1j, 0.5], [0.5, 1 - 5j]], dtype=complex)
+    form = pt_report(from_matrix(mat)).form
     want = 1.9364916731037085  # sqrt(3.75)
     assert abs(form.eigenvalues[0] - (1 + 1j * want)) < 1e-13
     assert abs(form.eigenvalues[1] - (1 - 1j * want)) < 1e-13
@@ -346,27 +347,21 @@ def _random_curve_ham(rng, broken):
 def test_to_pt_form_random_on_curve(broken):
     rng = np.random.default_rng(9 if broken else 10)
     for _ in range(100):
-        ham = _random_curve_ham(rng, broken)
-        fixed, _ = gauge_fix(ham)
-        tau = extract_tau(fixed)
-        shifted = width_offset(fixed)
-        form, u, o = to_pt_form(shifted, tau)
-        assert form.residual < 1e-9
-        transformed = o.apply(u.apply(shifted))
-        assert pt_commutator_norm(transformed.matrix) < 1e-9
+        rep = pt_report(_random_curve_ham(rng, broken))
+        assert rep.form.residual < 1e-9
+        assert rep.commutator_norm < 1e-9
         # reality of the spectrum follows the sign of reh2 - imh2, the
         # rule pt_report states as its phase
-        rad = radicand(shifted)
-        real = all(e.imag == 0.0 for e in form.eigenvalues)
-        assert real == (rad.reh2 >= rad.imh2)
+        real = all(e.imag == 0.0 for e in rep.form.eigenvalues)
+        assert real == (rep.phase == "exact")
         assert real != broken
-        assert pt_report(ham).phase == ("broken" if broken else "exact")
 
 
 def test_to_pt_form_rejects_off_curve():
-    ham = from_pauli(1, -1, 1 + 1j, 0)  # cross = 1, clearly off the curve
+    # cross = 1, clearly off the curve; dissipative, so the shift is quiet
+    ham = from_pauli(1 - 3j, -1 - 3j, 1 + 1j, 0)
     with pytest.raises(NotOnPTCurveError):
-        to_pt_form(ham, 0.0)
+        pt_report(ham)
 
 
 def test_pt_report_full_chain():
@@ -381,6 +376,79 @@ def test_pt_report_full_chain():
         assert abs(rep.phi) <= math.pi / 4 + 1e-12
         rad = radicand(ham)
         assert rep.phase == ("exact" if rad.reh2 >= rad.imh2 else "broken")
+
+
+def _reference_symmetrizing_angle(m):
+    r1, i1 = m.h1.real, m.h1.imag
+    r3, i3 = m.h3.real, m.h3.imag
+    alpha = i1 * i1 + r3 * r3
+    beta = i3 * i3 + r1 * r1
+    gam = r1 * r3 - i1 * i3
+    if alpha == beta and gam == 0.0:
+        return 0.0
+    return 0.5 * math.atan2(-2.0 * gam, -(alpha - beta))
+
+
+def reference_pt_report(ham, eps_cross=EPS_CROSS):
+    """The chain as two steps: an explicit width shift of the gauge-fixed
+    matrix, then a separate normal-form step, with the transformed matrix
+    built once for the form and again for the commutator."""
+    fixed, o0 = gauge_fix(ham)
+    tau = extract_tau(fixed)
+    offset = -0.5 * (fixed.e1.imag + fixed.e2.imag)
+    shift = 1j * offset
+    shifted = EffHamiltonian(fixed.e1 + shift, fixed.e2 + shift,
+                             fixed.h1, fixed.h2)
+
+    rad = radicand(shifted)
+    if abs(rad.cross) > eps_cross * (rad.reh2 + rad.imh2):
+        raise NotOnPTCurveError("off the curve")
+    u = BasisTransform(TransformKind.TAU_U, 0.5 * tau)
+    m1 = u.apply(shifted)
+    o = BasisTransform(TransformKind.ROT_O,
+                       0.5 * _reference_symmetrizing_angle(m1))
+    mat = o.apply(m1).matrix
+    apb = 0.5 * (mat[0, 0] + mat[1, 1].conjugate())
+    cpd = 0.5 * (mat[0, 1] + mat[1, 0].conjugate())
+    residual = 0.5 * max(abs(mat[0, 0] - mat[1, 1].conjugate()),
+                         abs(mat[0, 1] - mat[1, 0].conjugate()))
+    form = PTNormalForm(a=apb.real, b=apb.imag, c=cpd.real, dpt=cpd.imag,
+                        residual=residual)
+
+    transformed = o.apply(u.apply(shifted))
+    rad = radicand(ham)
+    return PTReport(offset=float(offset), phi0=o0.angle, tau=tau,
+                    phi=o.angle, form=form,
+                    commutator_norm=pt_commutator_norm(transformed.matrix),
+                    phase="exact" if rad.reh2 >= rad.imh2 else "broken")
+
+
+def _report_bits(rep):
+    """Every field of a PTReport, floats in their exact hex form."""
+    fields = (*rep[:4], *rep.form, *rep[5:])
+    return tuple(x if isinstance(x, str) else float(x).hex() for x in fields)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_pt_report_matches_reference_bit_for_bit(broken):
+    rng = np.random.default_rng(17 if broken else 18)
+    for _ in range(200):
+        ham = _random_curve_ham(rng, broken)
+        assert (_report_bits(pt_report(ham))
+                == _report_bits(reference_pt_report(ham)))
+
+
+@pytest.mark.parametrize("family", ["b38", "b0"])
+def test_pt_report_matches_reference_on_family_traces(tmp_path, family):
+    assert main(["analyze", "curve", "--family", family,
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "trace.json").read_text())
+    trace = CurveTrace.from_json_dict(doc)
+    assert len(trace.hams) > 10
+    for ham in trace.hams:
+        assert (_report_bits(pt_report(ham, eps_cross=trace.epsilon))
+                == _report_bits(reference_pt_report(
+                    ham, eps_cross=trace.epsilon)))
 
 
 # ------------------------------------------------------- antilinear commutator
@@ -414,11 +482,13 @@ def test_is_ep_excludes_scalar_matrix():
     assert not is_ep(from_pauli(3 - 1j, 3 - 1j, 0, 0))
 
 
-def test_is_ep_threshold_sweep():
+def test_is_ep_threshold_sweep(monkeypatch):
     # h = (1, 0.999i, 0.001): |D| sits between the two gates
     ham = from_pauli(0.001, -0.001, 1, 0.999j)
-    assert is_ep(ham, eps_d=1e-2)
-    assert not is_ep(ham, eps_d=1e-6)
+    monkeypatch.setattr(eplab.core, "EP_EPS_D", 1e-2)
+    assert is_ep(ham)
+    monkeypatch.setattr(eplab.core, "EP_EPS_D", 1e-6)
+    assert not is_ep(ham)
 
 
 def test_is_ep_implies_defective():
@@ -430,7 +500,7 @@ def test_is_ep_implies_defective():
         im *= np.linalg.norm(re) / np.linalg.norm(im)   # |Im h| = |Re h|
         h = re + 1j * im
         ham = from_pauli(h[2], -h[2], h[0], h[1])
-        if is_ep(ham, eps_d=1e-8):
+        if is_ep(ham):
             # the unit eigenvectors coalesce: their matrix is near singular
             _, vecs = np.linalg.eig(ham.matrix)
             vecs /= np.linalg.norm(vecs, axis=0)

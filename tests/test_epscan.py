@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eplab.epscan
 from eplab import EffHamiltonian, SyntheticFamily, load_family, synth_spectrum
 from eplab.cli import _read_table, main
 from eplab.core import (
@@ -605,11 +606,12 @@ def test_braid_coarse_loop_raises_until_refined(b38):
                       n_points=4).permutation is Permutation.SWAP
 
 
-def test_braid_loop_through_ep_cannot_resolve(b38):
+def test_braid_loop_through_ep_cannot_resolve(b38, monkeypatch):
     center = (B38_EP[0] + 0.05, B38_EP[1] + 0.05)
     radius = math.hypot(0.05, 0.05)      # passes exactly through the EP
+    monkeypatch.setattr(eplab.epscan, "_MAX_LOOP_POINTS", 64)
     with pytest.raises(RefineLoopError):
-        braid_loop(b38, center, radius, n_points=8, max_points=64)
+        braid_loop(b38, center, radius, n_points=8)
 
 
 def test_braid_trace_serializes(b38):
