@@ -24,7 +24,6 @@ on to `analyze pt`, where a scan CSV holds observables alone.
 
 import argparse
 import concurrent.futures
-import contextlib
 import ctypes
 import glob
 import hashlib
@@ -205,41 +204,19 @@ def _openblas_thread_functions():
 
 
 def _pin_blas_thread():
-    """Run OpenBLAS in this process on one thread; return [(setter, old)].
+    """Pool initializer: run OpenBLAS in this worker on one thread.
 
-    The thread count is read from the environment when numpy loads, so
-    only the library's setter changes it afterwards. Also the pool
-    initializer: a forked worker inherits the pinned count, but a spawned
-    one starts at OpenBLAS's default.
+    Workers share out the cores, so BLAS threads of their own would
+    oversubscribe them. The count is read from the environment when numpy
+    loads, so only the library's setter changes it afterwards; a forked
+    worker inherits the parent's count, a spawned one OpenBLAS's default.
     """
-    saved = [(put, get()) for get, put in _openblas_thread_functions()]
-    for put, _ in saved:
+    for _, put in _openblas_thread_functions():
         put(1)
-    return saved
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore the count.
-
-    Pool workers share out the cores, so BLAS threads of their own would
-    oversubscribe them; and OpenBLAS sums in an order that depends on its
-    thread count, so one thread everywhere gives the same bits for any
-    --jobs and for fits run in this process.
-    """
-    saved = _pin_blas_thread()
-    try:
-        yield
-    finally:
-        for put, n in saved:
-            put(n)
 
 
 def _pool_map(fn, items, jobs):
-    """Yield fn(item) for every item, in input order, as results arrive.
-
-    Each worker pins its BLAS to one thread, as main does for this process.
-    """
+    """Yield fn(item) for every item, in input order, as results arrive."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(items) <= 1:
@@ -261,12 +238,11 @@ def _point_seed(base, index):
 
 
 def _synth_task(args):
-    fam, s, d, f0, span, fstep, sigma, seed, cfg_hash, out = args
-    noise = NoiseSpec(sigma=sigma, seed=seed) if sigma > 0 else None
+    fam, s, d, f0, span, fstep, noise, cfg_hash, out = args
     spec = synth_spectrum(
         fam.internal_at(s, d), fam.coupling, f0, span, fstep, noise=noise,
-        meta={"s_mm": s, "delta_mm": d, "B_mT": fam.b_mt,
-              "seed": seed, "sigma": sigma, "config_hash": cfg_hash})
+        meta={"s_mm": s, "delta_mm": d, "B_mT": fam.b_mt, "seed": noise.seed,
+              "sigma": noise.sigma, "config_hash": cfg_hash})
     name = f"{fam.name}_s{s:.4f}_d{d:.4f}.csv"
     spec.write_csv(os.path.join(out, name))
     return name
@@ -302,8 +278,9 @@ def _cmd_synth(ns):
                 "out": out}
     cfg_hash = _config_hash(resolved)
 
-    tasks = [(fam, s, d, f0, span, fstep, ns.sigma, _point_seed(ns.seed, k),
-              cfg_hash, out)
+    # NoiseSpec refuses a bad --sigma here, before any file is written
+    tasks = [(fam, s, d, f0, span, fstep,
+              NoiseSpec(ns.sigma, _point_seed(ns.seed, k)), cfg_hash, out)
              for k, (s, d) in enumerate(points)]
     files = list(_pool_map(_synth_task, tasks, ns.jobs))
     sidecars = [os.path.splitext(f)[0] + ".json" for f in files]
@@ -746,8 +723,7 @@ def main(argv=None):
         if ns.config is not None:
             _config_defaults(ns)
             ns = parser.parse_args(argv)
-        with _single_blas_thread():
-            return ns.handler(ns)
+        return ns.handler(ns)
     except SystemExit as exc:          # argparse --help
         return EXIT_OK if not exc.code else EXIT_USAGE
     except (UsageError, InvalidArgumentError, OutOfBoundsError) as exc:

@@ -628,10 +628,11 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     a family scan or a fit table. Every point is read off a matrix, the
     family's closed form or the table's bilinearly interpolated entries; a
     table read from CSV stores none and raises DataError. start must
-    already satisfy |cross|/(reh2+imh2) <= epsilon. The returned trace is
-    ordered along the curve and holds the matrix per point, from which
-    CurveTrace derives the radicand split, tau and crossing_index; it flags
-    truncation when the corrector loses the contour.
+    already satisfy |cross|/(reh2+imh2) <= epsilon; step and epsilon must
+    be positive and finite. The returned trace is ordered along the curve
+    and holds the matrix per point, from which CurveTrace derives the
+    radicand split, tau and crossing_index; it flags truncation when the
+    corrector loses the contour.
     """
     field = _field_for(scan_result)
     grid = field.grid
@@ -640,6 +641,10 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     if epsilon is None:
         epsilon = (EPSILON_CURVE_EXACT if field.family is not None
                    else EPSILON_CURVE_FITTED)
+    for name, value in (("step", step), ("epsilon", epsilon)):
+        if not (value > 0 and math.isfinite(value)):
+            raise InvalidArgumentError(
+                f"{name} must be positive and finite, got {value}")
 
     s0, d0 = float(start[0]), float(start[1])
     if not field.in_window(s0, d0):

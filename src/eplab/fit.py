@@ -27,6 +27,8 @@ converged, if a rejection came first. The model has an exact one-parameter
 gauge freedom (a common real orthogonal rotation of levels and couplings),
 so the curvature matrix is singular along that direction; damping
 regularizes it and the gauge is fixed after convergence, not during.
+Residual sums are einsum reductions, not BLAS dot products, whose summation
+order varies with the BLAS thread count.
 
 The first start is a closed-form two-pole fit of the spectrum from weighted
 moments (see seed_initializer): exact on noiseless data, a few LM iterations
@@ -235,7 +237,8 @@ class _Model:
         r = np.empty_like(self.data)
         for row, c in enumerate(self.channels):
             np.subtract(entries[c], self.data[row], out=r[row])
-        return r, 0.5 * np.vdot(r, r).real
+        f = r.view(float)
+        return r, 0.5 * np.einsum("ij,ij->", f, f)
 
     def normal_equations(self, p, r):
         """J^T J and J^T r of the real residual rows, from complex columns.
@@ -286,12 +289,14 @@ def _residual_lag1(r):
     Pooled over the channels and over real and imaginary parts:
     sum Re(conj(r[:, 1:]) r[:, :-1]) / sum |r|^2. White noise gives about
     0 with standard deviation 1/sqrt(2 k n), a smooth misfit nearly 1; an
-    all-zero residual gives 0. Row by row, so no temporary array is made.
+    all-zero residual gives 0. On the interleaved (Re, Im) float view a
+    frequency step is a shift of two.
     """
-    power = np.vdot(r, r).real
+    f = r.view(float)
+    power = np.einsum("ij,ij->", f, f)
     if power == 0.0:
         return 0.0
-    return float(sum(np.vdot(row[1:], row[:-1]).real for row in r) / power)
+    return float(np.einsum("ij,ij->", f[:, 2:], f[:, :-2]) / power)
 
 
 def residual_vector(params, spec, mask=None):

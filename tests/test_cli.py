@@ -100,6 +100,19 @@ def test_synth_out_of_bounds_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--family", "b38", "--point", "1.7,41.8", "--sigma", "-0.01"],
+    ["synth", "--family", "b38", "--point", "1.7,41.8", "--sigma", "nan"],
+    ["analyze", "curve", "--family", "b38", "--cstep", "0"],
+    ["analyze", "curve", "--family", "b38", "--cstep", "-0.01"],
+    ["analyze", "curve", "--family", "b38", "--epsilon", "-1"],
+    ["analyze", "curve", "--family", "b38", "--epsilon", "nan"],
+])
+def test_value_outside_its_domain_writes_nothing(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_rejects_mismatched_axis_steps(tmp_path):
     code = main(["synth", "--family", "b38",
                  "--grid", "1.6:1.7:0.01x41.7:41.8:0.02",
@@ -406,10 +419,11 @@ def _numpy_links_openblas():
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-def test_commands_run_one_blas_thread(monkeypatch):
-    before = _blas_threads(None)
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    functions = eplab.cli._openblas_thread_functions()
     # an empty discovery would pass everything below as [] == []
-    assert before or not _numpy_links_openblas()
+    assert functions or not _numpy_links_openblas()
+    before = _blas_threads(None)
     seen = []
 
     def counting_fit(ns):
@@ -418,10 +432,18 @@ def test_commands_run_one_blas_thread(monkeypatch):
         return 0
 
     monkeypatch.setattr(eplab.cli, "_cmd_fit", counting_fit)
-    for jobs in ("1", "2"):
-        assert main(["fit", "--in", "unused", "--jobs", jobs]) == 0
-    assert seen == [[1] * len(before)] * 8       # this process and workers
-    assert _blas_threads(None) == before         # the caller's count is back
+    try:
+        for _, put in functions:
+            put(2)
+        assert main(["fit", "--in", "unused", "--jobs", "2"]) == 0
+        after = _blas_threads(None)
+    finally:
+        for (_, put), n in zip(functions, before):
+            put(n)
+    # the command runs at the caller's count and leaves it there; the
+    # workers share out the cores, one BLAS thread each
+    assert seen == [[2] * len(functions)] + [[1] * len(functions)] * 3
+    assert after == [2] * len(functions)
 
 
 @pytest.mark.skipif(not eplab.cli._openblas_thread_functions()

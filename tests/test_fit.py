@@ -8,6 +8,7 @@ contractually allowed to return only the canonical representative.
 import itertools
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import eplab.cli
 import eplab.fit
 from eplab import (
     CouplingSet,
@@ -846,6 +848,33 @@ def test_fit_result_serializes_with_stable_keys():
     assert d["e1"] == [res.ham.e1.real, res.ham.e1.imag]
     assert len(d["W"]) == 4 and len(d["W"][0]) == 2
     json.dumps(d)                        # must be plain JSON types
+
+
+@pytest.mark.skipif(not eplab.cli._openblas_thread_functions()
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs numpy's own OpenBLAS and two cores")
+def test_library_fits_ignore_the_blas_thread_count():
+    # OpenBLAS's dot products sum in an order set by its thread count; a
+    # fit gives the same bits at any count only if none of its steps use one
+    fam = load_family("b38")
+    spectra = [synth_spectrum(fam.internal_at(1.62 + 0.05 * a, 41.68 + 0.05 * b),
+                              fam.coupling, *GRID,
+                              NoiseSpec(0.005, seed=1000 + 5 * a + b))
+               for a in range(5) for b in range(5)]
+    functions = eplab.cli._openblas_thread_functions()
+    before = [get() for get, _ in functions]
+    runs = []
+    try:
+        for threads in (1, 2, 4):
+            for _, put in functions:
+                put(threads)
+            runs.append([json.dumps(fit_spectrum(spec).to_json_dict())
+                         for spec in spectra])
+    finally:
+        for (_, put), n in zip(functions, before):
+            put(n)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_fit_result_gauge_is_canonical():
