@@ -54,6 +54,9 @@ from .errors import (
 from .fit import FitConfig, _channel_row_mask, fit_spectrum
 from .synth import (
     NoiseSpec,
+    _read_json,
+    _sidecar_path,
+    _write_json,
     _write_table,
     load_family,
     read_spectrum,
@@ -90,22 +93,10 @@ def _config_hash(resolved):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _read_json(path, what):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path!r}: {exc}")
-    except ValueError as exc:          # bad JSON, or text that is not UTF-8
-        raise DataError(f"{what} {path!r} is not valid JSON: {exc}")
-
-
 def _config_defaults(ns):
     """Set --config values as the command's option defaults, as text, so
     parsing argv again converts each by its option's type; flags win."""
     doc = _read_json(ns.config, "config file")
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {ns.config!r} must hold a JSON object")
     options = set(vars(ns)) - {"command", "mode", "handler", "parser",
                                "config", "spectra"}
     unknown = sorted(set(doc) - options)
@@ -161,9 +152,17 @@ def _parse_mask(text):
     return mask
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+def _listed(path, doc, suffix):
+    """Paths of the files with suffix that manifest doc at path lists."""
+    files = doc.get("files", [])
+    if not (isinstance(files, list)
+            and all(isinstance(name, str) for name in files)):
+        raise DataError(f"manifest {path!r}: files must be a list of names")
+    root = os.path.dirname(os.path.abspath(path))
+    paths = [os.path.join(root, n) for n in files if n.endswith(suffix)]
+    if not paths:
+        raise DataError(f"manifest {path!r} lists no {suffix} files")
+    return paths
 
 
 def _write_manifest(out, command, cfg_hash, seed, files):
@@ -234,6 +233,8 @@ def _pool_map(fn, items, jobs):
 def _point_seed(base, index):
     # collision-free per-point derivation: streams never overlap between
     # base seeds, and --jobs reordering cannot change any file's samples
+    if base < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {base}")
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
@@ -283,8 +284,8 @@ def _cmd_synth(ns):
               NoiseSpec(ns.sigma, _point_seed(ns.seed, k)), cfg_hash, out)
              for k, (s, d) in enumerate(points)]
     files = list(_pool_map(_synth_task, tasks, ns.jobs))
-    sidecars = [os.path.splitext(f)[0] + ".json" for f in files]
-    _write_manifest(out, "synth", cfg_hash, ns.seed, files + sidecars)
+    _write_manifest(out, "synth", cfg_hash, ns.seed,
+                    files + [_sidecar_path(f) for f in files])
     print(f"wrote {len(files)} spectra to {out} "
           f"(sigma={ns.sigma:g}, seed={ns.seed}, config={cfg_hash})")
     return EXIT_OK
@@ -314,36 +315,27 @@ def _spectrum_inputs(ns):
         paths = [os.path.join(ns.indir, name)
                  for name in sorted(os.listdir(ns.indir))
                  if name.endswith(".csv") and os.path.exists(
-                     os.path.join(ns.indir, name[:-4] + ".json"))]
+                     _sidecar_path(os.path.join(ns.indir, name)))]
         if not paths:
             raise DataError(f"no spectrum files with sidecars in {ns.indir}")
     elif ns.manifest:
-        doc = _read_json(ns.manifest, "manifest")
-        names = [n for n in doc.get("files", []) if n.endswith(".csv")]
-        if not names:
-            raise DataError(f"manifest {ns.manifest!r} lists no CSV files")
-        root = os.path.dirname(os.path.abspath(ns.manifest))
-        paths = [os.path.join(root, n) for n in names]
+        paths = _listed(ns.manifest, _read_json(ns.manifest, "manifest"),
+                        ".csv")
     else:
         paths = list(ns.spectra)
 
-    points = []
     seen = {}
     for path in paths:
-        sidecar = os.path.splitext(path)[0] + ".json"
+        meta = _read_json(_sidecar_path(path), "sidecar")
         try:
-            with open(sidecar, encoding="utf-8") as fh:
-                meta = json.load(fh)
             key = (round(float(meta["s_mm"]), 6),
                    round(float(meta["delta_mm"]), 6))
-        except (OSError, ValueError, TypeError, KeyError):
-            raise DataError(
-                f"{path}: no sidecar with s_mm/delta_mm coordinates")
+        except (ValueError, TypeError, KeyError):
+            raise DataError(f"{path}: no s_mm/delta_mm in its sidecar")
         if key in seen:
             raise DataError(f"{path}: duplicates coordinates of {seen[key]}")
         seen[key] = path
-        points.append((*key, path))
-    points.sort()
+    points = sorted((*key, path) for key, path in seen.items())
     ParamGrid.from_points([s for s, _, _ in points], [d for _, d, _ in points],
                           "spectrum coordinates")
     return points
@@ -393,14 +385,10 @@ def _read_table(path):
     if is_csv:
         return ScanResult.read_csv(path)
     doc = _read_json(path, "manifest")
-    if not (isinstance(doc, dict) and doc.get("schema") == MANIFEST_SCHEMA
-            and doc.get("command") == "fit"):
+    if doc.get("schema") != MANIFEST_SCHEMA or doc.get("command") != "fit":
         raise DataError(f"{path} is neither a scan CSV nor a fit manifest")
-    root = os.path.dirname(os.path.abspath(path))
-    docs = [_read_json(os.path.join(root, name), "fit result")
-            for name in doc.get("files", []) if name.endswith("_fit.json")]
-    if not docs:
-        raise DataError(f"manifest {path!r} lists no fit results")
+    docs = [_read_json(fit, "fit result")
+            for fit in _listed(path, doc, "_fit.json")]
     try:
         if any(fit.get("schema") != FIT_SCHEMA for fit in docs):
             raise DataError(f"{path} lists a file without schema {FIT_SCHEMA}")
@@ -413,6 +401,9 @@ def _cmd_fit(ns):
     inputs = _spectrum_inputs(ns)
     mask = _parse_mask(ns.mask)
     cfg = FitConfig(n_starts=ns.n_starts, seed=ns.seed)
+    if not 0 <= ns.max_failures <= 1:
+        raise InvalidArgumentError(
+            f"--max-failures must be within [0, 1], got {ns.max_failures}")
     out = _resolve_out(ns)
 
     resolved = {"command": "fit",

@@ -84,8 +84,10 @@ class ParamGrid:
     step: float = 0.01
 
     def __post_init__(self):
-        if not (self.step > 0):
-            raise InvalidArgumentError(f"step must be positive, got {self.step}")
+        bounds = (self.s_min, self.s_max, self.delta_min, self.delta_max)
+        if not all(map(math.isfinite, (*bounds, self.step))) or self.step <= 0:
+            raise InvalidArgumentError(f"grid bounds {bounds} and step "
+                                       f"{self.step} must be finite, step > 0")
         if self.s_max < self.s_min or self.delta_max < self.delta_min:
             raise InvalidArgumentError("grid bounds must be ordered")
         if self.n_s * self.n_delta > 10_000_000:
@@ -757,12 +759,14 @@ def braid_loop(source, center, radius, n_points=64, turns=1):
     the permutation with itself. The doubling stops past _MAX_LOOP_POINTS
     samples per turn, where RefineLoopError propagates.
     """
-    if radius <= 0:
-        raise InvalidArgumentError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise InvalidArgumentError(f"radius {radius} must be finite and > 0")
     if turns < 1:
         raise InvalidArgumentError(f"turns must be >= 1, got {turns}")
     cs, cd = float(center[0]), float(center[1])
     n = int(n_points)
+    if n < 3:
+        raise InvalidArgumentError(f"n_points must be >= 3, got {n_points}")
     while True:
         angles = 2.0 * math.pi * turns * np.arange(n * turns + 1) / (n * turns)
         loop = np.column_stack([cs + radius * np.cos(angles),

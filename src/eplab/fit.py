@@ -129,6 +129,8 @@ class FitConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise InvalidArgumentError("the start count must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -33,7 +33,6 @@ __all__ = ["CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum",
            "SyntheticFamily", "effective_hamiltonian", "frequency_grid",
            "load_family", "read_spectrum", "smatrix_at", "synth_spectrum"]
 
-import importlib.resources
 import json
 import math
 import os
@@ -85,6 +84,26 @@ def _write_table(path, schema, config_hash, header, columns):
             fh.write(f"# config_hash={config_hash}\n")
         fh.write(",".join(header) + "\n")
         _write_rows(fh, columns)
+
+
+def _read_json(path, what):
+    """The JSON object in a file; DataError if the file cannot be read, is
+    not UTF-8 JSON, or holds anything but an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path!r}: {exc}")
+    except ValueError as exc:          # bad JSON, or text that is not UTF-8
+        raise DataError(f"{what} {path!r} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} {path!r} must hold a JSON object")
+    return doc
+
+
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 class CouplingSet:
@@ -194,17 +213,8 @@ class Spectrum:
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
             _write_rows(fh, cols)
-        sidecar = {
-            "s_mm": self.meta.get("s_mm"),
-            "delta_mm": self.meta.get("delta_mm"),
-            "B_mT": self.meta.get("B_mT"),
-            "seed": self.meta.get("seed"),
-            "sigma": self.meta.get("sigma"),
-            "config_hash": self.meta.get("config_hash"),
-        }
-        with open(_sidecar_path(path), "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        keys = ("s_mm", "delta_mm", "B_mT", "seed", "sigma", "config_hash")
+        _write_json(_sidecar_path(path), {k: self.meta.get(k) for k in keys})
 
 
 def _sidecar_path(csv_path):
@@ -224,16 +234,8 @@ def read_spectrum(path):
     s = np.empty((data.shape[0], 2, 2), dtype=complex)
     for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         s[:, a, b] = data[:, 1 + 2 * k] + 1j * data[:, 2 + 2 * k]
-    meta = {}
     sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        try:
-            with open(sidecar, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except ValueError as exc:      # bad JSON, or text that is not UTF-8
-            raise DataError(f"{sidecar} is not valid JSON: {exc}")
-        if not isinstance(meta, dict):
-            raise DataError(f"{sidecar} must hold a JSON object")
+    meta = _read_json(sidecar, "sidecar") if os.path.exists(sidecar) else {}
     return Spectrum(data[:, 0], s, meta)
 
 
@@ -307,8 +309,10 @@ def smatrix_at(ham, coupling, f):
 
 def frequency_grid(f0, span, step):
     """Uniform grid centered on f0: round(span/step)+1 points."""
-    if not (span > 0 and step > 0):
-        raise InvalidArgumentError("span and step must be positive")
+    if not (span > 0 and step > 0
+            and all(map(math.isfinite, (f0, span, step)))):
+        raise InvalidArgumentError(f"f0, span and step must be finite and "
+                                   f"span, step > 0; got {f0}, {span}, {step}")
     n = int(round(span / step)) + 1
     if n > 10_000_001:
         raise InvalidArgumentError(f"grid of {n} points exceeds the 1e7 cap")
@@ -480,19 +484,9 @@ def _validate_family(fam):
 def load_family(source):
     """Load a family preset by name ("b38", "b0") or from a JSON file path."""
     if isinstance(source, str) and source.lower() in ("b38", "b0"):
-        res = importlib.resources.files("eplab").joinpath(
-            "presets", f"{source.lower()}.json")
-        text = res.read_text()
-    else:
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read family preset {source!r}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"family preset {source!r} is not valid JSON: {exc}")
+        source = os.path.join(os.path.dirname(__file__), "presets",
+                              f"{source.lower()}.json")
+    doc = _read_json(source, "family preset")
     if doc.get("schema") != "eplab.family.v1":
         raise DataError(f"family preset {source!r}: unsupported schema "
                         f"{doc.get('schema')!r}")
@@ -511,7 +505,7 @@ def load_family(source):
             coupling=CouplingSet(doc["w"]),
             spectrum_defaults=doc["spectrum"],
         )
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"family preset {source!r}: missing field {exc}")
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"family preset {source!r}: malformed field {exc!r}")
     _validate_family(fam)
     return fam

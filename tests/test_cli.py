@@ -100,16 +100,40 @@ def test_synth_out_of_bounds_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--family", "b38", "--point", "1.7,41.8", "--sigma", "-0.01"],
-    ["synth", "--family", "b38", "--point", "1.7,41.8", "--sigma", "nan"],
-    ["analyze", "curve", "--family", "b38", "--cstep", "0"],
-    ["analyze", "curve", "--family", "b38", "--cstep", "-0.01"],
-    ["analyze", "curve", "--family", "b38", "--epsilon", "-1"],
-    ["analyze", "curve", "--family", "b38", "--epsilon", "nan"],
-])
-def test_value_outside_its_domain_writes_nothing(tmp_path, argv):
+POINT = ["synth", "--family", "b38", "--point", "1.7,41.8"]
+BRAID = ["analyze", "braid", "--family", "b38"]
+
+
+# each row names the value its error message must name; DATA stands for
+# the module's dataset directory
+OUT_OF_DOMAIN = [
+    (POINT + ["--sigma", "-0.01"], "sigma"),
+    (POINT + ["--sigma", "nan"], "sigma"),
+    (["analyze", "curve", "--family", "b38", "--cstep", "0"], "step"),
+    (["analyze", "curve", "--family", "b38", "--cstep", "-0.01"], "step"),
+    (["analyze", "curve", "--family", "b38", "--epsilon", "-1"], "epsilon"),
+    (["analyze", "curve", "--family", "b38", "--epsilon", "nan"], "epsilon"),
+    (POINT + ["--f0", "nan"], "f0"),
+    (POINT + ["--fstep", "inf"], "step"),
+    (POINT + ["--span", "inf"], "span"),
+    (["analyze", "scan", "--family", "b38",
+      "--grid", "1.5:1.9:infx41.6:42:inf"], "step"),
+    (BRAID + ["--radius", "nan"], "radius"),
+    (BRAID + ["--radius", "inf"], "radius"),
+    (BRAID + ["--points", "0"], "points"),
+    (POINT + ["--seed", "-1"], "seed"),
+    (["fit", "--in", "DATA", "--seed", "-1"], "seed"),
+    (["fit", "--in", "DATA", "--max-failures", "nan"], "max-failures"),
+]
+
+
+@pytest.mark.parametrize("argv, named", OUT_OF_DOMAIN,
+                         ids=[f"argv{k}" for k in range(len(OUT_OF_DOMAIN))])
+def test_value_outside_its_domain_writes_nothing(dataset, tmp_path, capsys,
+                                                 argv, named):
+    argv = [str(dataset) if arg == "DATA" else arg for arg in argv]
     assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -810,6 +834,36 @@ def assert_data_error(code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("eplab: ")
     assert "Traceback" not in err
+
+
+def preset(**fields):
+    """The b38 preset file's bytes, with fields replaced."""
+    path = os.path.join(os.path.dirname(eplab.synth.__file__), "presets",
+                        "b38.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.dumps({**json.load(fh), **fields}).encode()
+
+
+@pytest.mark.parametrize("command, content", [
+    (["fit", "--manifest"], b"[1, 2]"),
+    (["fit", "--manifest"], b'{"files": [3]}'),
+    (["analyze", "ep", "--in"],
+     b'{"schema": "eplab.manifest.v1", "command": "fit", "files": [1]}'),
+    (["analyze", "scan", "--family"], b"[1]"),
+    (["analyze", "scan", "--family"], b"\xff\xfe"),
+    (["analyze", "scan", "--family"],
+     preset(bounds={"s_mm": [1.4], "delta_mm": [41.46, 42.1]})),
+    (["analyze", "scan", "--family"], preset(b_mt="abc")),
+], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
+        "preset-list", "preset-not-utf8", "preset-short-bounds",
+        "preset-text-field"])
+def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                         command, content):
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    path.write_bytes(content)
+    out.mkdir()
+    assert_data_error(main(command + [str(path), "--out", str(out)]), capsys)
+    assert list(out.iterdir()) == []
 
 
 def test_fit_records_a_non_numeric_spectrum_and_goes_on(dataset, tmp_path,
