@@ -265,6 +265,65 @@ def test_scan_csv_reader_rejects_damaged_rows(tmp_path, b38_scan):
             ScanResult.read_csv(bad)
 
 
+# every reason a scan table records: its own, the kernel's and the fits'
+_FAILED_REASONS = ("out-of-bounds", "missing-spectrum", "DegenerateGaugeError",
+                   "SingularRatioError", "NotGaugeFixedError",
+                   "InsufficientSpanError", "NonConvergenceError",
+                   "DataError")
+_TABLE_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+                     -2.2250738585072014e-308, 1.7976931348623157e308]))
+
+
+@st.composite
+def _scan_tables(draw):
+    n_s, n_d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.25]))
+    s0, d0 = draw(st.integers(-200, 200)) * step, draw(st.integers(0, 5000)) * step
+    grid = ParamGrid(s0, s0 + (n_s - 1) * step, d0, d0 + (n_d - 1) * step, step)
+    size = n_s * n_d
+    data = {name: np.array(draw(st.lists(_TABLE_VALUES, min_size=size,
+                                         max_size=size))).reshape(grid.shape)
+            for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross",
+                         "tau")}
+    reasons = draw(st.lists(st.sampled_from((None,) + _FAILED_REASONS),
+                            min_size=size, max_size=size))
+    return grid, data, reasons
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_scan_tables(), inserts=st.lists(
+    st.tuples(st.integers(0, 25), st.sampled_from(["\n", "# note\n",
+                                                    "# a,b,c\n"])),
+    max_size=6))
+def test_scan_csv_roundtrip_keeps_bits_and_status(tmp_path_factory, table,
+                                                  inserts):
+    grid, data, reasons = table
+    n_d = grid.n_delta
+    failed = {divmod(k, n_d): r for k, r in enumerate(reasons) if r}
+    ok = np.ones(grid.shape, dtype=bool)
+    for ij in failed:
+        ok[ij] = False
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    ScanResult(grid=grid, ok=ok, reasons=failed, **data).write_csv(
+        path, config_hash="cafe0123")
+
+    # comment and blank lines between the data rows (after the header)
+    lines = path.read_text().splitlines(keepends=True)
+    head, rows = lines[:3], lines[3:]
+    for at, extra in inserts:
+        rows.insert(at % (len(rows) + 1), extra)
+    path.write_text("".join(head + rows))
+
+    back = ScanResult.read_csv(path)
+    assert back.grid.shape == grid.shape
+    assert np.array_equal(back.ok, ok)
+    assert back.reasons == failed
+    for name, arr in data.items():
+        assert getattr(back, name).tobytes() == arr.tobytes()
+
+
 def _chain_reason(ham):
     try:
         extract_tau(gauge_fix(ham)[0])
