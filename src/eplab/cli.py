@@ -364,18 +364,17 @@ def _fit_table(docs):
                                        "fit coordinates")
     mats = [np.full(grid.shape, np.nan, dtype=complex) for _ in range(4)]
     tau = np.full(grid.shape, np.nan)
-    reasons = {(a, b): "missing-spectrum"
-               for a in range(grid.n_s) for b in range(grid.n_delta)}
+    status = np.full(grid.shape, "failed:missing-spectrum", dtype=object)
     for doc, a, b in zip(docs, i.tolist(), j.tolist()):
         if not doc["converged"]:
-            reasons[(a, b)] = doc["reason"]
+            status[a, b] = "failed:" + doc["reason"]
             continue
-        del reasons[(a, b)]
+        status[a, b] = "ok"
         ham = EffHamiltonian.from_json_dict(doc)
         for arr, z in zip(mats, (ham.e1, ham.e2, ham.h1, ham.h2)):
             arr[a, b] = z
         tau[a, b] = float(doc["tau"])
-    return _scan_table(grid, mats, reasons, tau=tau)
+    return _scan_table(grid, mats, status, tau=tau)
 
 
 def _read_table(path):

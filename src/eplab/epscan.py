@@ -20,11 +20,14 @@ Scan tables serialize to CSV with columns
     s_mm, delta_mm, f1, g1, f2, g2, reh2, imh2, cross, tau, status
 
 where (f, g) are resonance frequency and full width (E = f - i g/2) in the
-deterministic reporting order, and failed points carry NaN data plus a
-status reason; a table read back holds no matrices, so it feeds locate_ep
-but not the tracer. Curve and braid traces serialize to JSON; a curve
-trace is read back from its matrices alone. All files
-start with a schema tag so readers can reject foreign content.
+deterministic reporting order. A table keeps each point's status as that
+column's text, "ok" or "failed:<reason>", in one grid-shaped array; failed
+points carry NaN data. The reader parses a file in one pass, splitting
+each row's status off as np.loadtxt reads its numbers. A table read back
+holds no matrices, so it feeds locate_ep but not the tracer. Curve and
+braid traces serialize to JSON; a curve trace is read back from its
+matrices alone. All files start with a schema tag so readers can reject
+foreign content.
 """
 
 __all__ = ["BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
@@ -120,10 +123,13 @@ class ParamGrid:
 
         The step is the smallest spacing along either axis, the one along s
         when the two agree to 1e-6 mm. The points need not fill the grid.
-        Returns (grid, i, j); raises DataError naming source unless each
-        point sits within 1e-6 mm of a node of its own.
+        Returns (grid, i, j); raises DataError naming source unless every
+        coordinate is finite and each point sits within 1e-6 mm of a node
+        of its own.
         """
         s, delta = np.asarray(s, dtype=float), np.asarray(delta, dtype=float)
+        if not (np.isfinite(s).all() and np.isfinite(delta).all()):
+            raise DataError(f"{source}: point coordinates must be finite")
         steps = [np.min(np.diff(np.unique(v))) for v in (s, delta)
                  if np.ptp(v) > 0]
         step = float(min(steps, key=lambda st: round(st, 6), default=0.01))
@@ -144,9 +150,11 @@ class ParamGrid:
 class ScanResult:
     """Per-grid-point effective matrices and derived observables.
 
-    Arrays are shaped (n_s, n_delta). Failed points carry NaN in every data
-    array, False in ok, and a reason string. The full matrix arrays e1..h2
-    are None for tables read back from CSV (which stores only observables).
+    Arrays are shaped (n_s, n_delta). status holds each point's outcome as
+    the CSV writes it, "ok" or "failed:<reason>"; ok and n_failed read it.
+    Failed points carry NaN in every data array. The full matrix arrays
+    e1..h2 are None for tables read back from CSV (which stores only
+    observables).
     """
 
     grid: ParamGrid
@@ -158,8 +166,7 @@ class ScanResult:
     imh2: np.ndarray
     cross: np.ndarray
     tau: np.ndarray
-    ok: np.ndarray
-    reasons: dict = field(default_factory=dict, repr=False)
+    status: np.ndarray = field(repr=False)
     e1: np.ndarray = None
     e2: np.ndarray = None
     h1: np.ndarray = None
@@ -167,18 +174,18 @@ class ScanResult:
     family: SyntheticFamily = field(default=None, repr=False)
 
     @property
+    def ok(self):
+        return self.status == "ok"
+
+    @property
     def n_failed(self):
-        return int(np.size(self.ok) - np.count_nonzero(self.ok))
+        return int(self.status.size - np.count_nonzero(self.ok))
 
     def has_matrices(self):
         return self.e1 is not None
 
     def write_csv(self, path, config_hash=None):
         n_s, n_d = self.grid.shape
-        status = np.full(self.ok.size, "ok", dtype=object)
-        for i, j in np.argwhere(~self.ok):
-            status[i * n_d + j] = "failed:" + self.reasons.get(
-                (int(i), int(j)), "unknown")
         # each coordinate repeats along the grid: format it once
         s_text, d_text = (np.array(["%.17g" % v for v in values], dtype=object)
                           for values in (self.grid.s_values,
@@ -186,68 +193,57 @@ class ScanResult:
         columns = [np.repeat(s_text, n_d), np.tile(d_text, n_s)]
         columns += [getattr(self, name).ravel() for name in _OBSERVABLES]
         _write_table(path, SCAN_SCHEMA, config_hash, SCAN_COLUMNS,
-                     columns + [status])
+                     columns + [self.status.ravel()])
 
     @staticmethod
     def read_csv(path):
+        """The table of a scan CSV, parsed in one pass over its lines.
+
+        Comment, header and blank lines are passed over; each data row's
+        status is split off as np.loadtxt reads its numbers.
+        """
+        failed = []                       # (data row, status) if not ok
+
+        def numbers(lines):
+            rows = 0
+            for line in lines:
+                if line.startswith(("#", "s_mm")) or line == "\n":
+                    continue
+                head, _, state = line.rpartition(",")
+                state = state.rstrip("\n")
+                if state != "ok":
+                    if not (state.startswith("failed:") and len(state) > 7):
+                        raise DataError(f"{path}: data row {rows + 1} has "
+                                        f"status {state!r}, expected ok or "
+                                        f"failed:<reason>")
+                    failed.append((rows, state))
+                rows += 1
+                yield head
+            if not rows:
+                raise DataError(f"{path} has no data rows")
+
         try:
             with open(path, encoding="utf-8") as fh:
-                first = fh.readline().strip()
-                if first != f"# schema={SCAN_SCHEMA}":
+                if fh.readline().strip() != f"# schema={SCAN_SCHEMA}":
                     raise DataError(
                         f"{path} does not carry schema {SCAN_SCHEMA}")
-                n_rows, failed = _scan_csv_status(path, fh)
-                if not n_rows:
-                    raise DataError(f"{path} has no data rows")
-                fh.seek(0)
-                table = np.loadtxt(fh, delimiter=",", comments=_SKIPPED_LINES,
-                                   usecols=range(10), ndmin=2)
+                table = np.loadtxt(numbers(fh), delimiter=",", ndmin=2)
         except ValueError as exc:         # also text that is not UTF-8
             raise DataError(f"{path}: {exc}")
+        if table.shape[1] != len(SCAN_COLUMNS) - 1:
+            raise DataError(f"{path}: rows must have {len(SCAN_COLUMNS)} fields")
 
         grid, i, j = ParamGrid.from_points(table[:, 0], table[:, 1], path)
         if len(table) != grid.n_s * grid.n_delta:
             raise DataError(f"{path} rows do not form a complete uniform grid")
 
-        data = {}
+        data = {"status": np.full(grid.shape, "ok", dtype=object)}
+        for row, state in failed:
+            data["status"][i[row], j[row]] = state
         for k, name in enumerate(_OBSERVABLES):
             data[name] = np.empty(grid.shape)
             data[name][i, j] = table[:, 2 + k]
-        ok = np.ones(grid.shape, dtype=bool)
-        reasons = {}
-        for row, reason in failed:
-            key = (int(i[row]), int(j[row]))
-            ok[key] = False
-            reasons[key] = reason
-        return ScanResult(grid=grid, ok=ok, reasons=reasons, **data)
-
-
-# lines a scan CSV reader passes over: comments and the header row
-_SKIPPED_LINES = ("#", "s_mm")
-
-
-def _scan_csv_status(path, lines):
-    """Count the data rows, check their field count, list the failed ones.
-
-    Returns (rows, [(row, reason)]) with rows numbered as np.loadtxt reads
-    them: blank lines and lines starting with a _SKIPPED_LINES marker are
-    passed over.
-    """
-    rows = 0
-    failed = []
-    for line in lines:
-        if line.startswith(_SKIPPED_LINES) or line == "\n":
-            continue
-        n_fields = line.count(",") + 1
-        if n_fields != len(SCAN_COLUMNS):
-            raise DataError(f"{path}: expected {len(SCAN_COLUMNS)} columns, "
-                            f"got {n_fields}")
-        if not line.endswith(",ok\n"):
-            status = line[line.rindex(",") + 1:].strip()
-            if status != "ok":
-                failed.append((rows, status.split(":", 1)[-1]))
-        rows += 1
-    return rows, failed
+        return ScanResult(grid=grid, **data)
 
 
 # --------------------------------------------------------------------- scan
@@ -263,40 +259,36 @@ def scan(grid, family):
         raise InvalidArgumentError(
             f"source must be a SyntheticFamily, got {type(family).__name__}")
     s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
-    reasons = {(int(i), int(j)): "out-of-bounds"
-               for i, j in np.argwhere(~family.contains(s, d))}
-    result = _scan_table(grid, family.h_grid(s, d), reasons, family=family)
-    if result.n_failed > 0.2 * result.ok.size:
+    status = np.full(grid.shape, "ok", dtype=object)
+    status[~family.contains(s, d)] = "failed:out-of-bounds"
+    result = _scan_table(grid, family.h_grid(s, d), status, family=family)
+    if result.n_failed > 0.2 * result.status.size:
         raise ScanQualityError(
-            f"{result.n_failed} of {result.ok.size} grid points failed")
+            f"{result.n_failed} of {result.status.size} grid points failed")
     return result
 
 
-def _scan_table(grid, mats, reasons, family=None, tau=None):
+def _scan_table(grid, mats, status, family=None, tau=None):
     """ScanResult of matrices on the grid through the observables kernel.
 
-    mats are the (e1, e2, h1, h2) arrays; reasons names the points that
-    have no matrix, and every other point the kernel fails on gets the
-    name of the exception the scalar chain would raise there. A source
-    that reads tau itself passes it as tau: it replaces the kernel's, and
-    every point with a matrix is ok (a fit reads an uncoupled doublet as
-    tau = 0, where the kernel finds no ratio to read).
+    mats are the (e1, e2, h1, h2) arrays; status is "ok" where they hold a
+    matrix and "failed:<reason>" elsewhere. Every ok point the kernel fails
+    on is failed in place with the name of the exception the scalar chain
+    would raise there. A source that reads tau itself passes it as tau: it
+    replaces the kernel's, and every point with a matrix is ok (a fit reads
+    an uncoupled doublet as tau = 0, where the kernel finds no ratio to
+    read).
     """
-    have = np.ones(grid.shape, dtype=bool)
-    for key in reasons:
-        have[key] = False
     obs = observables(*mats)
     if tau is not None:
         obs = obs._replace(tau=tau, failure=np.zeros_like(obs.failure))
-    ok = have & (obs.failure == 0)
-    reasons = dict(reasons)
-    for i, j in np.argwhere(have & ~ok):
-        reasons[(int(i), int(j))] = obs.reason((i, j))
+    for i, j in np.argwhere((status == "ok") & (obs.failure != 0)):
+        status[i, j] = "failed:" + obs.reason((i, j))
+    ok = status == "ok"
     data = {name: np.where(ok, getattr(obs, name), np.nan)
             for name in _OBSERVABLES}
     mats = {name: np.where(ok, m, np.nan) for name, m in zip(_MATRICES, mats)}
-    return ScanResult(grid=grid, ok=ok, reasons=reasons, family=family,
-                      **data, **mats)
+    return ScanResult(grid=grid, status=status, family=family, **data, **mats)
 
 
 # ---------------------------------------------------------- EP localization
@@ -591,6 +583,16 @@ def _correct_onto_contour(field, point, epsilon, fd_step):
     return (p, "ok") if abs(c) <= epsilon else (None, "lost")
 
 
+def _tangent(field, p, fd_step):
+    """Unit contour tangent at p (the gradient turned by 90 degrees), or
+    None where the gradient is not finite or vanishes."""
+    g = field.gradient(*p, fd_step)
+    norm = float(np.hypot(*g))
+    if not math.isfinite(norm) or norm < 1e-300:
+        return None
+    return np.array([-g[1], g[0]]) / norm
+
+
 def _march(field, start, direction, step, epsilon, fd_step):
     """Walk the contour one predictor-corrector step at a time."""
     points = []
@@ -598,13 +600,10 @@ def _march(field, start, direction, step, epsilon, fd_step):
     t_prev = np.array(direction, dtype=float)
     truncated = False
     while len(points) < _MAX_TRACE_POINTS:
-        g = field.gradient(*p, fd_step)
-        tangent = np.array([-g[1], g[0]])
-        norm = float(np.hypot(*tangent))
-        if not math.isfinite(norm) or norm < 1e-300:
+        tangent = _tangent(field, p, fd_step)
+        if tangent is None:
             truncated = True
             break
-        tangent /= norm
         if float(tangent @ t_prev) < 0:
             tangent = -tangent
         candidate = p + step * tangent
@@ -660,12 +659,9 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
     polished, status = _correct_onto_contour(field, (s0, d0), epsilon, fd_step)
     if status == "ok":
         s0, d0 = float(polished[0]), float(polished[1])
-    g = field.gradient(s0, d0, fd_step)
-    tangent = np.array([-g[1], g[0]])
-    norm = float(np.hypot(*tangent))
-    if not math.isfinite(norm) or norm < 1e-300:
+    tangent = _tangent(field, (s0, d0), fd_step)
+    if tangent is None:
         raise NotOnPTCurveError("contour direction undefined at start")
-    tangent /= norm
 
     forward, trunc_f = _march(field, (s0, d0), tangent, step, epsilon, fd_step)
     backward, trunc_b = _march(field, (s0, d0), -tangent, step, epsilon, fd_step)

@@ -503,7 +503,8 @@ def load_family(source):
             bounds_delta=doc["bounds"]["delta_mm"],
             g0=doc["g0"], gs=doc["gs"], gd=doc["gd"], m=doc["m"],
             coupling=CouplingSet(doc["w"]),
-            spectrum_defaults=doc["spectrum"],
+            spectrum_defaults={key: float(doc["spectrum"][key]) for key in
+                               ("f_center_mhz", "span_mhz", "step_mhz")},
         )
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"family preset {source!r}: malformed field {exc!r}")

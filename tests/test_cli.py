@@ -376,7 +376,7 @@ def test_failed_fit_keeps_its_detail(tmp_path, span):
     assert manifest["files"] == ["b38_s1.7200_d41.7800_fit.json",
                                  "summary.csv"]
     summary = ScanResult.read_csv(fits / "summary.csv")
-    assert summary.reasons == {(0, 0): "InsufficientSpanError"}
+    assert summary.status.tolist() == [["failed:InsufficientSpanError"]]
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -720,9 +720,9 @@ def test_summary_csv_is_the_manifest_table(dataset, tmp_path):
     table = eplab.cli._read_table(str(fits / "manifest.json"))
     summary = ScanResult.read_csv(fits / "summary.csv")
     assert table.has_matrices()
-    assert table.reasons == summary.reasons == {
-        (0, 1): "UnresolvableDoubletError", (1, 2): "missing-spectrum"}
-    assert table.ok.tobytes() == summary.ok.tobytes()
+    assert table.status.tolist() == summary.status.tolist() == [
+        ["ok", "failed:UnresolvableDoubletError", "ok"],
+        ["ok", "ok", "failed:missing-spectrum"]]
     for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau"):
         assert getattr(table, name).tobytes() == \
             getattr(summary, name).tobytes(), name
@@ -750,9 +750,9 @@ def test_fit_records_nodes_without_a_spectrum(dataset, tmp_path):
     table = eplab.cli._read_table(str(fits / "manifest.json"))
     assert summary.grid.shape == table.grid.shape == (4, 3)
     missing = {(2, 0), (2, 1), (2, 2), (0, 1), (1, 1), (3, 1)}
-    assert summary.reasons == table.reasons == dict.fromkeys(
-        missing, "missing-spectrum")
-    assert np.count_nonzero(summary.ok) == 6
+    status = [["failed:missing-spectrum" if (i, j) in missing else "ok"
+               for j in range(3)] for i in range(4)]
+    assert summary.status.tolist() == table.status.tolist() == status
 
 
 def test_fit_summary_keeps_an_uncoupled_fit(tmp_path):
@@ -854,15 +854,48 @@ def preset(**fields):
     (["analyze", "scan", "--family"],
      preset(bounds={"s_mm": [1.4], "delta_mm": [41.46, 42.1]})),
     (["analyze", "scan", "--family"], preset(b_mt="abc")),
+    (["synth", "--point", "1.72,41.78", "--family"], preset(spectrum={})),
+    (["synth", "--point", "1.72,41.78", "--family"],
+     preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": "abc",
+                      "step_mhz": 0.01})),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
-        "preset-text-field"])
+        "preset-text-field", "preset-empty-spectrum", "preset-text-span"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):
     path, out = tmp_path / "input.json", tmp_path / "out"
     path.write_bytes(content)
     out.mkdir()
     assert_data_error(main(command + [str(path), "--out", str(out)]), capsys)
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_sidecar_coordinate_exits_2(dataset, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    out.mkdir()
+    for name in ("b38_s1.7000_d41.7600", "b38_s1.7200_d41.7600"):
+        for suffix in (".csv", ".json"):
+            shutil.copy(dataset / (name + suffix), data / (name + suffix))
+    (data / "b38_s1.7000_d41.7600.json").write_text(
+        '{"s_mm": NaN, "delta_mm": 41.76}')
+    assert_data_error(main(["fit", "--in", str(data), "--out", str(out)]),
+                      capsys)
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_scan_csv_coordinate_exits_2(tmp_path, capsys):
+    table, out = tmp_path / "scan.csv", tmp_path / "out"
+    out.mkdir()
+    assert main(["analyze", "scan", "--family", "b38",
+                 "--grid", "1.70:1.74:0.01x41.76:41.80:0.01",
+                 "--out", str(tmp_path)]) == 0
+    lines = table.read_text().splitlines(keepends=True)
+    lines[5] = "nan" + lines[5][lines[5].index(","):]
+    table.write_text("".join(lines))
+    capsys.readouterr()
+    assert_data_error(main(["analyze", "ep", "--in", str(table),
+                            "--out", str(out)]), capsys)
     assert list(out.iterdir()) == []
 
 
@@ -893,7 +926,8 @@ def test_fit_records_a_non_numeric_spectrum_and_goes_on(dataset, tmp_path,
         doc = json.loads((fits / (name + "_fit.json")).read_text())
         assert doc["converged"] is True
     summary = ScanResult.read_csv(fits / "summary.csv")
-    assert summary.reasons == {(0, 1): "DataError"}
+    assert summary.status.tolist() == [["ok", "failed:DataError"],
+                                       ["ok", "ok"]]
 
 
 def test_analyze_ep_refuses_a_file_that_is_not_utf8(tmp_path, capsys):

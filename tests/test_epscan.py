@@ -162,7 +162,7 @@ def test_scan_records_out_of_bounds_points(b38):
     g = ParamGrid(s_hi - 0.12, s_hi + 0.02, 41.78, 41.78, 0.01)
     sr = scan(g, b38)
     assert sr.n_failed == 2
-    assert all(r == "out-of-bounds" for r in sr.reasons.values())
+    assert sr.status[~sr.ok].tolist() == ["failed:out-of-bounds"] * 2
 
 
 def test_scan_fails_loudly_when_mostly_outside(b38):
@@ -196,7 +196,7 @@ def test_scan_csv_roundtrip(tmp_path, b38_scan):
     assert back.grid.shape == b38_scan.grid.shape
     assert back.grid.step == pytest.approx(0.01)
     assert not back.has_matrices()
-    assert np.array_equal(back.ok, b38_scan.ok)
+    assert np.array_equal(back.status, b38_scan.status)
     for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau"):
         assert np.array_equal(getattr(back, name), getattr(b38_scan, name))
 
@@ -209,8 +209,8 @@ def test_scan_csv_rejects_foreign_content(tmp_path):
 
 
 def test_scan_csv_bytes_match_per_row_format(tmp_path):
-    # more rows than one formatting block, failed rows with and without a
-    # recorded reason, NaN and signed zeros
+    # more rows than one formatting block, failed rows of two reasons, NaN
+    # and signed zeros
     grid = ParamGrid(1.0, 1.69, 40.0, 40.69, 0.01)
     rng = np.random.default_rng(17)
     data = {name: rng.normal(size=grid.shape)
@@ -221,9 +221,9 @@ def test_scan_csv_bytes_match_per_row_format(tmp_path):
     for arr in data.values():
         arr[~ok] = np.nan
     data["cross"][3, 4] = -0.0
-    failed = [tuple(int(v) for v in ij) for ij in np.argwhere(~ok)]
-    reasons = {ij: "DegenerateGaugeError" for ij in failed[1:]}
-    table = ScanResult(grid=grid, ok=ok, reasons=reasons, **data)
+    status = np.where(ok, "ok", "failed:DegenerateGaugeError").astype(object)
+    status[tuple(np.argwhere(~ok)[0])] = "failed:missing-spectrum"
+    table = ScanResult(grid=grid, status=status, **data)
     path = tmp_path / "scan.csv"
     table.write_csv(path, config_hash="cafe0123")
 
@@ -231,17 +231,15 @@ def test_scan_csv_bytes_match_per_row_format(tmp_path):
              "s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status"]
     for i, sv in enumerate(grid.s_values):
         for j, dv in enumerate(grid.delta_values):
-            status = "ok" if ok[i, j] else (
-                "failed:" + reasons.get((i, j), "unknown"))
             row = [sv, dv] + [data[name][i, j] for name in
                               ("f1", "g1", "f2", "g2", "reh2", "imh2",
                                "cross", "tau")]
-            lines.append(",".join("%.17g" % v for v in row) + f",{status}")
+            lines.append(",".join("%.17g" % v for v in row)
+                         + f",{status[i, j]}")
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     back = ScanResult.read_csv(path)
-    assert np.array_equal(back.ok, ok)
-    assert back.reasons == {**reasons, failed[0]: "unknown"}
+    assert np.array_equal(back.status, status)
     for name, arr in data.items():
         assert np.array_equal(getattr(back, name), arr, equal_nan=True)
 
@@ -251,8 +249,13 @@ def test_scan_csv_reader_rejects_damaged_rows(tmp_path, b38_scan):
     b38_scan.write_csv(good)
     lines = good.read_text().splitlines(keepends=True)
 
+    numbers = [line.rsplit(",", 1)[0] for line in lines]
     cases = {
         "short": lines[:5] + [lines[5].rsplit(",", 2)[0] + "\n"] + lines[6:],
+        "long": lines[:5] + [numbers[5] + ",0,ok\n"] + lines[6:],
+        "wide": lines[:2] + [n + ",0,ok\n" for n in numbers[2:]],
+        "status": lines[:5] + [numbers[5] + ",okay\n"] + lines[6:],
+        "no reason": lines[:5] + [numbers[5] + ",failed:\n"] + lines[6:],
         "text": lines[:5] + ["x" + lines[5]] + lines[6:],
         "duplicate": lines[:5] + [lines[6]] + lines[6:],
         "missing": lines[:5] + lines[6:],
@@ -265,11 +268,12 @@ def test_scan_csv_reader_rejects_damaged_rows(tmp_path, b38_scan):
             ScanResult.read_csv(bad)
 
 
-# every reason a scan table records: its own, the kernel's and the fits'
-_FAILED_REASONS = ("out-of-bounds", "missing-spectrum", "DegenerateGaugeError",
-                   "SingularRatioError", "NotGaugeFixedError",
-                   "InsufficientSpanError", "NonConvergenceError",
-                   "DataError")
+# every status a scan table records: ok, and its own, the kernel's and the
+# fits' reasons for failing
+_STATUSES = ("ok",) + tuple("failed:" + reason for reason in (
+    "out-of-bounds", "missing-spectrum", "DegenerateGaugeError",
+    "SingularRatioError", "NotGaugeFixedError", "InsufficientSpanError",
+    "NonConvergenceError", "DataError"))
 _TABLE_VALUES = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
@@ -280,16 +284,18 @@ _TABLE_VALUES = st.one_of(
 def _scan_tables(draw):
     n_s, n_d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.25]))
-    s0, d0 = draw(st.integers(-200, 200)) * step, draw(st.integers(0, 5000)) * step
-    grid = ParamGrid(s0, s0 + (n_s - 1) * step, d0, d0 + (n_d - 1) * step, step)
+    s0 = draw(st.integers(-200, 200)) * step
+    d0 = draw(st.integers(0, 5000)) * step
+    grid = ParamGrid(s0, s0 + (n_s - 1) * step,
+                     d0, d0 + (n_d - 1) * step, step)
     size = n_s * n_d
     data = {name: np.array(draw(st.lists(_TABLE_VALUES, min_size=size,
                                          max_size=size))).reshape(grid.shape)
             for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross",
                          "tau")}
-    reasons = draw(st.lists(st.sampled_from((None,) + _FAILED_REASONS),
-                            min_size=size, max_size=size))
-    return grid, data, reasons
+    status = draw(st.lists(st.sampled_from(_STATUSES), min_size=size,
+                           max_size=size))
+    return grid, data, np.array(status, dtype=object).reshape(grid.shape)
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,14 +305,9 @@ def _scan_tables(draw):
     max_size=6))
 def test_scan_csv_roundtrip_keeps_bits_and_status(tmp_path_factory, table,
                                                   inserts):
-    grid, data, reasons = table
-    n_d = grid.n_delta
-    failed = {divmod(k, n_d): r for k, r in enumerate(reasons) if r}
-    ok = np.ones(grid.shape, dtype=bool)
-    for ij in failed:
-        ok[ij] = False
+    grid, data, status = table
     path = tmp_path_factory.mktemp("scan") / "scan.csv"
-    ScanResult(grid=grid, ok=ok, reasons=failed, **data).write_csv(
+    ScanResult(grid=grid, status=status, **data).write_csv(
         path, config_hash="cafe0123")
 
     # comment and blank lines between the data rows (after the header)
@@ -318,8 +319,7 @@ def test_scan_csv_roundtrip_keeps_bits_and_status(tmp_path_factory, table,
 
     back = ScanResult.read_csv(path)
     assert back.grid.shape == grid.shape
-    assert np.array_equal(back.ok, ok)
-    assert back.reasons == failed
+    assert np.array_equal(back.status, status)
     for name, arr in data.items():
         assert getattr(back, name).tobytes() == arr.tobytes()
 
@@ -356,8 +356,9 @@ def test_scan_reasons_match_the_scalar_chain(h, reason):
     assert _chain_reason(fam.h_at(1.0, 1.0)) == reason
     for i, sv in enumerate(grid.s_values):
         for j, dv in enumerate(grid.delta_values):
-            got = None if result.ok[i, j] else result.reasons[(i, j)]
-            assert got == _chain_reason(fam.h_at(sv, dv))
+            reason = _chain_reason(fam.h_at(sv, dv))
+            assert result.status[i, j] == (
+                "ok" if reason is None else "failed:" + reason)
 
 
 # -------------------------------------------------------- spectrum archives
@@ -408,7 +409,7 @@ def test_scan_from_fitted_spectra_matches_family(tmp_path, b38):
     assert sr.grid.shape == (2, 3)
     assert sr.family is None
     assert sr.n_failed == 1
-    assert list(sr.reasons.values()) == ["missing-spectrum"]
+    assert sr.status[~sr.ok].tolist() == ["failed:missing-spectrum"]
     assert sr.has_matrices()
     for i, s in enumerate(sr.grid.s_values):
         for j, d in enumerate(sr.grid.delta_values):
@@ -557,7 +558,7 @@ def test_trace_interpolated_scan_without_closed_form(b38_scan):
         grid=b38_scan.grid,
         f1=b38_scan.f1, g1=b38_scan.g1, f2=b38_scan.f2, g2=b38_scan.g2,
         reh2=b38_scan.reh2, imh2=b38_scan.imh2, cross=b38_scan.cross,
-        tau=b38_scan.tau, ok=b38_scan.ok,
+        tau=b38_scan.tau, status=b38_scan.status,
         e1=b38_scan.e1, e2=b38_scan.e2, h1=b38_scan.h1, h2=b38_scan.h2,
     )
     tr = trace_pt_curve(tables, B38_EP)
