@@ -10,11 +10,14 @@ so the dip depth is 1 - ((w^2-d^2)/(w^2+d^2))^2 and the full width at half
 depth is exactly Gamma_tot = 2 pi (w^2 + d^2).
 """
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eplab import (
     CSV_HEADER,
@@ -398,3 +401,47 @@ def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
                 values += [s[k, a, b].real, s[k, a, b].imag]
         rows.append(",".join("%.17g" % v for v in values))
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_noisy_spectrum_csv_bytes_are_pinned(tmp_path):
+    # a fixed digest of a noisy b38 spectrum on the preset grid: the kernel,
+    # the noise draw order and the number format all show in these bytes
+    fam = load_family("b38")
+    grid = fam.spectrum_defaults
+    spec = synth_spectrum(fam.internal_at(1.72, 41.78), fam.coupling,
+                          grid["f_center_mhz"], grid["span_mhz"],
+                          grid["step_mhz"], noise=NoiseSpec(0.005, seed=3))
+    path = tmp_path / "point.csv"
+    spec.write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "527e2362a7839ac6d5aea7aca7d26b3a2a6f2c9e62e6e79a4a8af01e0c7ca6c7")
+
+
+CHANNELS = ("s11", "s12", "s21", "s22")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30).flatmap(lambda n: st.lists(
+    st.floats(allow_nan=False, allow_infinity=False),
+    min_size=8 * n, max_size=8 * n)))
+def test_spectrum_csv_roundtrip_keeps_samples(tmp_path_factory, values):
+    # a table of drawn samples is read, written and read again; every
+    # channel keeps the drawn samples and the second read equals the first
+    columns = np.array(values).reshape(-1, 8).T
+    n = columns.shape[1]
+    freqs = frequency_grid(2725.0, 0.01 * (n - 1), 0.01)
+    folder = tmp_path_factory.mktemp("spectrum")
+    drawn, again = folder / "drawn.csv", folder / "again.csv"
+    drawn.write_text(CSV_HEADER + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n"
+        for row in zip(freqs, *columns)))
+    spec = read_spectrum(drawn)
+    for k, name in enumerate(CHANNELS):
+        assert np.array_equal(getattr(spec, name),
+                              columns[2 * k] + 1j * columns[2 * k + 1])
+    spec.write_csv(again)
+    back = read_spectrum(again)
+    assert np.array_equal(back.freqs, spec.freqs)
+    assert np.array_equal(back.s, spec.s)
+    for name in CHANNELS:
+        assert np.array_equal(getattr(back, name), getattr(spec, name))
