@@ -18,7 +18,7 @@ Marquardt diagonal scaling and the Nielsen lambda update) over the analytic
 Jacobian of the resolvent model, computed from one resolvent per frequency.
 The real (8n, 12) Jacobian is never formed: each iteration writes its 8
 distinct complex columns, for the included channels only, into one workspace
-per start and takes J^T J and J^T r from their complex Gram matrix and the
+per fit and takes J^T J and J^T r from their complex Gram matrix and the
 complex residual. A trial step that moves a pole out of the frequency window
 or makes it amplifying (Im E > 0) is rejected like a cost increase, so the
 damping grows. A start ends when its step shrinks to nothing or an accepted
@@ -216,15 +216,17 @@ _ALPHA = [1, 1j, 1, 1j, 1, 1j, 1j, -1, 1, 1, 1, 1]
 
 
 class _Model:
-    """The model against the included channels of one spectrum; a masked
-    channel is dropped, not zeroed. The Jacobian workspace is allocated at
-    the first linearization and refilled in place: once per LM start."""
+    """The model against the included channels of one spectrum, over its
+    frequency window; a masked channel is dropped, not zeroed. The Jacobian
+    workspace is allocated at the first linearization and refilled in
+    place, by every LM start of a fit."""
 
     def __init__(self, spec, include):
         self.freqs = spec.freqs
+        self.window = (float(spec.freqs[0]), float(spec.freqs[-1]))
         self.rows = 8 * spec.n_points     # masked channels are zero rows
         self.channels = np.flatnonzero(include)
-        self.data = spec.s.reshape(-1, 4).T[self.channels]
+        self.data = spec.s[self.channels]
         self._z = None
 
     def residual(self, p):
@@ -330,8 +332,8 @@ def _poles_physical(params, f_lo, f_hi):
                for e in eigenvalues_sorted(unpack_params(params)[0]))
 
 
-def _levenberg_marquardt(p0, spec, include):
-    """Damped least squares; cost is monotone over accepted steps.
+def _levenberg_marquardt(p0, model):
+    """Damped least squares on model; cost is monotone over accepted steps.
 
     Returns (params, residual, rms, stop, iterations, jtj_diag, costs),
     where residual is the complex (k, n) residual at params (None on a
@@ -340,8 +342,7 @@ def _levenberg_marquardt(p0, spec, include):
     step tolerance, or an accepted one gaining less than CHI2_STALL * cost /
     rows, ends the start: as a runaway if a trial of it was unphysical.
     """
-    f_lo, f_hi = float(spec.freqs[0]), float(spec.freqs[-1])
-    model = _Model(spec, include)
+    f_lo, f_hi = model.window
     p = np.array(p0, dtype=float)
     r, cost = model.residual(p)
     costs = [cost]
@@ -459,7 +460,7 @@ def seed_initializer(spec, mask=None):
     mid, half = 0.5 * (f_lo + f_hi), 0.5 * (f_hi - f_lo)
     x = (spec.freqs - mid) / half
     channels = np.flatnonzero(include)
-    r = spec.s.reshape(-1, 4).T[channels] - np.array(_DELTA)[channels, None]
+    r = spec.s[channels] - np.array(_DELTA)[channels, None]
     c1, c0, coef = _two_pole_moments(x, r)
     num = np.zeros((2, 4), dtype=complex)   # M1, M0 of H_x = (H - mid) / half
     num[:, channels] = 0.5j * half / math.pi * coef
@@ -591,10 +592,10 @@ def fit_spectrum(spec, cfg=None, mask=None):
     several times the fitted ones.
     """
     cfg = cfg or FitConfig()
-    include = _channel_row_mask(mask)
+    model = _Model(spec, _channel_row_mask(mask))
     p0 = seed_initializer(spec, mask)
 
-    white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * include.sum() * spec.n_points)
+    white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * model.data.size)
     rng = np.random.default_rng(cfg.seed)
     best = None
     converged_rms = []
@@ -602,7 +603,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
     stop_rule = "exhausted"
     for start in _scatter_starts(p0, cfg.n_starts, rng):
         p, r, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
-            start, spec, include)
+            start, model)
         counts[stop] += 1
         ok = bool(stop)
         agrees = ok and any(abs(rms - prev) <= RMS_AGREEMENT * prev

@@ -56,8 +56,9 @@ CSV_HEADER = "f_MHz,reS11,imS11,reS12,imS12,reS21,imS21,reS22,imS22"
 _ROW_BLOCK = 4096      # CSV rows formatted by one string operation
 
 
-def _write_rows(fh, columns):
-    """Write equal-length columns as CSV rows, block by block.
+def _write_table(path, schema, config_hash, header, columns):
+    """Write equal-length columns as a CSV: schema tag and config hash
+    (each when given), header of column names, then one row per index.
 
     Float columns are written "%.17g" and object columns (of strings) as
     they are, so the bytes equal a per-row ",".join of those fields. One %
@@ -67,23 +68,18 @@ def _write_rows(fh, columns):
     row = ",".join("%s" if col.dtype == object else "%.17g"
                    for col in columns) + "\n"
     n = len(columns[0])
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        block = np.empty((stop - start, len(columns)), dtype=object)
-        for k, col in enumerate(columns):
-            block[:, k] = col[start:stop]
-        fh.write(row * (stop - start) % tuple(block.ravel()))
-
-
-def _write_table(path, schema, config_hash, header, columns):
-    """Write a schema-tagged CSV: tag, config hash (when given), header
-    of column names, then the columns as _write_rows writes them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
+        if schema is not None:
+            fh.write(f"# schema={schema}\n")
         if config_hash is not None:
             fh.write(f"# config_hash={config_hash}\n")
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, columns)
+        for start in range(0, n, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, n)
+            block = np.empty((stop - start, len(columns)), dtype=object)
+            for k, col in enumerate(columns):
+                block[:, k] = col[start:stop]
+            fh.write(row * (stop - start) % tuple(block.ravel()))
 
 
 def _read_json(path, what):
@@ -160,14 +156,19 @@ class NoiseSpec:
 
 
 class Spectrum:
-    """Complex 2x2 S-matrix samples on a uniform ascending frequency grid."""
+    """Complex S-matrix samples on a uniform ascending frequency grid.
+
+    s is a C-contiguous (4, n) array, one row per channel in the order
+    S11, S12, S21, S22 (the CSV's and the fit's order); s11..s22 are views
+    of its rows.
+    """
 
     __slots__ = ("freqs", "s", "meta")
 
     def __init__(self, freqs, s, meta=None):
         freqs = np.array(freqs, dtype=float)
-        s = np.array(s, dtype=complex)
-        if freqs.ndim != 1 or s.shape != (freqs.size, 2, 2):
+        s = np.array(s, dtype=complex, order="C")
+        if freqs.ndim != 1 or s.shape != (4, freqs.size):
             raise InvalidArgumentError(
                 f"shape mismatch: freqs {freqs.shape}, S {s.shape}")
         if freqs.size >= 2:
@@ -187,32 +188,16 @@ class Spectrum:
     def n_points(self):
         return self.freqs.size
 
-    @property
-    def s11(self):
-        return self.s[:, 0, 0]
-
-    @property
-    def s12(self):
-        return self.s[:, 0, 1]
-
-    @property
-    def s21(self):
-        return self.s[:, 1, 0]
-
-    @property
-    def s22(self):
-        return self.s[:, 1, 1]
+    s11 = property(lambda self: self.s[0])
+    s12 = property(lambda self: self.s[1])
+    s21 = property(lambda self: self.s[2])
+    s22 = property(lambda self: self.s[3])
 
     def write_csv(self, path):
         """Write the CSV file plus the JSON metadata sidecar."""
-        cols = [self.freqs]
-        for a in range(2):
-            for b in range(2):
-                cols.append(self.s[:, a, b].real)
-                cols.append(self.s[:, a, b].imag)
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            _write_rows(fh, cols)
+        parts = [part for row in self.s for part in (row.real, row.imag)]
+        _write_table(path, None, None, CSV_HEADER.split(","),
+                     [self.freqs] + parts)
         keys = ("s_mm", "delta_mm", "B_mT", "seed", "sigma", "config_hash")
         _write_json(_sidecar_path(path), {k: self.meta.get(k) for k in keys})
 
@@ -231,12 +216,10 @@ def read_spectrum(path):
         raise DataError(f"{path}: {exc}")
     if data.shape[1] != 9:
         raise DataError(f"{path}: expected 9 columns, got {data.shape[1]}")
-    s = np.empty((data.shape[0], 2, 2), dtype=complex)
-    for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        s[:, a, b] = data[:, 1 + 2 * k] + 1j * data[:, 2 + 2 * k]
     sidecar = _sidecar_path(path)
     meta = _read_json(sidecar, "sidecar") if os.path.exists(sidecar) else {}
-    return Spectrum(data[:, 0], s, meta)
+    # each (Re, Im) column pair is one complex column, bit for bit
+    return Spectrum(data[:, 0], data[:, 1:].view(complex).T, meta)
 
 
 # ------------------------------------------------------------ S-matrix kernel
@@ -301,10 +284,9 @@ def smatrix_at(ham, coupling, f):
         raise InvalidArgumentError(f"frequency must be finite, got {f}")
     eff = effective_hamiltonian(ham, coupling)
     wa = coupling.antenna
-    s11, s12, s21, s22 = _sgrid(eff.e1, eff.e2, eff.h1, eff.h2,
-                                wa[0, 0], wa[0, 1], wa[1, 0], wa[1, 1],
-                                np.array([float(f)]))
-    return np.array([[s11[0], s12[0]], [s21[0], s22[0]]])
+    return np.reshape(_sgrid(eff.e1, eff.e2, eff.h1, eff.h2,
+                             wa[0, 0], wa[0, 1], wa[1, 0], wa[1, 1],
+                             np.array([float(f)])), (2, 2))
 
 
 def frequency_grid(f0, span, step):
@@ -329,19 +311,14 @@ def synth_spectrum(ham, coupling, f0, span, step, noise=None, meta=None):
     freqs = frequency_grid(f0, span, step)
     eff = effective_hamiltonian(ham, coupling)
     wa = coupling.antenna
-    s11, s12, s21, s22 = _sgrid(eff.e1, eff.e2, eff.h1, eff.h2,
-                                wa[0, 0], wa[0, 1], wa[1, 0], wa[1, 1],
-                                freqs)
-    s = np.empty((freqs.size, 2, 2), dtype=complex)
-    s[:, 0, 0] = s11
-    s[:, 0, 1] = s12
-    s[:, 1, 0] = s21
-    s[:, 1, 1] = s22
+    s = np.array(_sgrid(eff.e1, eff.e2, eff.h1, eff.h2,
+                        wa[0, 0], wa[0, 1], wa[1, 0], wa[1, 1], freqs))
     full_meta = dict(meta) if meta else {}
     if noise is not None and noise.sigma > 0.0:
+        # drawn frequency by frequency, S11..S22 at each
         rng = np.random.default_rng(noise.seed)
-        s = s + noise.sigma * (rng.standard_normal(s.shape)
-                               + 1j * rng.standard_normal(s.shape))
+        s = s + noise.sigma * (rng.standard_normal(s.shape[::-1]).T
+                               + 1j * rng.standard_normal(s.shape[::-1]).T)
         full_meta.setdefault("sigma", noise.sigma)
         full_meta.setdefault("seed", noise.seed)
     else:

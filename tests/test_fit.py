@@ -221,11 +221,11 @@ def test_masked_channel_data_never_enters_the_normal_equations(
     spec, p = kicked_truth(s, delta, kick)
     include = _channel_row_mask(mask)
     rng = np.random.default_rng(seed)
-    s_other = spec.s.copy().reshape(-1, 4)
-    s_other[:, ~include] = (rng.standard_normal((spec.n_points, 4))
-                            + 1j * rng.standard_normal((spec.n_points, 4))
-                            )[:, ~include]
-    other = Spectrum(spec.freqs, s_other.reshape(-1, 2, 2))
+    s_other = spec.s.copy()
+    s_other[~include] = (rng.standard_normal((4, spec.n_points))
+                         + 1j * rng.standard_normal((4, spec.n_points))
+                         )[~include]
+    other = Spectrum(spec.freqs, s_other)
     for got, want in zip(normal_equations(p, other, mask),
                          normal_equations(p, spec, mask)):
         assert np.array_equal(got, want)
@@ -374,7 +374,7 @@ def test_moment_seed_matches_qr_reference(s, delta, log_sigma, mask,
     noise = NoiseSpec(sigma, seed=noise_seed) if sigma else None
     _, spec = family_spectrum("b38", s, delta, noise)
     x = (spec.freqs - GRID[0]) / (0.5 * GRID[1])
-    r = spec.s.reshape(-1, 4).T[channels] - np.eye(2).reshape(4)[channels, None]
+    r = spec.s[channels] - np.eye(2).reshape(4)[channels, None]
     c1, c0, num = eplab.fit._two_pole_moments(x, r)
     ref_c1, ref_c0, ref_num = qr_two_pole_passes(x, r)
     # the roots of d to 1e-9 of the half window, the unit of x
@@ -561,8 +561,8 @@ def test_accepted_costs_never_increase():
     # with noise the seed is not the minimum, so the LM accepts steps
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=3))
     p0 = seed_initializer(spec)
-    include = _channel_row_mask(None)
-    _, _, _, converged, _, _, costs = _levenberg_marquardt(p0, spec, include)
+    model = _Model(spec, _channel_row_mask(None))
+    _, _, _, converged, _, _, costs = _levenberg_marquardt(p0, model)
     assert converged
     assert len(costs) >= 2
     assert np.all(np.diff(costs) <= 0.0)
@@ -577,7 +577,7 @@ def test_lm_start_pinned_at_window_edge_is_runaway():
     p0 = truth_params_of(ham, w)
     p0[2] = 2743.0
     p, _, _, stop, _, _, costs = _levenberg_marquardt(
-        p0, spec, _channel_row_mask(None))
+        p0, _Model(spec, _channel_row_mask(None)))
     assert stop is Termination.RUNAWAY
     assert not stop                      # reads as converged=False
     assert np.all(np.diff(costs) <= 0.0)
@@ -621,13 +621,13 @@ def test_structured_residual_does_not_stop_the_starts(monkeypatch):
     real_lm = eplab.fit._levenberg_marquardt
     runs = []
 
-    def off_minimum_first(p0, spec, include):
-        out = real_lm(p0, spec, include)
+    def off_minimum_first(p0, model):
+        out = real_lm(p0, model)
         if not runs:
             p = out[0].copy()
             p[0] += 0.03
-            r, cost = _Model(spec, include).residual(p)
-            rms = math.sqrt(2.0 * cost / (8 * spec.n_points))
+            r, cost = model.residual(p)
+            rms = math.sqrt(2.0 * cost / model.rows)
             out = (p, r, rms) + out[3:]
         runs.append(out)
         return out
@@ -646,8 +646,8 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
     assert _residual_lag1(np.zeros((4, spec.n_points), dtype=complex)) == 0.0
     p = truth_params(fam, *GENERIC)
 
-    def exact(p0, spec, include):
-        r = np.zeros((int(include.sum()), spec.n_points), dtype=complex)
+    def exact(p0, model):
+        r = np.zeros_like(model.data)
         return p, r, 0.0, Termination.CONVERGED, 1, np.ones(N_PARAMS), [0.0]
 
     monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", exact)
@@ -655,6 +655,25 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
         warnings.simplefilter("error")
         res = fit_spectrum(spec)
     assert (res.starts_run, res.stop_rule, res.residual_lag1) == (1, "exact", 0.0)
+
+
+def test_every_start_of_a_fit_runs_on_one_model(monkeypatch):
+    # no start is white and none agrees, so all eight run; they share the
+    # fit's one _Model and its Jacobian workspace
+    fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=1))
+    built = []
+
+    class CountedModel(_Model):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(eplab.fit, "_Model", CountedModel)
+    monkeypatch.setattr(eplab.fit, "NOISE_FLOOR_SIGMAS", -math.inf)
+    monkeypatch.setattr(eplab.fit, "RMS_AGREEMENT", -1.0)
+    res = fit_spectrum(spec, FitConfig(n_starts=8))
+    assert (res.starts_run, res.stop_rule) == (8, "exhausted")
+    assert len(built) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -673,7 +692,7 @@ def test_white_first_start_is_the_fit(point, log_sigma, noise_seed):
         # window, and the fit refuses before any start runs
         assume(False)
     p, r, rms, stop, iters, _, _ = _levenberg_marquardt(
-        p0, spec, _channel_row_mask(None))
+        p0, _Model(spec, _channel_row_mask(None)))
     assume(stop and _residual_lag1(r) < noise_floor_limit(spec))
     res = fit_spectrum(spec)
     ham, w = _canonicalize(*unpack_params(p))
@@ -706,8 +725,8 @@ def test_lm_restart_from_a_noisy_fit_stays_put(point):
         _, spec = family_spectrum("b38", *point, NoiseSpec(0.005, seed=noise_seed))
         res = fit_spectrum(spec)
         p, _, _, stop, _, _, _ = _levenberg_marquardt(
-            pack_params(res.ham, res.coupling.antenna), spec,
-            _channel_row_mask(None))
+            pack_params(res.ham, res.coupling.antenna),
+            _Model(spec, _channel_row_mask(None)))
         assert stop
         assert paired_error(eigenvalues_sorted(unpack_params(p)[0]),
                             eigenvalues_sorted(res.ham)) <= 1e-4
@@ -788,7 +807,7 @@ def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
     # a smooth residual, far from white, so only agreement stops the starts
     r = np.ones((4, spec.n_points), dtype=complex)
 
-    def scripted(p0, spec, include):
+    def scripted(p0, model):
         rms, iters = next(script)
         return p, r, rms, Termination.CONVERGED, iters, np.ones(N_PARAMS), [1.0]
 

@@ -155,7 +155,7 @@ def test_noiseless_grid_matches_pointwise_bitexact():
     for k in (0, 777, 2000, 4000):
         pt = smatrix_at(fam.internal_at(1.9, 41.9), fam.coupling,
                         spec.freqs[k])
-        assert np.array_equal(pt, spec.s[k])
+        assert np.array_equal(pt, spec.s[:, k].reshape(2, 2))
 
 
 def test_noise_statistics():
@@ -189,7 +189,7 @@ def test_sigma_zero_is_skipped_entirely():
 
 
 def test_spectrum_validation():
-    s = np.zeros((3, 2, 2), dtype=complex)
+    s = np.zeros((4, 3), dtype=complex)
     with pytest.raises(InvalidArgumentError):
         Spectrum([1.0, 2.0, 2.5], s)          # nonuniform
     with pytest.raises(InvalidArgumentError):
@@ -301,7 +301,7 @@ def test_far_from_resonance_approaches_identity():
     spec = synth_spectrum(fam.internal_at(1.72, 41.78), fam.coupling,
                           2725.0, 40.0, 0.01)
     for k in (0, spec.n_points - 1):
-        assert np.max(np.abs(spec.s[k] - np.eye(2))) < 0.05
+        assert np.max(np.abs(spec.s[:, k] - np.eye(2).ravel())) < 0.05
 
 
 def test_load_family_rejects_garbage(tmp_path):
@@ -357,7 +357,7 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert text.splitlines()[0] == CSV_HEADER
     back = read_spectrum(path)
     assert np.array_equal(back.freqs, spec.freqs)
-    assert np.array_equal(back.s, spec.s)
+    assert back.s.tobytes() == spec.s.tobytes()
     assert back.meta["s_mm"] == 1.9
     assert back.meta["delta_mm"] == 41.9
     assert back.meta["B_mT"] == 38.0
@@ -384,11 +384,11 @@ def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
     # up, a NaN and signed zeros exercise every "%.17g" branch
     rng = np.random.default_rng(23)
     freqs = frequency_grid(2725.0, 40.0, 0.01)
-    shape = (freqs.size, 2, 2)
+    shape = (4, freqs.size)
     s = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
         * 10.0 ** rng.integers(-12, 3, size=shape)
-    s[7, 0, 1] = complex(np.nan, -0.0)
-    s[8, 1, 1] = complex(-0.0, 0.0)
+    s[1, 7] = complex(np.nan, -0.0)
+    s[3, 8] = complex(-0.0, 0.0)
     spec = Spectrum(freqs, s)
     path = tmp_path / "golden.csv"
     spec.write_csv(path)
@@ -396,9 +396,8 @@ def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
     rows = [CSV_HEADER]
     for k, f in enumerate(freqs):
         values = [f]
-        for a in range(2):
-            for b in range(2):
-                values += [s[k, a, b].real, s[k, a, b].imag]
+        for z in s[:, k]:
+            values += [z.real, z.imag]
         rows.append(",".join("%.17g" % v for v in values))
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
@@ -422,11 +421,11 @@ CHANNELS = ("s11", "s12", "s21", "s22")
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 30).flatmap(lambda n: st.lists(
-    st.floats(allow_nan=False, allow_infinity=False),
-    min_size=8 * n, max_size=8 * n)))
+    st.floats(allow_nan=False), min_size=8 * n, max_size=8 * n)))
 def test_spectrum_csv_roundtrip_keeps_samples(tmp_path_factory, values):
     # a table of drawn samples is read, written and read again; every
-    # channel keeps the drawn samples and the second read equals the first
+    # channel keeps the drawn samples' bits, signed zeros and infinities
+    # included, and the second file has the first's bytes
     columns = np.array(values).reshape(-1, 8).T
     n = columns.shape[1]
     freqs = frequency_grid(2725.0, 0.01 * (n - 1), 0.01)
@@ -437,11 +436,12 @@ def test_spectrum_csv_roundtrip_keeps_samples(tmp_path_factory, values):
         for row in zip(freqs, *columns)))
     spec = read_spectrum(drawn)
     for k, name in enumerate(CHANNELS):
-        assert np.array_equal(getattr(spec, name),
-                              columns[2 * k] + 1j * columns[2 * k + 1])
+        parts = getattr(spec, name).view(float)
+        assert parts.tobytes() == columns[2 * k:2 * k + 2].T.tobytes()
     spec.write_csv(again)
+    assert again.read_bytes() == drawn.read_bytes()
     back = read_spectrum(again)
-    assert np.array_equal(back.freqs, spec.freqs)
-    assert np.array_equal(back.s, spec.s)
+    assert back.freqs.tobytes() == spec.freqs.tobytes()
+    assert back.s.tobytes() == spec.s.tobytes()
     for name in CHANNELS:
-        assert np.array_equal(getattr(back, name), getattr(spec, name))
+        assert getattr(back, name).tobytes() == getattr(spec, name).tobytes()
