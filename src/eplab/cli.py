@@ -364,7 +364,8 @@ def _fit_table(docs):
                                        "fit coordinates")
     mats = [np.full(grid.shape, np.nan, dtype=complex) for _ in range(4)]
     tau = np.full(grid.shape, np.nan)
-    status = np.full(grid.shape, "failed:missing-spectrum", dtype=object)
+    status = np.empty(grid.shape, dtype=object)
+    status.fill("failed:missing-spectrum")
     for doc, a, b in zip(docs, i.tolist(), j.tolist()):
         if not doc["converged"]:
             status[a, b] = "failed:" + doc["reason"]

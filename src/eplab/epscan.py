@@ -200,7 +200,8 @@ class ScanResult:
         """The table of a scan CSV, parsed in one pass over its lines.
 
         Comment, header and blank lines are passed over; each data row's
-        status is split off as np.loadtxt reads its numbers.
+        field count is checked and its status split off as np.loadtxt
+        reads its numbers.
         """
         failed = []                       # (data row, status) if not ok
 
@@ -209,6 +210,10 @@ class ScanResult:
             for line in lines:
                 if line.startswith(("#", "s_mm")) or line == "\n":
                     continue
+                if line.count(",") != len(SCAN_COLUMNS) - 1:
+                    raise DataError(f"{path}: data row {rows + 1} has "
+                                    f"{line.count(',') + 1} fields, expected "
+                                    f"{len(SCAN_COLUMNS)}")
                 head, _, state = line.rpartition(",")
                 state = state.rstrip("\n")
                 if state != "ok":
@@ -230,14 +235,13 @@ class ScanResult:
                 table = np.loadtxt(numbers(fh), delimiter=",", ndmin=2)
         except ValueError as exc:         # also text that is not UTF-8
             raise DataError(f"{path}: {exc}")
-        if table.shape[1] != len(SCAN_COLUMNS) - 1:
-            raise DataError(f"{path}: rows must have {len(SCAN_COLUMNS)} fields")
 
         grid, i, j = ParamGrid.from_points(table[:, 0], table[:, 1], path)
         if len(table) != grid.n_s * grid.n_delta:
             raise DataError(f"{path} rows do not form a complete uniform grid")
 
-        data = {"status": np.full(grid.shape, "ok", dtype=object)}
+        data = {"status": np.empty(grid.shape, dtype=object)}
+        data["status"].fill("ok")        # one shared string, not one each
         for row, state in failed:
             data["status"][i[row], j[row]] = state
         for k, name in enumerate(_OBSERVABLES):
@@ -259,7 +263,8 @@ def scan(grid, family):
         raise InvalidArgumentError(
             f"source must be a SyntheticFamily, got {type(family).__name__}")
     s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
-    status = np.full(grid.shape, "ok", dtype=object)
+    status = np.empty(grid.shape, dtype=object)
+    status.fill("ok")
     status[~family.contains(s, d)] = "failed:out-of-bounds"
     result = _scan_table(grid, family.h_grid(s, d), status, family=family)
     if result.n_failed > 0.2 * result.status.size:

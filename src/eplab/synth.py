@@ -468,6 +468,10 @@ def load_family(source):
         raise DataError(f"family preset {source!r}: unsupported schema "
                         f"{doc.get('schema')!r}")
     try:
+        spectrum = {key: float(doc["spectrum"][key]) for key in
+                    ("f_center_mhz", "span_mhz", "step_mhz")}
+        if not all(map(math.isfinite, spectrum.values())):
+            raise ValueError(f"spectrum values {spectrum} must be finite")
         fam = SyntheticFamily(
             name=doc["name"],
             description=doc.get("description", ""),
@@ -480,8 +484,7 @@ def load_family(source):
             bounds_delta=doc["bounds"]["delta_mm"],
             g0=doc["g0"], gs=doc["gs"], gd=doc["gd"], m=doc["m"],
             coupling=CouplingSet(doc["w"]),
-            spectrum_defaults={key: float(doc["spectrum"][key]) for key in
-                               ("f_center_mhz", "span_mhz", "step_mhz")},
+            spectrum_defaults=spectrum,
         )
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"family preset {source!r}: malformed field {exc!r}")

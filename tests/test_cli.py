@@ -834,6 +834,7 @@ def assert_data_error(code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("eplab: ")
     assert "Traceback" not in err
+    return err
 
 
 def preset(**fields):
@@ -858,15 +859,21 @@ def preset(**fields):
     (["synth", "--point", "1.72,41.78", "--family"],
      preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": "abc",
                       "step_mhz": 0.01})),
+    (["synth", "--point", "1.72,41.78", "--family"],
+     preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": float("nan"),
+                      "step_mhz": 0.01})),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
-        "preset-text-field", "preset-empty-spectrum", "preset-text-span"])
+        "preset-text-field", "preset-empty-spectrum", "preset-text-span",
+        "preset-nan-span"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):
     path, out = tmp_path / "input.json", tmp_path / "out"
     path.write_bytes(content)
     out.mkdir()
-    assert_data_error(main(command + [str(path), "--out", str(out)]), capsys)
+    err = assert_data_error(main(command + [str(path), "--out", str(out)]),
+                            capsys)
+    assert str(path) in err
     assert list(out.iterdir()) == []
 
 

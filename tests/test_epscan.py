@@ -268,6 +268,19 @@ def test_scan_csv_reader_rejects_damaged_rows(tmp_path, b38_scan):
             ScanResult.read_csv(bad)
 
 
+def test_scan_csv_row_with_an_extra_field_is_named(tmp_path, b38_scan):
+    path = tmp_path / "scan.csv"
+    b38_scan.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    head, _, state = lines[5].rpartition(",")       # the fourth data row
+    lines[5] = f"{head},0,{state}"
+    path.write_text("".join(lines))
+    with pytest.raises(DataError, match="data row 4 has 12 fields, "
+                                        "expected 11") as info:
+        ScanResult.read_csv(path)
+    assert "usecols" not in str(info.value)
+
+
 # every status a scan table records: ok, and its own, the kernel's and the
 # fits' reasons for failing
 _STATUSES = ("ok",) + tuple("failed:" + reason for reason in (
