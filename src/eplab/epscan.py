@@ -186,11 +186,8 @@ class ScanResult:
 
     def write_csv(self, path, config_hash=None):
         n_s, n_d = self.grid.shape
-        # each coordinate repeats along the grid: format it once
-        s_text, d_text = (np.array(["%.17g" % v for v in values], dtype=object)
-                          for values in (self.grid.s_values,
-                                         self.grid.delta_values))
-        columns = [np.repeat(s_text, n_d), np.tile(d_text, n_s)]
+        columns = [np.repeat(self.grid.s_values, n_d),
+                   np.tile(self.grid.delta_values, n_s)]
         columns += [getattr(self, name).ravel() for name in _OBSERVABLES]
         _write_table(path, SCAN_SCHEMA, config_hash, SCAN_COLUMNS,
                      columns + [self.status.ravel()])

@@ -53,33 +53,218 @@ TWO_PI = 2.0 * math.pi
 # CSV column layout for spectrum files, one row per frequency
 CSV_HEADER = "f_MHz,reS11,imS11,reS12,imS12,reS21,imS21,reS22,imS22"
 
-_ROW_BLOCK = 4096      # CSV rows formatted by one string operation
+_ROW_BLOCK = 1024      # CSV rows formatted at once: the formatter holds
+                       # about 300 bytes a value, 2.7 MB for 1024 rows x 9
 
 
 def _write_table(path, schema, config_hash, header, columns):
     """Write equal-length columns as a CSV: schema tag and config hash
     (each when given), header of column names, then one row per index.
 
-    Float columns are written "%.17g" and object columns (of strings) as
-    they are, so the bytes equal a per-row ",".join of those fields. One %
-    operation formats a whole block of rows, and only one block is held at
-    a time.
+    Float columns are written "%.17g" and object columns as "%s" of each
+    value, so the bytes equal a per-row ",".join of those fields (a "%s"
+    text must hold no NUL). _format_g17 formats a block of rows at a time
+    in array operations, and only one block is held at a time.
     """
-    row = ",".join("%s" if col.dtype == object else "%.17g"
-                   for col in columns) + "\n"
     n = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         if schema is not None:
-            fh.write(f"# schema={schema}\n")
+            fh.write(f"# schema={schema}\n".encode())
         if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\n")
+            fh.write(f"# config_hash={config_hash}\n".encode())
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, n)
-            block = np.empty((stop - start, len(columns)), dtype=object)
-            for k, col in enumerate(columns):
-                block[:, k] = col[start:stop]
-            fh.write(row * (stop - start) % tuple(block.ravel()))
+            fh.write(_rows_text([col[start:start + _ROW_BLOCK]
+                                 for col in columns]))
+
+
+def _rows_text(columns):
+    """The CSV rows of equal-length columns, as bytes: every field is laid
+    out NUL-padded to a fixed width with its separator, and the NULs are
+    dropped."""
+    rows = len(columns[0])
+    floats = [col for col in columns if col.dtype != object]
+    fields = iter(_format_g17(np.stack(floats, axis=1)).reshape(
+        rows, len(floats), _FIELD).transpose(1, 0, 2) if floats else ())
+    parts = []
+    for k, col in enumerate(columns):
+        sep = "\n" if k == len(columns) - 1 else ","
+        if col.dtype == object:
+            parts.append(np.array([(str(v) + sep).encode() for v in col])
+                         .view(np.uint8).reshape(rows, -1))
+        else:
+            parts.append(next(fields))
+            parts[-1][:, -1] = ord(sep)
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+# "%.17g" in array operations. A finite nonzero x is formatted from the
+# 17-digit integer n = round(|x| * 10**(16 - X)), X its decimal exponent:
+# the product is taken in double-double arithmetic against a table of
+# powers of ten, rounded half to even, and its digits laid out in a field
+# by X. Bytes "%.17g" has no character for are NUL. A value outside the
+# table, NaN, +-inf, a subnormal, or one whose rounding the product's error
+# could flip is formatted by "%" itself.
+
+_FIELD = 32            # bytes of a field; the widest "%.17g" text is 24
+_X_LIM = 150           # |x| in [10**-_X_LIM, 10**_X_LIM) takes the kernel
+_X_TAB = _X_LIM + 2    # table rows cover X in [-_X_TAB, _X_TAB]
+_HALF_MARGIN = 2.0 ** -40   # above the scaled value's error, < 2**-47
+_SPLIT = 134217729.0   # 2**27 + 1, Veltkamp's splitting factor
+_D0 = 7                # byte of the leading digit
+
+# Field bytes: 0 sign, 1-5 "0." and the zeros of a fixed form below 1,
+# 7-23 the 17 digits (A), 8-24 the same digits one byte later (B), the point
+# between A's digits and B's, 25-29 "e+123"; byte 31 is left for the
+# separator. A layout shows A up to the point and B after it.
+
+
+def _ten_table():
+    """10**(16 - X) for each table row as hi + lo: hi the rounded double,
+    lo the rounded rest (0 when hi is exact), from Python's correctly
+    rounded int division; and hi's Veltkamp halves."""
+    hi, lo = [], []
+    for x in range(-_X_TAB, _X_TAB + 1):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    return hi, np.array(lo), hh, hi - hh
+
+
+def _layout_tables():
+    """The field's constant bytes and the digit bytes it keeps, per layout
+    = 18 * form + significant digits (1-17), form X + 4 for the fixed form
+    (-4 <= X <= 16) and 21 for the exponent form; per table row its form
+    and its exponent text in the field's last word."""
+    ints = np.ones(22, np.int64)             # integer digits of each form
+    shown = np.zeros((2, 22, _FIELD), bool)  # bytes of A and of B shown
+    const = np.zeros((22, _FIELD), np.uint8)
+    point = np.zeros((22, _FIELD), np.uint8)
+    for form in range(22):
+        x = form - 4 if form < 21 else 0
+        if x < 0:                            # "0.", zeros, then all of A
+            shown[0, form, _D0:_D0 + 17] = True
+            prefix = b"0." + b"0" * (-x - 1)
+            const[form, 1:1 + len(prefix)] = list(prefix)
+            ints[form] = 0
+        else:                                # x + 1 digits of A, point, B
+            shown[0, form, _D0:_D0 + x + 1] = True
+            shown[1, form, _D0 + x + 2:_D0 + 18] = True
+            point[form, _D0 + x + 1] = ord(".")
+            ints[form] = x + 1
+    # trailing zeros are shown only before the point
+    kept = np.maximum(np.arange(18), ints[:, None])[..., None]
+    at = np.arange(_FIELD)
+    masks = np.stack([shown[0][:, None] & (at >= _D0) & (at < _D0 + kept),
+                      shown[1][:, None] & (at > _D0) & (at <= _D0 + kept)])
+    masks = (masks * np.uint8(255)).reshape(2, -1, _FIELD).view("<u8")
+    const = const[:, None] | point[:, None] * (kept > ints[:, None, None])
+    x = np.arange(-_X_TAB, _X_TAB + 1)
+    mag = np.abs(x)
+    exponent = (ord("e") << 8 | np.where(x < 0, 45, 43) << 16
+                | np.where(mag >= 100, 48 + mag // 100, 0) << 24
+                | (48 + mag // 10 % 10) << 32 | (48 + mag % 10) << 40)
+    fixed = (x >= -4) & (x <= 16)
+    return (np.where(fixed, x + 4, 21) * 18,
+            np.where(fixed, 0, exponent).astype(np.uint64),
+            const.reshape(-1, _FIELD).view("<u8"),
+            np.ascontiguousarray(np.concatenate(
+                [masks[0, :, 1:3], masks[1, :, 1:4]], axis=1).T))
+
+
+_TEN_HI, _TEN_LO, _TEN_HH, _TEN_HL = _ten_table()
+_FORM, _EXPONENT, _CONST, _MASKS = _layout_tables()
+_TEN = np.arange(10)
+# per four-digit group 0000-9999: its text as a word, and its trailing zeros
+_QUAD_TEXT = ((48 + _TEN[:, None, None, None]) | (48 + _TEN[:, None, None]) << 8
+              | (48 + _TEN[:, None]) << 16 | (48 + _TEN) << 24
+              ).ravel().astype(np.uint64)
+_QUAD_ZEROS = ((_TEN == 0) * (1 + (_TEN[:, None] == 0) * (
+    1 + (_TEN[:, None, None] == 0) * (1 + (_TEN[:, None, None, None] == 0))))
+    ).ravel().astype(np.int64)
+del _TEN
+
+
+def _scaled(a, row):
+    """a * 10**(16 - X) as p + tail: p the rounded product, tail its
+    error by Dekker's exact product plus a * lo; and whether p + tail is
+    exact (lo is 0)."""
+    hh, hl, lo = _TEN_HH.take(row), _TEN_HL.take(row), _TEN_LO.take(row)
+    p = a * _TEN_HI.take(row)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    tail = ah * hh - p
+    tail += ah * hl
+    tail += al * hh
+    tail += al * hl
+    tail += a * lo
+    return p, tail, lo == 0
+
+
+def _format_g17(values):
+    """The "%.17g" text of each value, as rows of _FIELD bytes padded with
+    NULs; the last byte of each row is NUL."""
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    fast = (a >= 10.0 ** -_X_LIM) & (a < 10.0 ** _X_LIM)
+    zero = a == 0
+    a[~fast] = 1.0                        # formatted as 1, then replaced
+    # X of the unrounded value: log10's estimate, corrected by the product
+    row = np.floor(np.log10(a)).astype(np.int64) + _X_TAB
+    p, tail, exact = _scaled(a, row)
+    low = (p < 1e16) | ((p == 1e16) & (tail < 0))
+    high = (p > 1e17) | ((p == 1e17) & (tail >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        row[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], tail[fix], exact[fix] = _scaled(a[fix], row[fix])
+    # round half to even; near a half only an exact product decides
+    whole = np.floor(tail)
+    frac = tail - whole
+    n = p.astype(np.int64) + whole.astype(np.int64)
+    n += (frac > 0.5) | ((frac == 0.5) & ((n & 1) == 1))
+    fast &= exact | (np.abs(frac - 0.5) > _HALF_MARGIN)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    row += carry
+    fast &= (n >= 10 ** 16) & (n < 10 ** 17)       # 17 digits, as proven
+
+    # the digits: the leading one, then four groups of four by table
+    lead = n // 10 ** 16
+    n -= lead * 10 ** 16
+    high8 = n // 10 ** 8
+    low8 = n - high8 * 10 ** 8
+    q1, q3 = high8 // 10 ** 4, low8 // 10 ** 4
+    q2, q4 = high8 - q1 * 10 ** 4, low8 - q3 * 10 ** 4
+    z1, z2, z3, z4 = (_QUAD_ZEROS.take(q) for q in (q1, q2, q3, q4))
+    zeros = z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))
+    layout = _FORM.take(row) + 17 - zeros
+    hi8 = _QUAD_TEXT.take(q1) | _QUAD_TEXT.take(q2) << np.uint64(32)
+    lo8 = _QUAD_TEXT.take(q3) | _QUAD_TEXT.take(q4) << np.uint64(32)
+    d0 = (48 + lead - zero).astype(np.uint64)        # a zero's "1" is "0"
+
+    # the shown bytes of A and B, over the layout's constant bytes
+    a1, a2, b1, b2, b3 = (mask.take(layout) for mask in _MASKS)
+    out = _CONST.take(layout, axis=0)
+    out[:, 0] |= (d0 << np.uint64(56)
+                  | np.signbit(x).astype(np.uint64) * np.uint64(ord("-")))
+    out[:, 1] |= hi8 & a1 | hi8 << np.uint64(8) & b1
+    out[:, 2] |= lo8 & a2 | (lo8 << np.uint64(8) | hi8 >> np.uint64(56)) & b2
+    out[:, 3] |= lo8 >> np.uint64(56) & b3 | _EXPONENT.take(row)
+    text = out.view(np.uint8)
+
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        fallback = ("%.17g\0" * slow.size % tuple(x[slow].tolist())).encode()
+        text[slow] = np.array(fallback.split(b"\0")[:-1], f"S{_FIELD}"
+                              ).view(np.uint8).reshape(-1, _FIELD)
+    return text
 
 
 def _read_json(path, what):
@@ -171,6 +356,8 @@ class Spectrum:
         if freqs.ndim != 1 or s.shape != (4, freqs.size):
             raise InvalidArgumentError(
                 f"shape mismatch: freqs {freqs.shape}, S {s.shape}")
+        if not np.all(np.isfinite(freqs)):
+            raise InvalidArgumentError("frequencies must be finite")
         if freqs.size >= 2:
             steps = np.diff(freqs)
             nominal = (freqs[-1] - freqs[0]) / (freqs.size - 1)
@@ -209,7 +396,9 @@ def _sidecar_path(csv_path):
 
 def read_spectrum(path):
     """Load a spectrum CSV (and its sidecar, when present); DataError if
-    its table does not parse as numbers or its sidecar as a JSON object."""
+    its table does not parse as numbers or is not a spectrum (a
+    non-finite, descending or uneven frequency grid), or its sidecar does
+    not parse as a JSON object."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
@@ -219,7 +408,10 @@ def read_spectrum(path):
     sidecar = _sidecar_path(path)
     meta = _read_json(sidecar, "sidecar") if os.path.exists(sidecar) else {}
     # each (Re, Im) column pair is one complex column, bit for bit
-    return Spectrum(data[:, 0], data[:, 1:].view(complex).T, meta)
+    try:
+        return Spectrum(data[:, 0], data[:, 1:].view(complex).T, meta)
+    except InvalidArgumentError as exc:
+        raise DataError(f"{path}: {exc}")
 
 
 # ------------------------------------------------------------ S-matrix kernel

@@ -19,7 +19,7 @@ import eplab.cli
 from eplab import CouplingSet, EffHamiltonian, load_family, synth_spectrum
 from eplab.cli import main
 from eplab.core import eigenvalues_sorted, pt_report
-from eplab.epscan import ScanResult
+from eplab.epscan import CurveTrace, ScanResult
 from eplab.synth import CSV_HEADER, read_spectrum
 
 B38_EP = (1.72, 41.78)
@@ -43,6 +43,17 @@ def write_flat(path, s, d):
     path.write_text("\n".join(rows) + "\n")
     path.with_suffix(".json").write_text(
         json.dumps({"s_mm": s, "delta_mm": d}))
+
+
+def per_row_csv(schema, config_hash, header, rows):
+    """A table's CSV bytes formatted row by row: "%s" for int and str
+    fields, "%.17g" for the rest."""
+    lines = [f"# schema={schema}", f"# config_hash={config_hash}",
+             ",".join(header)]
+    for row in rows:
+        lines.append(",".join("%s" % v if isinstance(v, (int, str))
+                              else "%.17g" % v for v in row))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def paired_err(a1, a2, b1, b2):
@@ -549,10 +560,27 @@ def test_analyze_curve_then_pt(tmp_path, capsys):
     curve_lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert curve_lines[0] == "# schema=eplab.curvecsv.v1"
     assert len(curve_lines) == len(trace["points"]) + 3
+    # the trace read back holds the bits it was traced with
+    traced = CurveTrace.from_json_dict(trace)
+    assert (tmp_path / "curve.csv").read_bytes() == per_row_csv(
+        "eplab.curvecsv.v1", trace["config_hash"],
+        ("s_mm", "delta_mm", "reh2", "imh2", "cross", "tau", "d_re", "d_im",
+         "reh2_norm", "imh2_norm", "cross_norm"),
+        zip(*traced.points.T, traced.reh2, traced.imh2, traced.cross,
+            traced.tau, traced.d.real, traced.d.imag, *traced.split_norm.T))
 
     assert main(["analyze", "pt", "--curve", str(tmp_path / "trace.json"),
                  "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "pt.json").read_text())
+    # int and str fields as "%s", the rest "%.17g"
+    reports = [pt_report(ham, eps_cross=traced.epsilon)
+               for ham in traced.hams]
+    assert (tmp_path / "pt.csv").read_bytes() == per_row_csv(
+        "eplab.ptcsv.v1", doc["config_hash"],
+        ("index", "s_mm", "delta_mm", "tau", "phase", "residual",
+         "commutator_norm"),
+        [(k, s, d, rep.tau, rep.phase, rep.form.residual, rep.commutator_norm)
+         for k, ((s, d), rep) in enumerate(zip(traced.points, reports))])
     assert doc["phase_flips"] == [doc["crossing_index"]]
     assert doc["max_residual"] < 1e-6
     assert doc["max_commutator_norm"] < 1e-6
@@ -935,6 +963,26 @@ def test_fit_records_a_non_numeric_spectrum_and_goes_on(dataset, tmp_path,
     summary = ScanResult.read_csv(fits / "summary.csv")
     assert summary.status.tolist() == [["ok", "failed:DataError"],
                                        ["ok", "ok"]]
+
+
+# line 101 holds frequency 100; line -1 the last one
+@pytest.mark.parametrize("line, text", [(101, "nan"), (-1, "inf")])
+def test_fit_records_a_non_finite_frequency_as_a_data_error(
+        dataset, tmp_path, line, text):
+    # read as a spectrum, it would fail the fit for a reason it does not have
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    name = "b38_s1.7200_d41.7800"
+    shutil.copy(dataset / (name + ".json"), data / (name + ".json"))
+    lines = (dataset / (name + ".csv")).read_text().splitlines()
+    lines[line] = text + lines[line][lines[line].index(","):]
+    (data / (name + ".csv")).write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--in", str(data), "--out", str(fits)]) == 3
+    doc = json.loads((fits / (name + "_fit.json")).read_text())
+    assert doc["reason"] == "DataError"
+    assert name + ".csv" in doc["detail"]
+    assert "frequencies must be finite" in doc["detail"]
 
 
 def test_analyze_ep_refuses_a_file_that_is_not_utf8(tmp_path, capsys):

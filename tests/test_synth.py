@@ -13,6 +13,7 @@ depth is exactly Gamma_tot = 2 pi (w^2 + d^2).
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from eplab import (
     smatrix_at,
     synth_spectrum,
 )
+from eplab.synth import _ROW_BLOCK, _write_table
 
 # one-level Breit-Wigner setup shared by several tests
 BW_W, BW_D = 0.2, 0.3
@@ -196,6 +198,28 @@ def test_spectrum_validation():
         Spectrum([3.0, 2.0, 1.0], s)          # descending
     with pytest.raises(InvalidArgumentError):
         Spectrum([1.0, 2.0], s)               # shape mismatch
+
+
+@pytest.mark.parametrize("k, value", [(100, np.nan), (-1, np.inf),
+                                      (0, -np.inf)])
+def test_spectrum_refuses_a_non_finite_frequency(tmp_path, k, value):
+    fam = load_family("b38")
+    spec = synth_spectrum(fam.internal_at(1.72, 41.78), fam.coupling,
+                          2725.0, 40.0, 0.01)
+    freqs = spec.freqs.copy()
+    freqs[k] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # refused before any arithmetic
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Spectrum(freqs, spec.s)
+    path = tmp_path / "point.csv"
+    spec.write_csv(path)
+    lines = path.read_text().splitlines()
+    line = k + 1 if k >= 0 else k             # after the header
+    lines[line] = "%.17g" % value + lines[line][lines[line].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="point.csv: frequencies must be"):
+        read_spectrum(path)
 
 
 # -------------------------------------------------------------------- presets
@@ -379,9 +403,21 @@ def test_read_spectrum_refuses_a_sidecar_that_is_not_json(tmp_path, sidecar):
         read_spectrum(path)
 
 
+# values the block formatter must get right, with their "%.17g" text
+FORMAT_TRAPS = [
+    (1e-12, "9.9999999999999998e-13"),        # exponent of the unrounded value
+    (189225 / 2**18, "0.72183609008789062"),  # exact half, rounded to even
+    (-0.0, "-0"),
+    (1e16, "10000000000000000"),              # 17 integer digits, fixed form
+    (1e17, "1e+17"),
+    (float(np.nextafter(1e-4, 0)), "9.9999999999999991e-05"),
+]
+
+
 def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
     # 4001 rows span more than one formatting block; magnitudes from 1e-12
-    # up, a NaN and signed zeros exercise every "%.17g" branch
+    # up, a NaN, signed zeros and the formatter's traps exercise every
+    # "%.17g" branch
     rng = np.random.default_rng(23)
     freqs = frequency_grid(2725.0, 40.0, 0.01)
     shape = (4, freqs.size)
@@ -389,6 +425,9 @@ def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
         * 10.0 ** rng.integers(-12, 3, size=shape)
     s[1, 7] = complex(np.nan, -0.0)
     s[3, 8] = complex(-0.0, 0.0)
+    for k, (value, text) in enumerate(FORMAT_TRAPS):
+        assert "%.17g" % value == text
+        s[k % 4, 9 + k] = complex(value, -value)
     spec = Spectrum(freqs, s)
     path = tmp_path / "golden.csv"
     spec.write_csv(path)
@@ -414,6 +453,41 @@ def test_noisy_spectrum_csv_bytes_are_pinned(tmp_path):
     spec.write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "527e2362a7839ac6d5aea7aca7d26b3a2a6f2c9e62e6e79a4a8af01e0c7ca6c7")
+
+
+def _float64s():
+    """Any float64: drawn as a float, or as 64 bits (NaN payloads,
+    subnormals and every exponent)."""
+    return st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_float64s(), min_size=1, max_size=40),
+       n_rows=st.integers(_ROW_BLOCK - 2, _ROW_BLOCK + 2),
+       n_floats=st.integers(1, 4),
+       texts=st.lists(st.one_of(
+           st.integers(-10**20, 10**20),
+           st.text(st.characters(blacklist_characters="\0"))),
+           min_size=1, max_size=5),
+       at=st.integers(0, 4))
+def test_table_bytes_match_per_row_format(tmp_path_factory, values, n_rows,
+                                          n_floats, texts, at):
+    # float columns of the drawn values, cycled across a block boundary,
+    # and one object column of ints and strings among them
+    cells = np.resize(np.array(values), (n_floats, n_rows))
+    columns = list(cells) + [np.resize(np.array(texts, dtype=object), n_rows)]
+    columns.insert(min(at, n_floats), columns.pop())
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    _write_table(path, "test.v1", "0123456789abcdef", header, columns)
+    lines = ["# schema=test.v1", "# config_hash=0123456789abcdef",
+             ",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(
+            "%s" % v if col.dtype == object else "%.17g" % v
+            for v, col in zip(row, columns)))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 CHANNELS = ("s11", "s12", "s21", "s22")
