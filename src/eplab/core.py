@@ -106,21 +106,13 @@ class EffHamiltonian:
         )
 
     def to_json_dict(self):
-        return {
-            "e1": [self.e1.real, self.e1.imag],
-            "e2": [self.e2.real, self.e2.imag],
-            "h1": [self.h1.real, self.h1.imag],
-            "h2": [self.h2.real, self.h2.imag],
-        }
+        return {name: [getattr(self, name).real, getattr(self, name).imag]
+                for name in ("e1", "e2", "h1", "h2")}
 
     @staticmethod
     def from_json_dict(d):
-        return EffHamiltonian(
-            e1=complex(d["e1"][0], d["e1"][1]),
-            e2=complex(d["e2"][0], d["e2"][1]),
-            h1=complex(d["h1"][0], d["h1"][1]),
-            h2=complex(d["h2"][0], d["h2"][1]),
-        )
+        return EffHamiltonian(*(complex(d[name][0], d[name][1])
+                                for name in ("e1", "e2", "h1", "h2")))
 
 
 def from_pauli(e1, e2, h1, h2):

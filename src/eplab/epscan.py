@@ -22,12 +22,12 @@ Scan tables serialize to CSV with columns
 where (f, g) are resonance frequency and full width (E = f - i g/2) in the
 deterministic reporting order. A table keeps each point's status as that
 column's text, "ok" or "failed:<reason>", in one grid-shaped array; failed
-points carry NaN data. The reader parses a file in one pass, splitting
-each row's status off as np.loadtxt reads its numbers. A table read back
-holds no matrices, so it feeds locate_ep but not the tracer. Curve and
-braid traces serialize to JSON; a curve trace is read back from its
-matrices alone. All files start with a schema tag so readers can reject
-foreign content.
+points carry NaN data. The reader is the spectra's, synth._read_table: one
+np.loadtxt call parses the numbers, and a converter checks each status.
+A table read back holds no matrices, so it feeds locate_ep but not the
+tracer. Curve and braid traces serialize to JSON; a curve trace is read
+back from its matrices alone. All files start with a schema tag so
+readers can reject foreign content.
 """
 
 __all__ = ["BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
@@ -52,7 +52,7 @@ from .errors import (
     RefineLoopError,
     ScanQualityError,
 )
-from .synth import SyntheticFamily, _write_table
+from .synth import SyntheticFamily, _read_table, _write_table
 
 SCAN_SCHEMA = "eplab.scan.v1"
 CURVE_SCHEMA = "eplab.curve.v1"
@@ -194,57 +194,17 @@ class ScanResult:
 
     @staticmethod
     def read_csv(path):
-        """The table of a scan CSV, parsed in one pass over its lines.
-
-        Comment, header and blank lines are passed over; each data row's
-        field count is checked and its status split off as np.loadtxt
-        reads its numbers.
-        """
-        failed = []                       # (data row, status) if not ok
-
-        def numbers(lines):
-            rows = 0
-            for line in lines:
-                if line.startswith(("#", "s_mm")) or line == "\n":
-                    continue
-                if line.count(",") != len(SCAN_COLUMNS) - 1:
-                    raise DataError(f"{path}: data row {rows + 1} has "
-                                    f"{line.count(',') + 1} fields, expected "
-                                    f"{len(SCAN_COLUMNS)}")
-                head, _, state = line.rpartition(",")
-                state = state.rstrip("\n")
-                if state != "ok":
-                    if not (state.startswith("failed:") and len(state) > 7):
-                        raise DataError(f"{path}: data row {rows + 1} has "
-                                        f"status {state!r}, expected ok or "
-                                        f"failed:<reason>")
-                    failed.append((rows, state))
-                rows += 1
-                yield head
-            if not rows:
-                raise DataError(f"{path} has no data rows")
-
-        try:
-            with open(path, encoding="utf-8") as fh:
-                if fh.readline().strip() != f"# schema={SCAN_SCHEMA}":
-                    raise DataError(
-                        f"{path} does not carry schema {SCAN_SCHEMA}")
-                table = np.loadtxt(numbers(fh), delimiter=",", ndmin=2)
-        except ValueError as exc:         # also text that is not UTF-8
-            raise DataError(f"{path}: {exc}")
-
+        """The table of a scan CSV, read with its status by _read_table."""
+        table, status = _read_table(path, len(SCAN_COLUMNS), SCAN_SCHEMA,
+                                    status=True)
         grid, i, j = ParamGrid.from_points(table[:, 0], table[:, 1], path)
         if len(table) != grid.n_s * grid.n_delta:
             raise DataError(f"{path} rows do not form a complete uniform grid")
 
-        data = {"status": np.empty(grid.shape, dtype=object)}
-        data["status"].fill("ok")        # one shared string, not one each
-        for row, state in failed:
-            data["status"][i[row], j[row]] = state
-        for k, name in enumerate(_OBSERVABLES):
-            data[name] = np.empty(grid.shape)
-            data[name][i, j] = table[:, 2 + k]
-        return ScanResult(grid=grid, **data)
+        order = np.argsort(i * grid.n_delta + j)       # the row of each node
+        return ScanResult(grid=grid, **{
+            name: column[order].reshape(grid.shape) for name, column in
+            zip(("status",) + _OBSERVABLES, [status, *table[:, 2:].T])})
 
 
 # --------------------------------------------------------------------- scan

@@ -33,6 +33,7 @@ __all__ = ["CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum",
            "SyntheticFamily", "effective_hamiltonian", "frequency_grid",
            "load_family", "read_spectrum", "smatrix_at", "synth_spectrum"]
 
+import itertools
 import json
 import math
 import os
@@ -96,6 +97,57 @@ def _rows_text(columns):
             parts.append(next(fields))
             parts[-1][:, -1] = ord(sep)
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def _read_table(path, width, schema=None, status=False):
+    """The data rows of a CSV of width columns, as the float array of one
+    np.loadtxt call; with status, its numbers and an object array of its
+    last column, "ok" or "failed:<reason>", one string per distinct text.
+    With schema, the first line must be its tag; "#" comment and blank
+    lines may stand anywhere, the header once before the first data row.
+    DataError naming path if no data row is left, a data row has another
+    field count or status, or a field does not parse."""
+    def rows(lines, start=0):         # (index, line) that numpy reads as rows
+        return ((k, line) for k, line in enumerate(lines, start)
+                if line.partition("#")[0].rstrip("\n"))
+
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        if schema and fh.readline().strip() != f"# schema={schema}":
+            raise DataError(f"{path} does not carry schema {schema}")
+        lines = rows(fh, bool(schema))
+        next(lines, None)                         # the header
+        skip = next(lines, (None,))[0]
+    if skip is None:
+        raise DataError(f"{path} has no data rows")
+    codes, calls = {}, itertools.count(1)
+
+    def code(text):                   # called once per data row, in order
+        row = next(calls)
+        if text != "ok" and not (text.startswith("failed:") and text[7:]):
+            raise DataError(f"{path}: data row {row} has status {text!r}, "
+                            f"expected ok or failed:<reason>")
+        return codes.setdefault(text, len(codes))
+
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
+                           encoding="utf-8",
+                           converters={-1: code} if status else None)
+        if table.shape[1] != width:   # every row: the scan below names one
+            raise ValueError(f"rows of {table.shape[1]} fields")
+    except ValueError as exc:         # also text that is not UTF-8
+        if isinstance(exc.__cause__, DataError):   # a status, numpy-wrapped
+            raise exc.__cause__
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            counts = [line.partition("#")[0].count(",") + 1
+                      for k, line in rows(fh) if k >= skip]
+        raise DataError(next((f"{path}: data row {row} has {n} fields, "
+                              f"expected {width}" for row, n in
+                              enumerate(counts, 1) if n != width),
+                             f"{path}: {exc}"))
+    if not status:
+        return table
+    texts = np.array(list(codes), dtype=object)
+    return table[:, :-1], texts[table[:, -1].astype(np.intp)]
 
 
 # "%.17g" in array operations. A finite nonzero x is formatted from the
@@ -396,15 +448,10 @@ def _sidecar_path(csv_path):
 
 def read_spectrum(path):
     """Load a spectrum CSV (and its sidecar, when present); DataError if
-    its table does not parse as numbers or is not a spectrum (a
+    _read_table refuses its table, the table is not a spectrum (a
     non-finite, descending or uneven frequency grid), or its sidecar does
     not parse as a JSON object."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
-    if data.shape[1] != 9:
-        raise DataError(f"{path}: expected 9 columns, got {data.shape[1]}")
+    data = _read_table(path, len(CSV_HEADER.split(",")))
     sidecar = _sidecar_path(path)
     meta = _read_json(sidecar, "sidecar") if os.path.exists(sidecar) else {}
     # each (Re, Im) column pair is one complex column, bit for bit

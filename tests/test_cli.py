@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -890,10 +891,13 @@ def preset(**fields):
     (["synth", "--point", "1.72,41.78", "--family"],
      preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": float("nan"),
                       "step_mhz": 0.01})),
+    (["analyze", "ep", "--in"],
+     b"# schema=eplab.scan.v1\n"
+     b"s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status\n"),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
         "preset-text-field", "preset-empty-spectrum", "preset-text-span",
-        "preset-nan-span"])
+        "preset-nan-span", "scan-header-only"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):
     path, out = tmp_path / "input.json", tmp_path / "out"
@@ -903,6 +907,25 @@ def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                             capsys)
     assert str(path) in err
     assert list(out.iterdir()) == []
+
+
+def test_fit_records_a_header_only_spectrum_as_having_no_data_rows(
+        dataset, tmp_path):
+    # one message for an empty table, whichever reader meets it, and no
+    # numpy "input contained no data" warning
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    name = "b38_s1.7200_d41.7800"
+    shutil.copy(dataset / (name + ".json"), data / (name + ".json"))
+    (data / (name + ".csv")).write_text(CSV_HEADER + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "--in", str(data), "--out", str(fits)]) == 3
+    assert caught == []
+    doc = json.loads((fits / (name + "_fit.json")).read_text())
+    assert doc["reason"] == "DataError"
+    assert doc["detail"].endswith(name + ".csv has no data rows")
 
 
 def test_non_finite_sidecar_coordinate_exits_2(dataset, tmp_path, capsys):

@@ -281,6 +281,56 @@ def test_scan_csv_row_with_an_extra_field_is_named(tmp_path, b38_scan):
     assert "usecols" not in str(info.value)
 
 
+def test_scan_csv_accepts_comment_lines_before_the_header(tmp_path,
+                                                          b38_scan):
+    path = tmp_path / "scan.csv"
+    b38_scan.write_csv(path, config_hash="cafe0123")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + ["# note\n", "\n"] + lines[2:]))
+    back = ScanResult.read_csv(path)
+    assert np.array_equal(back.status, b38_scan.status)
+    assert back.tau.tobytes() == b38_scan.tau.tobytes()
+
+
+def test_scan_csv_second_header_line_is_refused(tmp_path, b38_scan):
+    # eplab writes one header; a second among the data rows is not skipped
+    path = tmp_path / "scan.csv"
+    b38_scan.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:6] + [lines[1]] + lines[6:]))
+    with pytest.raises(DataError, match="scan.csv: .*'s_mm'"):
+        ScanResult.read_csv(path)
+
+
+@pytest.mark.parametrize("wrapped", [True, False],
+                         ids=["cause-wrapped", "raised-as-is"])
+def test_scan_csv_bad_status_gives_one_error_however_numpy_reports_it(
+        tmp_path, b38_scan, monkeypatch, wrapped):
+    # numpy 2 raises a ValueError whose __cause__ is the converter's
+    # exception; older numpy may let the converter's exception through
+    path = tmp_path / "scan.csv"
+    b38_scan.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",okay\n"  # the fourth data row
+    path.write_text("".join(lines))
+    loadtxt = np.loadtxt
+
+    def unwrapped(*args, **kwargs):
+        try:
+            return loadtxt(*args, **kwargs)
+        except ValueError as exc:
+            if exc.__cause__ is None:
+                raise
+            raise exc.__cause__
+
+    if not wrapped:
+        monkeypatch.setattr(np, "loadtxt", unwrapped)
+    with pytest.raises(DataError) as info:
+        ScanResult.read_csv(path)
+    assert str(info.value) == (f"{path}: data row 4 has status 'okay', "
+                               f"expected ok or failed:<reason>")
+
+
 # every status a scan table records: ok, and its own, the kernel's and the
 # fits' reasons for failing
 _STATUSES = ("ok",) + tuple("failed:" + reason for reason in (

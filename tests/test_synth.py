@@ -403,6 +403,51 @@ def test_read_spectrum_refuses_a_sidecar_that_is_not_json(tmp_path, sidecar):
         read_spectrum(path)
 
 
+@pytest.fixture
+def spectrum_lines(tmp_path):
+    """The lines of a small spectrum CSV, with its sidecar beside it."""
+    fam = load_family("b38")
+    path = tmp_path / "point.csv"
+    synth_spectrum(fam.internal_at(1.9, 41.9), fam.coupling,
+                   2725.0, 4.0, 0.5).write_csv(path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("lines", [1, 0], ids=["header", "empty"])
+def test_read_spectrum_refuses_a_file_with_no_data_rows(spectrum_lines,
+                                                        lines):
+    path, text = spectrum_lines
+    path.write_text("".join(text[:lines]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # numpy's "input contained no data"
+        with pytest.raises(DataError, match="point.csv has no data rows"):
+            read_spectrum(path)
+
+
+def test_read_spectrum_names_a_row_with_a_wrong_field_count(spectrum_lines):
+    path, text = spectrum_lines
+    text[4] = text[4].rstrip("\n") + ",0\n"           # the fourth data row
+    path.write_text("".join(text))
+    with pytest.raises(DataError, match="point.csv: data row 4 has 10 "
+                                        "fields, expected 9") as info:
+        read_spectrum(path)
+    assert "usecols" not in str(info.value)
+    # every row one field short: the first is named
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in text))
+    with pytest.raises(DataError, match="data row 1 has 8 fields, expected 9"):
+        read_spectrum(path)
+
+
+def test_read_spectrum_accepts_comment_lines_before_the_header(
+        spectrum_lines):
+    path, text = spectrum_lines
+    spec = read_spectrum(path)
+    path.write_text("# measured 2011\n\n# a,b,c\n" + "".join(text))
+    back = read_spectrum(path)
+    assert back.freqs.tobytes() == spec.freqs.tobytes()
+    assert back.s.tobytes() == spec.s.tobytes()
+
+
 # values the block formatter must get right, with their "%.17g" text
 FORMAT_TRAPS = [
     (1e-12, "9.9999999999999998e-13"),        # exponent of the unrounded value
