@@ -62,10 +62,9 @@ def _write_table(path, schema, config_hash, header, columns):
     """Write equal-length columns as a CSV: schema tag and config hash
     (each when given), header of column names, then one row per index.
 
-    Float columns are written "%.17g" and object columns as "%s" of each
-    value, so the bytes equal a per-row ",".join of those fields (a "%s"
-    text must hold no NUL). _format_g17 formats a block of rows at a time
-    in array operations, and only one block is held at a time.
+    The bytes are the UTF-8 of a per-row ",".join of "%.17g" floats and "%s"
+    texts (a lone surrogate backslash-escaped; no NUL in a text), though
+    _format_g17 formats a block of rows at a time, one block held at once.
     """
     n = len(columns[0])
     with open(path, "wb") as fh:
@@ -91,7 +90,8 @@ def _rows_text(columns):
     for k, col in enumerate(columns):
         sep = "\n" if k == len(columns) - 1 else ","
         if col.dtype == object:
-            parts.append(np.array([(str(v) + sep).encode() for v in col])
+            parts.append(np.array([(str(v) + sep).encode(
+                "utf-8", "backslashreplace") for v in col])
                          .view(np.uint8).reshape(rows, -1))
         else:
             parts.append(next(fields))

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eplab import (
@@ -516,6 +516,7 @@ def _float64s():
            st.text(st.characters(blacklist_characters="\0"))),
            min_size=1, max_size=5),
        at=st.integers(0, 4))
+@example(values=[0.0], n_rows=_ROW_BLOCK, n_floats=1, texts=["\ud800"], at=0)
 def test_table_bytes_match_per_row_format(tmp_path_factory, values, n_rows,
                                           n_floats, texts, at):
     # float columns of the drawn values, cycled across a block boundary,
@@ -532,7 +533,8 @@ def test_table_bytes_match_per_row_format(tmp_path_factory, values, n_rows,
         lines.append(",".join(
             "%s" % v if col.dtype == object else "%.17g" % v
             for v, col in zip(row, columns)))
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode(
+        "utf-8", "backslashreplace")
 
 
 CHANNELS = ("s11", "s12", "s21", "s22")
