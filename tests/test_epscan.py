@@ -6,6 +6,7 @@ diagonal through it, and the reciprocity angle along that curve comes from
 the same closed form the scanner must reproduce.
 """
 
+import dataclasses
 import json
 import math
 
@@ -630,6 +631,45 @@ def test_trace_interpolated_scan_without_closed_form(b38_scan):
     assert tr.n_points > 40
     expected_delta = B38_EP[1] + (tr.points[:, 0] - B38_EP[0])
     assert np.max(np.abs(tr.points[:, 1] - expected_delta)) < 5e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0),
+       v=st.floats(min_value=0.0, max_value=1.0))
+def test_table_field_reproduces_the_affine_family(b38, b38_scan, u, v):
+    # the family's entries are affine, so the field read off its sampled
+    # matrices must give the closed form back anywhere in the window
+    g = b38_scan.grid
+    s = g.s_min + u * (g.s_max - g.s_min)
+    d = g.delta_min + v * (g.delta_max - g.delta_min)
+    table = dataclasses.replace(b38_scan, family=None)
+    got = eplab.epscan._field_for(table).ham(s, d)
+    want = b38.h_at(s, d)
+    names = ("e1", "e2", "h1", "h2")
+    scale = max(abs(getattr(want, name)) for name in names)
+    for name in names:
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale
+
+
+def test_fitted_gauge_is_continuous_near_the_ep(tmp_path):
+    # the table-backed field fits each entry across nodes, so neighbouring
+    # nodes must hold the same level in e1 and the same sign of h1 and h2
+    data, fits = dirs(tmp_path)
+    assert main(["synth", "--family", "b38",
+                 "--grid", "1.66:1.78:0.02x41.72:41.84:0.02",
+                 "--sigma", "0.005", "--seed", "0", "--out", str(data)]) == 0
+    assert main(["fit", "--in", str(data), "--jobs", "2",
+                 "--out", str(fits)]) == 0
+    sr = _read_table(str(fits / "manifest.json"))
+    assert sr.n_failed == 0
+    for axis in (0, 1):
+        (e1, f1), (e2, f2), (h1, k1), (h2, k2) = (
+            (m[:-1], m[1:]) for m in (np.moveaxis(getattr(sr, name), axis, 0)
+                                      for name in ("e1", "e2", "h1", "h2")))
+        kept = abs(e1 - f1) + abs(e2 - f2) + abs(h1 - k1) + abs(h2 - k2)
+        swapped = abs(e1 - f2) + abs(e2 - f1) + abs(h1 - k1) + abs(h2 + k2)
+        flipped = abs(e1 - f1) + abs(e2 - f2) + abs(h1 + k1) + abs(h2 + k2)
+        assert np.all(kept < swapped) and np.all(kept < flipped)
 
 
 def test_trace_csv_backed_scan_is_refused(tmp_path, b38_scan):
