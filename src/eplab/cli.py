@@ -133,7 +133,12 @@ def _parse_grid(text):
                      spans[1][0], spans[1][1], spans[0][2])
 
 
-def _parse_point(text, what="point"):
+def _parse_point(text, what="point", table=None):
+    """(s, delta) of "s,delta" in mm; with table, the EP located on table()
+    for "ep" or no text."""
+    if table is not None and (text is None or str(text).strip().lower()
+                              == "ep"):
+        return tuple(locate_ep(table()))
     parts = str(text).split(",")
     if len(parts) != 2:
         raise UsageError(f"{what} must be s,delta (mm), got {text!r}")
@@ -510,18 +515,7 @@ def _cmd_analyze_curve(ns):
         raise UsageError("analyze curve requires --family or --in "
                          "manifest.json")
 
-    start_text = ns.start if ns.start is not None else "ep"
-    if str(start_text).strip().lower() == "ep":
-        # snap to the grid node: the refined location can sit a few 1e-6
-        # off the contour, which the trace tolerance would reject
-        loc = locate_ep(result)
-        g = result.grid
-        i = int(np.clip(round((loc.s - g.s_min) / g.step), 0, g.n_s - 1))
-        j = int(np.clip(round((loc.delta - g.delta_min) / g.step),
-                        0, g.n_delta - 1))
-        start = (g.s_values[i], g.delta_values[j])
-    else:
-        start = _parse_point(start_text, what="--start")
+    start = _parse_point(ns.start, "--start", lambda: result)
 
     resolved = {"command": "analyze-curve", "source": origin,
                 "start": ns.start, "epsilon": ns.epsilon,
@@ -591,12 +585,7 @@ def _cmd_analyze_braid(ns):
     fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
 
-    center_text = ns.center if ns.center is not None else "ep"
-    if str(center_text).strip().lower() == "ep":
-        loc = locate_ep(scan(grid, fam))
-        center = (loc.s, loc.delta)
-    else:
-        center = _parse_point(center_text, what="--center")
+    center = _parse_point(ns.center, "--center", lambda: scan(grid, fam))
 
     resolved = {"command": "analyze-braid", "family": fam.name,
                 "grid": ns.grid, "center": ns.center, "radius": ns.radius,

@@ -1,33 +1,27 @@
 """Parameter-plane analysis: scans, EP localization, contour tracing, braids.
 
-Everything here works in the two-dimensional (s, delta) plane (both in mm).
-A scan table holds the effective matrix on a rectangular grid, with the
-per-point eigenvalues, the radicand split (reh2, imh2, cross) and the
-reciprocity angle tau. scan evaluates a synthetic family in closed form; the
-`eplab fit` driver builds the same table from per-point fits. On top of a
-scan table:
+Everything here works in the (s, delta) plane, both in mm. A scan table
+holds the effective matrix on a rectangular grid with the per-point
+eigenvalues, radicand split (reh2, imh2, cross) and reciprocity angle tau:
+scan evaluates a synthetic family in closed form, `eplab fit` fits it point
+by point, and one locally weighted least-squares fit, _local_fit, reads a
+table between its nodes. On a scan table:
 
-  * locate_ep finds the grid node minimizing |D| and solves D = 0 on the
-    quadratic model of complex D over its 3x3 stencil;
-  * trace_pt_curve follows the zero contour of cross = Re h . Im h (the
-    curve on which the shifted matrix has the antiunitary symmetry) with a
-    predictor-corrector walker;
-  * braid tracks the two eigenvalues around a closed parameter loop and
-    reports whether they swap, the defining topological signature of an EP.
+  * locate_ep solves D = 0 on the quadratic fit of complex D round the node
+    of least |D|, with an error bar from the fit's residuals;
+  * trace_pt_curve walks the zero contour of cross = Re h . Im h (where the
+    shifted matrix has the antiunitary symmetry) on a family's closed form
+    or the affine fit of a fit table's matrix entries;
+  * braid tracks the two eigenvalues round a closed parameter loop and
+    reports whether they swap, the topological signature of an EP.
 
-Scan tables serialize to CSV with columns
-
-    s_mm, delta_mm, f1, g1, f2, g2, reh2, imh2, cross, tau, status
-
-where (f, g) are resonance frequency and full width (E = f - i g/2) in the
-deterministic reporting order. A table keeps each point's status as that
-column's text, "ok" or "failed:<reason>", in one grid-shaped array; failed
-points carry NaN data. The reader is the spectra's, synth._read_table: one
-np.loadtxt call parses the numbers, and a converter checks each status.
-A table read back holds no matrices, so it feeds locate_ep but not the
-tracer. Curve and braid traces serialize to JSON; a curve trace is read
-back from its matrices alone. All files start with a schema tag so
-readers can reject foreign content.
+Scan tables serialize to CSV with columns s_mm, delta_mm, f1, g1, f2, g2,
+reh2, imh2, cross, tau, status: (f, g) are resonance frequency and full
+width (E = f - i g/2) in the deterministic reporting order, status is "ok"
+or "failed:<reason>", and failed points carry NaN data. Read back by
+synth._read_table, a table holds no matrices: it feeds locate_ep but not
+the tracer. Curve and braid traces serialize to JSON, a curve trace read
+back from its matrices alone. Every file starts with a schema tag.
 """
 
 __all__ = ["BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
@@ -152,9 +146,8 @@ class ScanResult:
 
     Arrays are shaped (n_s, n_delta). status holds each point's outcome as
     the CSV writes it, "ok" or "failed:<reason>"; ok and n_failed read it.
-    Failed points carry NaN in every data array. The full matrix arrays
-    e1..h2 are None for tables read back from CSV (which stores only
-    observables).
+    Failed points carry NaN in every data array. The matrix arrays e1..h2
+    are None for tables read back from CSV, which stores observables only.
     """
 
     grid: ParamGrid
@@ -195,7 +188,7 @@ class ScanResult:
     @staticmethod
     def read_csv(path):
         """The table of a scan CSV, read with its status by _read_table."""
-        table, status = _read_table(path, len(SCAN_COLUMNS), SCAN_SCHEMA,
+        table, status = _read_table(path, SCAN_COLUMNS, SCAN_SCHEMA,
                                     status=True)
         grid, i, j = ParamGrid.from_points(table[:, 0], table[:, 1], path)
         if len(table) != grid.n_s * grid.n_delta:
@@ -238,8 +231,7 @@ def _scan_table(grid, mats, status, family=None, tau=None):
     on is failed in place with the name of the exception the scalar chain
     would raise there. A source that reads tau itself passes it as tau: it
     replaces the kernel's, and every point with a matrix is ok (a fit reads
-    an uncoupled doublet as tau = 0, where the kernel finds no ratio to
-    read).
+    an uncoupled doublet as tau = 0, where the kernel finds no ratio).
     """
     obs = observables(*mats)
     if tau is not None:
@@ -256,13 +248,50 @@ def _scan_table(grid, mats, status, family=None, tau=None):
 # ---------------------------------------------------------- EP localization
 
 
+# Locally weighted least squares (Cleveland & Devlin, JASA 83, 596 (1988)):
+# Gaussian weights of width 2 grid steps, shifted to reach zero 7 steps out
+# so that a fit moves continuously with its center
+_FIT_WIDTH = 2.0
+_FIT_REACH = 7
+_FIT_FLOOR = math.exp(-0.5 * (_FIT_REACH / _FIT_WIDTH) ** 2)
+_AFFINE = ((0, 0), (1, 0), (0, 1))
+_QUADRATIC = _AFFINE + ((2, 0), (1, 1), (0, 2))
+
+
+def _local_fit(values, center, terms):
+    """Weighted least-squares fit of the sum of c x^p y^q over (p, q) in
+    terms to the finite nodes of values, (n_s, n_delta) or (n_s, n_delta,
+    k), with (x, y) the offset from center, all in grid steps. Returns the
+    coefficients and their variances E|c - c_true|^2 from the residuals,
+    both NaN where the nodes do not fix every term."""
+    box = tuple(slice(max(0, math.ceil(c - _FIT_REACH)),
+                      max(0, math.floor(c + _FIT_REACH) + 1)) for c in center)
+    x, y = np.meshgrid(*(np.arange(n)[b] - c for n, b, c in
+                         zip(values.shape, box, center)), indexing="ij")
+    w = np.exp(-0.5 * (x * x + y * y) / _FIT_WIDTH ** 2) - _FIT_FLOOR
+    keep = (w > 0) & np.isfinite(values[box]).all(tuple(range(2, values.ndim)))
+    x, y, w, vals = x[keep], y[keep], w[keep], values[box][keep]
+    design = np.column_stack([x ** p * y ** q for p, q in terms])
+    root = np.sqrt(w)
+    u, sv, vt = np.linalg.svd(root[:, None] * design, full_matrices=False)
+    if len(w) <= len(terms) or sv[-1] <= 1e-9 * sv[0]:
+        nan = np.full((len(terms),) + values.shape[2:], np.nan)
+        return nan, nan
+    smoother = (vt.T / sv) @ u.T * root          # coef = smoother @ vals
+    coef = smoother @ vals
+    resid = np.abs(vals - design @ coef) ** 2
+    # E sum w |r|^2 = sigma^2 sum w (1 - hat_ii) for the smoother's hat matrix
+    dof = w @ (1.0 - np.einsum("ij,ji->i", design, smoother))
+    return coef, np.multiply.outer((smoother ** 2).sum(1), w @ resid / dof)
+
+
 @dataclass(frozen=True)
 class EPLocation:
-    """Refined EP estimate; uncertainty is one grid step by convention."""
+    """Refined EP estimate; uncertainty is its larger per-axis error, mm."""
 
     s: float
     delta: float
-    offset_s: float            # sub-grid refinement, in units of one step
+    offset_s: float            # from the node of least |D|, in grid steps
     offset_delta: float
     uncertainty: float
 
@@ -273,12 +302,14 @@ class EPLocation:
 def locate_ep(scan_result):
     """Locate the zero of the radicand D = reh2 - imh2 + 2i cross on a scan.
 
-    The node of least |D| is refined by Newton steps on the quadratic model
-    of complex D that central differences give on its 3x3 stencil, which is
-    exact for an affine family; the refinement stays on the stencil.
-    Raises EPOutsideWindowError when the minimum sits on the grid boundary
-    and NoEPFoundError when the |D| landscape is too flat to single out a
-    minimum (min above half the median).
+    From the node of least |D|, at most 8 Newton steps within one step of
+    it solve D = 0 on the weighted quadratic fit of complex D, refitted
+    round each estimate (exact for an affine family). uncertainty is the
+    larger per-axis standard deviation: the fit's variance of D there, even
+    over Re and Im, through the inverse Newton Jacobian. Raises
+    EPOutsideWindowError when the minimum sits on the grid boundary,
+    NoEPFoundError when the |D| landscape is too flat (min above half the
+    median) or D has no regular fit.
     """
     d = np.where(scan_result.ok, scan_result.reh2 - scan_result.imh2
                  + 2j * scan_result.cross, np.nan)
@@ -286,45 +317,37 @@ def locate_ep(scan_result):
     if not np.any(np.isfinite(absd)):
         raise NoEPFoundError("no valid grid points in scan")
     i, j = np.unravel_index(int(np.nanargmin(absd)), absd.shape)
-    n_s, n_d = absd.shape
 
     median = float(np.nanmedian(absd))
     if absd[i, j] >= 0.5 * median:
         raise NoEPFoundError(
             f"|D| landscape is flat: minimum {absd[i, j]:.3g} vs median "
             f"{median:.3g}")
-    if i in (0, n_s - 1) or j in (0, n_d - 1):
+    if i in (0, absd.shape[0] - 1) or j in (0, absd.shape[1] - 1):
         raise EPOutsideWindowError(
             f"|D| minimum sits on the scan boundary at index ({i}, {j})")
 
-    # D(x, y) in steps from the node: D0 + dx x + dy y + dxx x^2/2 + dxy x y
-    # + dyy y^2/2, solved for Re D = Im D = 0
     off = np.zeros(2)
-    p = d[i - 1:i + 2, j - 1:j + 2]
-    if np.all(np.isfinite(p)):
-        dx, dy = 0.5 * (p[2, 1] - p[0, 1]), 0.5 * (p[1, 2] - p[1, 0])
-        dxx = p[2, 1] - 2.0 * p[1, 1] + p[0, 1]
-        dyy = p[1, 2] - 2.0 * p[1, 1] + p[1, 0]
-        dxy = 0.25 * (p[2, 2] - p[2, 0] - p[0, 2] + p[0, 0])
-        for _ in range(8):
-            x, y = off
-            model = (p[1, 1] + dx * x + dy * y + 0.5 * dxx * x * x
-                     + dxy * x * y + 0.5 * dyy * y * y)
-            gx, gy = dx + dxx * x + dxy * y, dy + dxy * x + dyy * y
-            jac = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
-            try:
-                step = np.linalg.solve(jac, [-model.real, -model.imag])
-            except np.linalg.LinAlgError:
-                break
-            off = np.clip(off + step, -1.0, 1.0)
+    for _ in range(8):
+        coef, var = _local_fit(d, (i + off[0], j + off[1]), _QUADRATIC)
+        jac = np.array([[coef[1].real, coef[2].real],
+                        [coef[1].imag, coef[2].imag]])
+        if not np.isfinite(jac).all() or np.linalg.cond(jac) > 1e12:
+            raise NoEPFoundError(f"no regular fit of D round index ({i}, {j})")
+        inv = np.linalg.inv(jac)
+        step = inv @ (-coef[0].real, -coef[0].imag)
+        off, last = np.clip(off + step, -1.0, 1.0), off
+        if np.max(np.abs(off - last)) <= 1e-12:
+            break
 
     grid = scan_result.grid
+    sigma = math.sqrt(0.5 * var[0] * np.max(np.sum(inv * inv, axis=1)))
     return EPLocation(
         s=float(grid.s_values[i] + off[0] * grid.step),
         delta=float(grid.delta_values[j] + off[1] * grid.step),
         offset_s=float(off[0]),
         offset_delta=float(off[1]),
-        uncertainty=grid.step,
+        uncertainty=sigma * grid.step,
     )
 
 
@@ -335,14 +358,17 @@ class _PlaneField(object):
     """Point evaluator behind tracing and braiding.
 
     Family-backed fields evaluate the effective matrix in closed form;
-    scan-backed fields interpolate its stored matrix grids bilinearly.
+    table-backed fields fit its four stored entries round the point with
+    the weighted affine _local_fit, which an affine family passes exactly.
     cross_rel is the basis-invariant contour function cross/(reh2 + imh2).
     """
 
     def __init__(self, grid, family=None, scan_result=None):
         self.grid = grid
         self.family = family
-        self.scan = scan_result
+        if scan_result is not None:
+            self.entries = np.stack([getattr(scan_result, name)
+                                     for name in _MATRICES], axis=-1)
 
     def in_window(self, s, delta, margin=0.0):
         """Point inside the window, at least margin away from its edges."""
@@ -356,38 +382,24 @@ class _PlaneField(object):
                     and self.family.contains(s + margin, delta + margin))
         return True
 
-    def _interp(self, array, s, delta):
-        sv, dv = self.grid.s_values, self.grid.delta_values
-        i = int(np.clip(np.searchsorted(sv, s) - 1, 0, sv.size - 2))
-        j = int(np.clip(np.searchsorted(dv, delta) - 1, 0, dv.size - 2))
-        fx = (s - sv[i]) / (sv[i + 1] - sv[i])
-        fy = (delta - dv[j]) / (dv[j + 1] - dv[j])
-        return ((1 - fx) * (1 - fy) * array[i, j]
-                + fx * (1 - fy) * array[i + 1, j]
-                + (1 - fx) * fy * array[i, j + 1]
-                + fx * fy * array[i + 1, j + 1])
-
     def ham(self, s, delta):
-        """The matrix at a point; None where an interpolated entry is NaN."""
+        """The matrix at a point; InvalidArgumentError where the table's
+        nodes fix no fit, OutOfBoundsError outside a family's bounds."""
         if self.family is not None:
             return self.family.h_at(s, delta)
-        entries = [complex(self._interp(arr, s, delta)) for arr in
-                   (self.scan.e1, self.scan.e2, self.scan.h1, self.scan.h2)]
-        if all(math.isfinite(z.real) and math.isfinite(z.imag)
-               for z in entries):
-            return EffHamiltonian(*entries)
-        return None
+        g = self.grid
+        entries = _local_fit(self.entries, ((s - g.s_min) / g.step,
+                                            (delta - g.delta_min) / g.step),
+                             _AFFINE)[0][0]
+        return EffHamiltonian(*entries.tolist())
 
     def cross_rel(self, s, delta):
         # read off the matrix, so a traced point meets the same test
         # pt_report applies to the matrix stored with it
         try:
-            ham = self.ham(s, delta)
-        except OutOfBoundsError:
+            rad = radicand(self.ham(s, delta))
+        except (InvalidArgumentError, OutOfBoundsError):
             return math.nan
-        if ham is None:
-            return math.nan
-        rad = radicand(ham)
         return rad.cross / (rad.reh2 + rad.imh2)
 
     def gradient(self, s, delta, h):
@@ -515,22 +527,17 @@ class CurveTrace:
 
 
 def _correct_onto_contour(field, point, epsilon, fd_step):
-    """Newton steps along the contour-function gradient.
-
-    Closed-form fields are polished far below the acceptance tolerance
-    (cheap, and downstream symmetry checks inherit the slack); interpolated
-    fields stop at epsilon, their noise floor. Returns (point, "ok"),
-    (None, "exit") when correction walks out of the window, or
-    (None, "lost") when it diverges.
-    """
-    target = max(1e-6 * epsilon, 1e-15) if field.family is not None else epsilon
+    """Newton steps along the contour-function gradient to the contour's
+    zero, far below epsilon (cheap, and downstream symmetry checks inherit
+    the slack). Returns (point, "ok") if it ends within epsilon, (None,
+    "exit") if it walks out of the window, or (None, "lost")."""
     p = np.array(point, dtype=float)
     c0 = field.cross_rel(*p)
     if not math.isfinite(c0):
         return None, "lost"
     c = c0
     for _ in range(16):
-        if abs(c) <= target:
+        if abs(c) <= max(1e-6 * epsilon, 1e-15):
             return p, "ok"
         g = field.gradient(*p, fd_step)
         g2 = float(g @ g)
@@ -589,18 +596,16 @@ def trace_pt_curve(scan_result, start, epsilon=None, step=None):
 
     scan_result is a SyntheticFamily or a ScanResult that carries matrices:
     a family scan or a fit table. Every point is read off a matrix, the
-    family's closed form or the table's bilinearly interpolated entries; a
+    family's closed form or the affine _local_fit of the table's entries; a
     table read from CSV stores none and raises DataError. start must
-    already satisfy |cross|/(reh2+imh2) <= epsilon; step and epsilon must
-    be positive and finite. The returned trace is ordered along the curve
-    and holds the matrix per point, from which CurveTrace derives the
-    radicand split, tau and crossing_index; it flags truncation when the
-    corrector loses the contour.
+    already satisfy |cross|/(reh2+imh2) <= epsilon; step and epsilon must be
+    positive and finite. The trace is ordered along the curve and holds
+    each point's matrix; it flags truncation when the corrector loses the
+    contour.
     """
     field = _field_for(scan_result)
-    grid = field.grid
     if step is None:
-        step = grid.step
+        step = field.grid.step
     if epsilon is None:
         epsilon = (EPSILON_CURVE_EXACT if field.family is not None
                    else EPSILON_CURVE_FITTED)
@@ -674,19 +679,16 @@ def braid(loop, source):
     RefineLoopError.
     """
     pts = np.asarray(loop, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
-        raise InvalidArgumentError("loop must be an (n >= 4, 2) point list")
+    if (pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4
+            or not np.isfinite(pts).all()):
+        raise InvalidArgumentError("loop must be (n >= 4, 2) finite points")
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-12):
         raise InvalidArgumentError("loop must be closed (first point == last)")
 
     field = _field_for(source)
-    path1 = np.empty(pts.shape[0], dtype=complex)
-    path2 = np.empty(pts.shape[0], dtype=complex)
+    path1, path2 = np.empty((2, pts.shape[0]), dtype=complex)
     for k, (s, d) in enumerate(pts):
-        ham = field.ham(s, d)
-        if ham is None:
-            raise InvalidArgumentError("braiding needs a matrix-backed source")
-        pair = eigenvalues(ham)
+        pair = eigenvalues(field.ham(s, d))
         if k == 0:
             path1[0], path2[0] = pair.E1, pair.E2
             continue

@@ -99,24 +99,28 @@ def _rows_text(columns):
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def _read_table(path, width, schema=None, status=False):
-    """The data rows of a CSV of width columns, as the float array of one
-    np.loadtxt call; with status, its numbers and an object array of its
-    last column, "ok" or "failed:<reason>", one string per distinct text.
-    With schema, the first line must be its tag; "#" comment and blank
-    lines may stand anywhere, the header once before the first data row.
-    DataError naming path if no data row is left, a data row has another
-    field count or status, or a field does not parse."""
+def _read_table(path, header, schema=None, status=False):
+    """The data rows of a CSV with column names header, as the float array
+    of one np.loadtxt call; with status, its numbers and an object array of
+    its last column, "ok" or "failed:<reason>", one string per distinct
+    text. With schema, the first line must be its tag. "#" comment and blank
+    lines may stand anywhere; DataError naming path unless the first other
+    line is the header and data rows follow, each (counted from 1) with
+    header's field count, a valid status and fields that parse."""
     def rows(lines, start=0):         # (index, line) that numpy reads as rows
         return ((k, line) for k, line in enumerate(lines, start)
                 if line.partition("#")[0].rstrip("\n"))
 
+    width = len(header)
     with open(path, encoding="utf-8", errors="replace") as fh:
         if schema and fh.readline().strip() != f"# schema={schema}":
             raise DataError(f"{path} does not carry schema {schema}")
         lines = rows(fh, bool(schema))
-        next(lines, None)                         # the header
+        head = next(lines, (0, ""))[1].partition("#")[0].strip()
         skip = next(lines, (None,))[0]
+    if head not in ("", ",".join(header)):
+        raise DataError(f"{path}: expected the header {','.join(header)!r}, "
+                        f"found {head!r}")
     if skip is None:
         raise DataError(f"{path} has no data rows")
     codes, calls = {}, itertools.count(1)
@@ -138,12 +142,17 @@ def _read_table(path, width, schema=None, status=False):
         if isinstance(exc.__cause__, DataError):   # a status, numpy-wrapped
             raise exc.__cause__
         with open(path, encoding="utf-8", errors="replace") as fh:
-            counts = [line.partition("#")[0].count(",") + 1
-                      for k, line in rows(fh) if k >= skip]
-        raise DataError(next((f"{path}: data row {row} has {n} fields, "
-                              f"expected {width}" for row, n in
-                              enumerate(counts, 1) if n != width),
-                             f"{path}: {exc}"))
+            data = [line.partition("#")[0].split(",")
+                    for k, line in rows(fh) if k >= skip]
+        for row, fields in enumerate(data, 1):
+            if len(fields) != width:
+                raise DataError(f"{path}: data row {row} has {len(fields)} "
+                                f"fields, expected {width}")
+            try:
+                np.array(fields[:width - status], dtype=float)
+            except ValueError as err:         # names the text
+                raise DataError(f"{path}: data row {row}: {err}")
+        raise DataError(f"{path}: {exc}")
     if not status:
         return table
     texts = np.array(list(codes), dtype=object)
@@ -451,7 +460,7 @@ def read_spectrum(path):
     _read_table refuses its table, the table is not a spectrum (a
     non-finite, descending or uneven frequency grid), or its sidecar does
     not parse as a JSON object."""
-    data = _read_table(path, len(CSV_HEADER.split(",")))
+    data = _read_table(path, CSV_HEADER.split(","))
     sidecar = _sidecar_path(path)
     meta = _read_json(sidecar, "sidecar") if os.path.exists(sidecar) else {}
     # each (Re, Im) column pair is one complex column, bit for bit

@@ -592,6 +592,21 @@ def test_analyze_curve_then_pt(tmp_path, capsys):
     assert "phase flips at index" in out
 
 
+@pytest.mark.parametrize("family,grid,ep", [
+    ("b38", "1.605:1.835:0.01x41.68:41.90:0.01", (1.72, 41.78)),
+    ("b0", "1.605:1.835:0.01x41.08:41.30:0.01", (1.68, 41.19)),
+])
+def test_analyze_curve_starts_at_an_off_node_ep(tmp_path, family, grid, ep):
+    # the planted EP sits half a step off every node of these grids; the
+    # trace starts at the located EP, not at the nearest node
+    assert main(["analyze", "curve", "--family", family, "--grid", grid,
+                 "--start", "ep", "--out", str(tmp_path)]) == 0
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    crossing = trace["points"][trace["crossing_index"]]
+    assert abs(crossing["s_mm"] - ep[0]) <= 0.01
+    assert abs(crossing["delta_mm"] - ep[1]) <= 0.01
+
+
 def test_analyze_pt_needs_matrices(tmp_path, capsys):
     assert main(["analyze", "curve", "--family", "b38",
                  "--out", str(tmp_path)]) == 0
@@ -821,6 +836,10 @@ def test_fitted_matrices_reach_the_symmetry_analysis(tmp_path):
     ep = json.loads((fits / "ep.json").read_text())
     assert abs(ep["s_mm"] - B38_EP[0]) <= 0.02
     assert abs(ep["delta_mm"] - B38_EP[1]) <= 0.02
+    # the error bar is the fit's, a small fraction of the 0.02 mm step
+    assert ep["uncertainty_mm"] < 0.002
+    assert abs(ep["s_mm"] - B38_EP[0]) <= 4 * ep["uncertainty_mm"]
+    assert abs(ep["delta_mm"] - B38_EP[1]) <= 4 * ep["uncertainty_mm"]
 
     assert main(["analyze", "curve", "--in", manifest, "--start", "ep",
                  "--out", str(fits)]) == 0

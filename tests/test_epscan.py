@@ -282,6 +282,17 @@ def test_scan_csv_row_with_an_extra_field_is_named(tmp_path, b38_scan):
     assert "usecols" not in str(info.value)
 
 
+def test_scan_csv_without_its_header_is_refused(tmp_path, b38_scan):
+    # a missing header would otherwise be skipped in place of the first
+    # data row, and the table read back one node short
+    path = tmp_path / "scan.csv"
+    b38_scan.write_csv(path, config_hash="cafe0123")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))
+    with pytest.raises(DataError, match="expected the header 's_mm,delta_mm,"):
+        ScanResult.read_csv(path)
+
+
 def test_scan_csv_accepts_comment_lines_before_the_header(tmp_path,
                                                           b38_scan):
     path = tmp_path / "scan.csv"
@@ -493,7 +504,7 @@ def test_locate_ep_finds_planted_locations(b38_scan, b0_scan):
         loc = locate_ep(sr)
         assert abs(loc.s - ep[0]) <= 0.01
         assert abs(loc.delta - ep[1]) <= 0.01
-        assert loc.uncertainty == sr.grid.step
+        assert loc.uncertainty <= 1e-9     # D is exactly quadratic here
         assert abs(loc.offset_s) <= 1.0 and abs(loc.offset_delta) <= 1.0
         assert tuple(loc) == (loc.s, loc.delta)
 
@@ -510,11 +521,32 @@ def test_locate_ep_refines_between_grid_nodes(b38):
 @pytest.mark.parametrize("shift", [0.0, 0.003, 0.0071, -0.0049])
 def test_locate_ep_solves_the_radicand_zero(b38, b0, shift):
     # the family entries are affine, so D is quadratic in (s, delta) and
-    # its central-difference model on the 3x3 stencil is exact
+    # its weighted quadratic fit is exact
     for fam, ep in ((b38, B38_EP), (b0, B0_EP)):
         loc = locate_ep(scan(ep_window((ep[0] + shift, ep[1] + shift)), fam))
         assert abs(loc.s - ep[0]) <= 1e-9
         assert abs(loc.delta - ep[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.002, 0.005, 0.01])
+def test_locate_ep_uncertainty_is_the_spread_it_predicts(b38, sigma):
+    # i.i.d. complex noise on the entries of an 11x11 b38 table: the
+    # predicted standard error must match the spread of the located EPs
+    grid = ParamGrid(1.62, 1.82, 41.68, 41.88, 0.02)
+    exact = b38.h_grid(*np.meshgrid(grid.s_values, grid.delta_values,
+                                    indexing="ij"))
+    rng = np.random.default_rng(21)
+    found, predicted = [], []
+    for _ in range(200):
+        mats = [m + sigma * (rng.normal(size=m.shape)
+                             + 1j * rng.normal(size=m.shape)) for m in exact]
+        status = np.full(grid.shape, "ok", dtype=object)
+        loc = locate_ep(eplab.epscan._scan_table(grid, mats, status))
+        found.append(tuple(loc))
+        predicted.append(loc.uncertainty)
+    observed = np.max(np.std(found, axis=0))
+    ratio = math.sqrt(np.mean(np.square(predicted))) / observed
+    assert 0.8 <= ratio <= 1.25
 
 
 def test_locate_ep_boundary_minimum_raises(b38):
@@ -728,6 +760,9 @@ def test_braid_validates_loops(b38):
     open_loop = [(1.6, 41.7), (1.8, 41.7), (1.8, 41.9), (1.6, 41.9)]
     with pytest.raises(InvalidArgumentError):
         braid(open_loop, b38)
+    nan_loop = [(1.6, 41.7), (1.8, 41.7), (math.nan, 41.9), (1.6, 41.7)]
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        braid(nan_loop, b38)
 
 
 def test_braid_swap_iff_loop_encloses_ep(b38, b0):

@@ -432,9 +432,27 @@ def test_read_spectrum_names_a_row_with_a_wrong_field_count(spectrum_lines):
                                         "fields, expected 9") as info:
         read_spectrum(path)
     assert "usecols" not in str(info.value)
-    # every row one field short: the first is named
-    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in text))
+    # every data row one field short: the first is named
+    path.write_text(text[0] + "".join(line.rsplit(",", 1)[0] + "\n"
+                                      for line in text[1:]))
     with pytest.raises(DataError, match="data row 1 has 8 fields, expected 9"):
+        read_spectrum(path)
+
+
+def test_read_spectrum_refuses_a_file_without_its_header(spectrum_lines):
+    path, text = spectrum_lines
+    path.write_text("".join(text[1:]))
+    with pytest.raises(DataError, match="point.csv: expected the header "
+                                        "'f_MHz,reS11,"):
+        read_spectrum(path)
+
+
+def test_read_spectrum_names_a_field_that_does_not_parse(spectrum_lines):
+    path, text = spectrum_lines
+    text[3] = "abc" + text[3]                          # the third data row
+    path.write_text("".join(text))
+    with pytest.raises(DataError, match="point.csv: data row 3: could not "
+                                        "convert string to float: 'abc2"):
         read_spectrum(path)
 
 
