@@ -693,6 +693,20 @@ def test_family_analysis_is_idempotent(tmp_path, family, grid):
     assert runs[0] == runs[1]
 
 
+def test_plane_config_hashes_are_pinned(tmp_path, monkeypatch):
+    # a run that sets no tuning value keeps the hash, and so the bytes, of
+    # every earlier run of the same command
+    monkeypatch.chdir(tmp_path)
+    for argv, name, pinned in (
+            (["analyze", "curve", "--family", "b38"], "trace.json",
+             "8662ebbd5ec06d14"),
+            (["analyze", "braid", "--family", "b38", "--center", "ep",
+              "--radius", "0.1"], "braid.json", "9219a538b74ce5b6")):
+        assert main(argv + ["--out", "."]) == 0
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc["config_hash"] == pinned
+
+
 def test_braid_takes_its_grid_from_a_config_file(tmp_path):
     grid = "1.62:1.82:0.01x41.68:41.88:0.01"
     cfg = tmp_path / "c.json"
