@@ -459,7 +459,7 @@ def _family_grid(ns):
     if getattr(ns, "indir", None):
         raise UsageError("give --family or --in, not both")
     fam = load_family(ns.family)
-    if ns.grid:
+    if getattr(ns, "grid", None):
         grid = _parse_grid(ns.grid)
     else:
         grid = ParamGrid(fam.bounds_s[0], fam.bounds_s[1],
@@ -517,12 +517,12 @@ def _cmd_analyze_curve(ns):
 
     start = _parse_point(ns.start, "--start", lambda: result)
 
+    # "epsilon" and "step" stay keys, always None, so hashes hold
     resolved = {"command": "analyze-curve", "source": origin,
-                "start": ns.start, "epsilon": ns.epsilon,
-                "step": ns.cstep, "out": out}
+                "start": ns.start, "epsilon": None, "step": None, "out": out}
     cfg_hash = _config_hash(resolved)
 
-    trace = trace_pt_curve(result, start, epsilon=ns.epsilon, step=ns.cstep)
+    trace = trace_pt_curve(result, start)
     doc = trace.to_json_dict(source=origin, config_hash=cfg_hash)
     _write_json(os.path.join(out, "trace.json"), doc)
     _write_table(os.path.join(out, "curve.csv"), CURVE_CSV_SCHEMA, cfg_hash,
@@ -587,13 +587,13 @@ def _cmd_analyze_braid(ns):
 
     center = _parse_point(ns.center, "--center", lambda: scan(grid, fam))
 
+    # "grid" and "points" stay keys, at their one value, so hashes hold
     resolved = {"command": "analyze-braid", "family": fam.name,
-                "grid": ns.grid, "center": ns.center, "radius": ns.radius,
-                "points": ns.points, "turns": ns.turns, "out": out}
+                "grid": None, "center": ns.center, "radius": ns.radius,
+                "points": 64, "turns": ns.turns, "out": out}
     cfg_hash = _config_hash(resolved)
 
-    trace = braid_loop(fam, center, ns.radius, n_points=ns.points,
-                       turns=ns.turns)
+    trace = braid_loop(fam, center, ns.radius, turns=ns.turns)
     doc = trace.to_json_dict(config_hash=cfg_hash)
     doc["center"] = [center[0], center[1]]
     doc["radius"] = ns.radius
@@ -670,8 +670,6 @@ def _build_parser():
                    help="fit manifest.json to trace on")
     p.add_argument("--grid", help="grid when scanning a family")
     p.add_argument("--start", help="s,delta start point or 'ep' (default)")
-    p.add_argument("--epsilon", type=float, help="contour tolerance")
-    p.add_argument("--cstep", type=float, help="marching step in mm")
     _add_common(p)
     p.set_defaults(handler=_cmd_analyze_curve, parser=p)
 
@@ -685,11 +683,8 @@ def _build_parser():
     p.add_argument("--center", help="loop center s,delta or 'ep' (default)")
     p.add_argument("--radius", type=float, default=0.1,
                    help="loop radius mm (default %(default)s)")
-    p.add_argument("--points", type=int, default=64,
-                   help="loop samples (default %(default)s)")
     p.add_argument("--turns", type=int, default=1,
                    help="windings (default %(default)s)")
-    p.add_argument("--grid", help="grid for locating the center")
     _add_common(p)
     p.set_defaults(handler=_cmd_analyze_braid, parser=p)
 

@@ -62,6 +62,7 @@ EPSILON_CURVE_EXACT = 1e-9      # closed-form family evaluations
 EPSILON_CURVE_FITTED = 1e-3     # per-point fits, noise limited
 
 _MAX_TRACE_POINTS = 100_000
+_LOOP_POINTS = 64               # braid_loop's first samples per turn
 _MAX_LOOP_POINTS = 4096         # braid_loop stops doubling its samples here
 
 
@@ -173,9 +174,6 @@ class ScanResult:
     @property
     def n_failed(self):
         return int(self.status.size - np.count_nonzero(self.ok))
-
-    def has_matrices(self):
-        return self.e1 is not None
 
     def write_csv(self, path, config_hash=None):
         n_s, n_d = self.grid.shape
@@ -414,7 +412,7 @@ def _field_for(source):
                          source.bounds_delta[0], source.bounds_delta[1])
         return _PlaneField(grid, family=source)
     if isinstance(source, ScanResult):
-        if source.family is None and not source.has_matrices():
+        if source.family is None and source.e1 is None:
             raise DataError(
                 "a scan table read from CSV carries no matrices to trace; "
                 "trace the family (--family) or the fit manifest.json")
@@ -591,28 +589,22 @@ def _march(field, start, direction, step, epsilon, fd_step):
     return points, truncated
 
 
-def trace_pt_curve(scan_result, start, epsilon=None, step=None):
+def trace_pt_curve(scan_result, start):
     """Trace the zero contour of cross through the window, both directions.
 
-    scan_result is a SyntheticFamily or a ScanResult that carries matrices:
-    a family scan or a fit table. Every point is read off a matrix, the
-    family's closed form or the affine _local_fit of the table's entries; a
-    table read from CSV stores none and raises DataError. start must
-    already satisfy |cross|/(reh2+imh2) <= epsilon; step and epsilon must be
-    positive and finite. The trace is ordered along the curve and holds
-    each point's matrix; it flags truncation when the corrector loses the
-    contour.
+    scan_result is a SyntheticFamily or a ScanResult that carries matrices: a
+    family scan or a fit table. Every point is read off a matrix, the family's
+    closed form or the affine _local_fit of the table's entries; a table read
+    from CSV stores none and raises DataError. The trace marches at the grid
+    step (0.01 mm for a bare family); start must satisfy |cross|/(reh2+imh2)
+    <= epsilon, EPSILON_CURVE_EXACT on a family and EPSILON_CURVE_FITTED on
+    fitted matrices. The trace is ordered along the curve and holds each
+    point's matrix and flags truncation where the corrector loses the contour.
     """
     field = _field_for(scan_result)
-    if step is None:
-        step = field.grid.step
-    if epsilon is None:
-        epsilon = (EPSILON_CURVE_EXACT if field.family is not None
-                   else EPSILON_CURVE_FITTED)
-    for name, value in (("step", step), ("epsilon", epsilon)):
-        if not (value > 0 and math.isfinite(value)):
-            raise InvalidArgumentError(
-                f"{name} must be positive and finite, got {value}")
+    step = field.grid.step
+    epsilon = (EPSILON_CURVE_EXACT if field.family is not None
+               else EPSILON_CURVE_FITTED)
 
     s0, d0 = float(start[0]), float(start[1])
     if not field.in_window(s0, d0):
@@ -712,21 +704,19 @@ def braid(loop, source):
                       else Permutation.IDENTITY)
 
 
-def braid_loop(source, center, radius, n_points=64, turns=1):
+def braid_loop(source, center, radius, turns=1):
     """Braid around a circle, doubling the resolution until it resolves.
 
     turns > 1 traverses the circle repeatedly before closing, which composes
-    the permutation with itself. The doubling stops past _MAX_LOOP_POINTS
-    samples per turn, where RefineLoopError propagates.
+    the permutation with itself. The samples per turn double from
+    _LOOP_POINTS up to _MAX_LOOP_POINTS; past that RefineLoopError propagates.
     """
     if not 0 < radius < math.inf:
         raise InvalidArgumentError(f"radius {radius} must be finite and > 0")
     if turns < 1:
         raise InvalidArgumentError(f"turns must be >= 1, got {turns}")
     cs, cd = float(center[0]), float(center[1])
-    n = int(n_points)
-    if n < 3:
-        raise InvalidArgumentError(f"n_points must be >= 3, got {n_points}")
+    n = _LOOP_POINTS
     while True:
         angles = 2.0 * math.pi * turns * np.arange(n * turns + 1) / (n * turns)
         loop = np.column_stack([cs + radius * np.cos(angles),

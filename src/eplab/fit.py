@@ -32,19 +32,19 @@ order varies with the BLAS thread count.
 
 The first start is a closed-form two-pole fit of the spectrum from weighted
 moments (see seed_initializer): exact on noiseless data, a few LM iterations
-from the minimum with noise, and passive even where noise seeds an
-amplifying pole. The other starts scatter around it; their level kicks are
-Hermitian (Re h1, Re h2), so every start keeps the seed's passive
-dissipative part. Starts run in a fixed order and stop early on one of three
-rules. A start that reaches EARLY_EXIT_RMS is exact. With noise that can
-never fire; instead a converged start that is the best so far stops the loop
-once its residual is white: its lag-1 correlation along frequency, pooled
-over the included channels, lies below NOISE_FLOOR_SIGMAS standard
-deviations of white noise (the Durbin-Watson statistic). A residual at the
-noise floor is white, while a wrong or unfinished minimum leaves a smooth,
-correlated one. Failing both, a converged start that repeats the rms of an
-earlier converged start to RMS_AGREEMENT has found the same minimum, so the
-earlier of them is kept; this also stops real data with correlated noise.
+from the minimum with noise, and passive and inside the window even where
+noise seeds a pole amplifying or outside it. The other starts scatter around
+it; their level kicks are Hermitian (Re h1, Re h2), so every start keeps the
+seed's passive dissipative part. Starts run in a fixed order and stop early
+on one of three rules. A start that reaches EARLY_EXIT_RMS is exact. With
+noise that can never fire; instead a converged start that is the best so far
+stops the loop once its residual is white: its lag-1 correlation along
+frequency, pooled over the included channels, lies below NOISE_FLOOR_SIGMAS
+standard deviations of white noise (the Durbin-Watson statistic). A residual
+at the noise floor is white, while a wrong or unfinished minimum leaves a
+smooth, correlated one. Failing both, a converged start that repeats the rms
+of an earlier converged start to RMS_AGREEMENT has found the same minimum, so
+the earlier of them is kept; this also stops real data with correlated noise.
 
 Post-fit canonicalization: gauge-fix the matrix, rotate W along, then pick
 the representative with |W00| >= |W01| and W00, W11 >= 0 (column swap plus
@@ -446,12 +446,12 @@ def seed_initializer(spec, mask=None):
     reflections M1 is unidentified: W is then diagonal from the known
     reflections (their mean for a missing one, 1 with none), and the levels
     are the roots of d mixed equally between the basis states, so each
-    channel sees both. An amplifying seeded pole is moved, not refused: both
-    Im e drop by its Im E plus 0.05 MHz, which keeps the positions.
+    channel sees both. A seeded pole is moved, not refused: an amplifying
+    one by lowering both Im e by its Im E plus 0.05 MHz, which keeps the
+    positions, and one outside the window to its edge, with its width.
 
     Raises UnresolvableDoubletError on fewer than 16 samples or a spectrum
-    without resonant structure, InsufficientSpanError when a seeded pole
-    lies outside the window.
+    without resonant structure.
     """
     include = _channel_row_mask(mask)
     if spec.n_points < 16:
@@ -489,10 +489,10 @@ def seed_initializer(spec, mask=None):
     lift = max(e.imag for e in eigenvalues_sorted(unpack_params(p0)[0]))
     if lift > 0.0:                # amplifying: 0.05 MHz below the real axis
         p0[[1, 3]] -= lift + 0.05
-    if not _poles_physical(p0, f_lo, f_hi):
-        raise InsufficientSpanError(
-            f"the seeded poles lie outside the {f_lo:.6g}-{f_hi:.6g} MHz "
-            f"window; widen the grid")
+    if not _poles_physical(p0, f_lo, f_hi):   # outside: to the window edge
+        lam, vecs = np.linalg.eig(unpack_params(p0)[0].matrix)
+        lam = np.clip(lam.real, f_lo, f_hi) + 1j * lam.imag
+        p0 = pack_params(from_matrix(vecs * lam @ np.linalg.inv(vecs)), w_ant)
     return p0
 
 

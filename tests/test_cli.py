@@ -121,10 +121,6 @@ BRAID = ["analyze", "braid", "--family", "b38"]
 OUT_OF_DOMAIN = [
     (POINT + ["--sigma", "-0.01"], "sigma"),
     (POINT + ["--sigma", "nan"], "sigma"),
-    (["analyze", "curve", "--family", "b38", "--cstep", "0"], "step"),
-    (["analyze", "curve", "--family", "b38", "--cstep", "-0.01"], "step"),
-    (["analyze", "curve", "--family", "b38", "--epsilon", "-1"], "epsilon"),
-    (["analyze", "curve", "--family", "b38", "--epsilon", "nan"], "epsilon"),
     (POINT + ["--f0", "nan"], "f0"),
     (POINT + ["--fstep", "inf"], "step"),
     (POINT + ["--span", "inf"], "span"),
@@ -132,10 +128,14 @@ OUT_OF_DOMAIN = [
       "--grid", "1.5:1.9:infx41.6:42:inf"], "step"),
     (BRAID + ["--radius", "nan"], "radius"),
     (BRAID + ["--radius", "inf"], "radius"),
-    (BRAID + ["--points", "0"], "points"),
     (POINT + ["--seed", "-1"], "seed"),
     (["fit", "--in", "DATA", "--seed", "-1"], "seed"),
     (["fit", "--in", "DATA", "--max-failures", "nan"], "max-failures"),
+    (["fit", "--in", "DATA", "--max-failures", "1.5"], "max-failures"),
+    (["fit", "--in", "DATA", "--n-starts", "0"], "start count"),
+    (POINT + ["--fstep", "0"], "step"),
+    (BRAID + ["--radius", "0"], "radius"),
+    (BRAID + ["--turns", "0"], "turns"),
 ]
 
 
@@ -214,7 +214,7 @@ def test_config_values_parse_like_their_flags(tmp_path, capsys):
     braid = ["analyze", "braid", "--family", "b38", "--out", str(tmp_path)]
     for doc, message in (({"radius": "abc"}, "argument --radius: invalid "
                           "float value: 'abc'"),
-                         ({"points": True}, "argument --points: invalid "
+                         ({"turns": True}, "argument --turns: invalid "
                           "int value: 'True'")):
         cfg.write_text(json.dumps(doc))
         assert main(braid + ["--config", str(cfg)]) == 1
@@ -228,8 +228,8 @@ def test_config_values_parse_like_their_flags(tmp_path, capsys):
         (["fit", "--in", str(tmp_path)],
          ["--n-starts", "3", "--max-failures", "0.5", "--seed", "5"],
          {"n_starts": 3, "max_failures": "0.5", "seed": 5, "mask": None}),
-        (braid, ["--radius", "0.05", "--points", "32", "--turns", "2"],
-         {"radius": 0.05, "points": "32", "turns": 2, "center": None}),
+        (braid, ["--radius", "0.05", "--turns", "2"],
+         {"radius": 0.05, "turns": "2", "center": None}),
     )
     for argv, flags, doc in runs:
         cfg.write_text(json.dumps(doc))
@@ -707,36 +707,6 @@ def test_plane_config_hashes_are_pinned(tmp_path, monkeypatch):
         assert doc["config_hash"] == pinned
 
 
-def test_braid_takes_its_grid_from_a_config_file(tmp_path):
-    grid = "1.62:1.82:0.01x41.68:41.88:0.01"
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"grid": grid}))
-    out = tmp_path / "out"
-    out.mkdir()
-    base = ["analyze", "braid", "--family", "b38", "--out", str(out)]
-    digests = []
-    for extra in (["--grid", grid], ["--config", str(cfg)]):
-        assert main(base + extra) == 0
-        digests.append(digest(out / "braid.json"))
-    assert digests[0] == digests[1]
-    # a grid without the EP leaves no loop centre, given either way
-    no_ep = "1.80:1.92:0.01x41.58:41.78:0.01"
-    cfg.write_text(json.dumps({"grid": no_ep}))
-    assert main(base + ["--grid", no_ep]) == 3
-    assert main(base + ["--config", str(cfg)]) == 3
-
-
-def test_braid_hash_covers_the_grid(tmp_path):
-    # the grid moves the located centre, so it must move the hash
-    base = ["analyze", "braid", "--family", "b38", "--out", str(tmp_path)]
-    docs = []
-    for extra in ([], ["--grid", "1.603:1.803:0.013x41.663:41.863:0.013"]):
-        assert main(base + extra) == 0
-        docs.append(json.loads((tmp_path / "braid.json").read_text()))
-    assert docs[0]["center"] != docs[1]["center"]
-    assert docs[0]["config_hash"] != docs[1]["config_hash"]
-
-
 def test_analyze_scan_from_spectra_directory(tmp_path):
     # spectra become a scan table through `eplab fit` alone
     data = tmp_path / "data"
@@ -777,7 +747,7 @@ def test_summary_csv_is_the_manifest_table(dataset, tmp_path):
 
     table = eplab.cli._read_table(str(fits / "manifest.json"))
     summary = ScanResult.read_csv(fits / "summary.csv")
-    assert table.has_matrices()
+    assert table.e1 is not None
     assert table.status.tolist() == summary.status.tolist() == [
         ["ok", "failed:UnresolvableDoubletError", "ok"],
         ["ok", "ok", "failed:missing-spectrum"]]

@@ -196,7 +196,7 @@ def test_scan_csv_roundtrip(tmp_path, b38_scan):
     back = ScanResult.read_csv(path)
     assert back.grid.shape == b38_scan.grid.shape
     assert back.grid.step == pytest.approx(0.01)
-    assert not back.has_matrices()
+    assert back.e1 is None
     assert np.array_equal(back.status, b38_scan.status)
     for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau"):
         assert np.array_equal(getattr(back, name), getattr(b38_scan, name))
@@ -485,7 +485,7 @@ def test_scan_from_fitted_spectra_matches_family(tmp_path, b38):
     assert sr.family is None
     assert sr.n_failed == 1
     assert sr.status[~sr.ok].tolist() == ["failed:missing-spectrum"]
-    assert sr.has_matrices()
+    assert sr.e1 is not None
     for i, s in enumerate(sr.grid.s_values):
         for j, d in enumerate(sr.grid.delta_values):
             if not sr.ok[i, j]:
@@ -739,9 +739,12 @@ def test_trace_json_roundtrip(b38_trace):
 @given(name=st.sampled_from(["b38", "b0"]),
        step=st.floats(min_value=0.002, max_value=0.02))
 def test_trace_read_back_is_bit_identical(name, step):
-    # the observables a trace reads back are the ones it was traced with
+    # the observables a trace reads back are the ones it was traced with;
+    # the trace marches at the grid step of the table it runs on
     fam = load_family(name)
-    trace = trace_pt_curve(fam, (fam.s_ep, fam.delta_ep), step=step)
+    ep = (fam.s_ep, fam.delta_ep)
+    trace = trace_pt_curve(scan(ep_window(ep, half=0.1, step=step), fam), ep)
+    assert trace.step == step
     doc = trace.to_json_dict()
     back = CurveTrace.from_json_dict(json.loads(json.dumps(doc)))
     assert json.dumps(back.to_json_dict()) == json.dumps(doc)
@@ -792,7 +795,7 @@ def test_braid_homotopic_loops_agree(b38):
                           0.04).permutation is Permutation.IDENTITY
 
 
-def test_braid_coarse_loop_raises_until_refined(b38):
+def test_braid_coarse_loop_raises_until_refined(b38, monkeypatch):
     t = np.linspace(0.0, 2.0 * math.pi, 5)
     coarse = np.column_stack([B38_EP[0] + 0.15 * np.cos(t),
                               B38_EP[1] + 0.15 * np.sin(t)])
@@ -800,16 +803,17 @@ def test_braid_coarse_loop_raises_until_refined(b38):
     with pytest.raises(RefineLoopError):
         braid(coarse, b38)
     # the adaptive wrapper succeeds from the same starting resolution
-    assert braid_loop(b38, B38_EP, 0.15,
-                      n_points=4).permutation is Permutation.SWAP
+    monkeypatch.setattr(eplab.epscan, "_LOOP_POINTS", 4)
+    assert braid_loop(b38, B38_EP, 0.15).permutation is Permutation.SWAP
 
 
 def test_braid_loop_through_ep_cannot_resolve(b38, monkeypatch):
     center = (B38_EP[0] + 0.05, B38_EP[1] + 0.05)
     radius = math.hypot(0.05, 0.05)      # passes exactly through the EP
+    monkeypatch.setattr(eplab.epscan, "_LOOP_POINTS", 8)
     monkeypatch.setattr(eplab.epscan, "_MAX_LOOP_POINTS", 64)
     with pytest.raises(RefineLoopError):
-        braid_loop(b38, center, radius, n_points=8)
+        braid_loop(b38, center, radius)
 
 
 def test_braid_trace_serializes(b38):
