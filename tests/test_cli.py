@@ -887,6 +887,7 @@ def preset(**fields):
     (["analyze", "scan", "--family"],
      preset(bounds={"s_mm": [1.4], "delta_mm": [41.46, 42.1]})),
     (["analyze", "scan", "--family"], preset(b_mt="abc")),
+    (["analyze", "scan", "--family"], preset(fc_mhz="abc")),
     (["synth", "--point", "1.72,41.78", "--family"], preset(spectrum={})),
     (["synth", "--point", "1.72,41.78", "--family"],
      preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": "abc",
@@ -899,7 +900,7 @@ def preset(**fields):
      b"s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status\n"),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
-        "preset-text-field", "preset-empty-spectrum", "preset-text-span",
+        "preset-text-field", "preset-text-fc", "preset-empty-spectrum", "preset-text-span",
         "preset-nan-span", "scan-header-only"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):

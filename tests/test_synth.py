@@ -366,6 +366,29 @@ def test_load_family_from_path_roundtrip(tmp_path):
     assert fam.h_at(1.68, 41.19).h2 == 0
 
 
+@pytest.mark.parametrize("name", ["b38", "b0"])
+def test_every_preset_field_reaches_its_family(name):
+    doc = json.loads(importlib_read(name))
+    fam = load_family(name)
+    # the preset fields no family attribute reads
+    assert set(doc) - {"name", "b_mt", "fc_mhz", "gamma0_mhz", "ep", "bounds",
+                       "g0", "gs", "gd", "m", "w", "spectrum"} == {
+        "schema", "description", "antenna_fraction"}
+    assert fam.name == doc["name"]
+    scalars = (fam.b_mt, fam.fc, fam.gamma0, fam.s_ep, fam.delta_ep)
+    assert scalars == (doc["b_mt"], doc["fc_mhz"], doc["gamma0_mhz"],
+                       doc["ep"]["s_mm"], doc["ep"]["delta_mm"])
+    assert all(type(x) is float for x in scalars)
+    assert fam.bounds_s == tuple(doc["bounds"]["s_mm"])
+    assert fam.bounds_delta == tuple(doc["bounds"]["delta_mm"])
+    for key in ("g0", "gs", "gd", "m"):
+        vec = getattr(fam, key)
+        assert vec.dtype == float and vec.tolist() == doc[key]
+        assert not vec.flags.writeable
+    assert fam.coupling.w.tolist() == doc["w"]
+    assert fam.spectrum_defaults == doc["spectrum"]
+
+
 # ------------------------------------------------------------------- file I/O
 
 
