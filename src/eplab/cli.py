@@ -82,7 +82,9 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports problems as UsageError instead of exiting."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        # main names the program; name the subcommand path only
+        where = self.prog.partition(" ")[2]
+        raise UsageError(f"{where}: {message}" if where else message)
 
 
 # --------------------------------------------------------------- plumbing

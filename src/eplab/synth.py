@@ -588,30 +588,31 @@ class SyntheticFamily:
     so the radicand vanishes to the last bit.
     """
 
-    __slots__ = ("name", "description", "b_mt", "fc", "gamma0", "s_ep",
-                 "delta_ep", "bounds_s", "bounds_delta", "g0", "gs", "gd", "m",
-                 "coupling", "spectrum_defaults")
-
-    def __init__(self, name, description, b_mt, fc, gamma0, s_ep, delta_ep,
-                 bounds_s, bounds_delta, g0, gs, gd, m, coupling,
-                 spectrum_defaults):
-        self.name = name
-        self.description = description
-        self.b_mt = float(b_mt)
-        self.fc = float(fc)
-        self.gamma0 = float(gamma0)
-        self.s_ep = float(s_ep)
-        self.delta_ep = float(delta_ep)
-        self.bounds_s = (float(bounds_s[0]), float(bounds_s[1]))
-        self.bounds_delta = (float(bounds_delta[0]), float(bounds_delta[1]))
-        for label, vec in (("g0", g0), ("gs", gs), ("gd", gd), ("m", m)):
-            vec = np.array(vec, dtype=float)
+    def __init__(self, doc):
+        """Read an eplab.family.v1 preset document; a missing or malformed
+        field raises KeyError, IndexError, TypeError or ValueError."""
+        self.name = doc["name"]
+        self.b_mt = float(doc["b_mt"])
+        self.fc = float(doc["fc_mhz"])
+        self.gamma0 = float(doc["gamma0_mhz"])
+        self.s_ep = float(doc["ep"]["s_mm"])
+        self.delta_ep = float(doc["ep"]["delta_mm"])
+        bounds = doc["bounds"]
+        self.bounds_s = (float(bounds["s_mm"][0]), float(bounds["s_mm"][1]))
+        self.bounds_delta = (float(bounds["delta_mm"][0]),
+                             float(bounds["delta_mm"][1]))
+        for label in ("g0", "gs", "gd", "m"):
+            vec = np.array(doc[label], dtype=float)
             if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise DataError(f"family vector {label} must be 3 finite reals")
+                raise ValueError(f"family vector {label} must be 3 finite reals")
             vec.flags.writeable = False
             setattr(self, label, vec)
-        self.coupling = coupling
-        self.spectrum_defaults = dict(spectrum_defaults)
+        self.coupling = CouplingSet(doc["w"])
+        self.spectrum_defaults = {key: float(doc["spectrum"][key]) for key in
+                                  ("f_center_mhz", "span_mhz", "step_mhz")}
+        if not all(map(math.isfinite, self.spectrum_defaults.values())):
+            raise ValueError(f"spectrum values {self.spectrum_defaults} "
+                             f"must be finite")
 
     def contains(self, s, delta):
         """Inside the bounds; elementwise for arrays of points."""
@@ -716,24 +717,7 @@ def load_family(source):
         raise DataError(f"family preset {source!r}: unsupported schema "
                         f"{doc.get('schema')!r}")
     try:
-        spectrum = {key: float(doc["spectrum"][key]) for key in
-                    ("f_center_mhz", "span_mhz", "step_mhz")}
-        if not all(map(math.isfinite, spectrum.values())):
-            raise ValueError(f"spectrum values {spectrum} must be finite")
-        fam = SyntheticFamily(
-            name=doc["name"],
-            description=doc.get("description", ""),
-            b_mt=doc["b_mt"],
-            fc=doc["fc_mhz"],
-            gamma0=doc["gamma0_mhz"],
-            s_ep=doc["ep"]["s_mm"],
-            delta_ep=doc["ep"]["delta_mm"],
-            bounds_s=doc["bounds"]["s_mm"],
-            bounds_delta=doc["bounds"]["delta_mm"],
-            g0=doc["g0"], gs=doc["gs"], gd=doc["gd"], m=doc["m"],
-            coupling=CouplingSet(doc["w"]),
-            spectrum_defaults=spectrum,
-        )
+        fam = SyntheticFamily(doc)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"family preset {source!r}: malformed field {exc!r}")
     _validate_family(fam)

@@ -149,6 +149,18 @@ def test_value_outside_its_domain_writes_nothing(dataset, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "curve", "--family", "b38", "--cstep", "5"],
+    BRAID + ["--radius", "abc"],
+    ["analyze"],
+], ids=["unknown-flag", "bad-float", "missing-mode"])
+def test_usage_error_names_the_program_once(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eplab: ")
+    assert err.count("eplab") == 1
+
+
 def test_synth_rejects_mismatched_axis_steps(tmp_path):
     code = main(["synth", "--family", "b38",
                  "--grid", "1.6:1.7:0.01x41.7:41.8:0.02",
@@ -887,6 +899,7 @@ def preset(**fields):
     (["analyze", "scan", "--family"],
      preset(bounds={"s_mm": [1.4], "delta_mm": [41.46, 42.1]})),
     (["analyze", "scan", "--family"], preset(b_mt="abc")),
+    (["analyze", "scan", "--family"], preset(g0=[0.5, 0.5])),
     (["analyze", "scan", "--family"], preset(fc_mhz="abc")),
     (["synth", "--point", "1.72,41.78", "--family"], preset(spectrum={})),
     (["synth", "--point", "1.72,41.78", "--family"],
@@ -900,7 +913,8 @@ def preset(**fields):
      b"s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status\n"),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
-        "preset-text-field", "preset-text-fc", "preset-empty-spectrum", "preset-text-span",
+        "preset-text-field", "preset-short-g0",
+        "preset-text-fc", "preset-empty-spectrum", "preset-text-span",
         "preset-nan-span", "scan-header-only"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):

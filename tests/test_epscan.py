@@ -410,11 +410,15 @@ def _chain_reason(ham):
 def _family_through(h):
     """A family with Pauli vector h at (1, 1) and generic elsewhere."""
     h = np.asarray(h, dtype=complex)
-    return SyntheticFamily(
-        name="probe", description="", b_mt=0.0, fc=2725.0, gamma0=1.0,
-        s_ep=1.0, delta_ep=1.0, bounds_s=(0.5, 1.5), bounds_delta=(0.5, 1.5),
-        g0=h.real, gs=(0.5, -0.25, 0.75), gd=(-0.5, 0.125, 0.25), m=h.imag,
-        coupling=None, spectrum_defaults={})
+    return SyntheticFamily({
+        "name": "probe", "b_mt": 0.0, "fc_mhz": 2725.0, "gamma0_mhz": 1.0,
+        "ep": {"s_mm": 1.0, "delta_mm": 1.0},
+        "bounds": {"s_mm": [0.5, 1.5], "delta_mm": [0.5, 1.5]},
+        "g0": h.real.tolist(), "gs": [0.5, -0.25, 0.75],
+        "gd": [-0.5, 0.125, 0.25], "m": h.imag.tolist(),
+        "w": [[0.0, 0.0], [0.0, 0.0]],
+        "spectrum": {"f_center_mhz": 2725.0, "span_mhz": 40.0,
+                     "step_mhz": 0.01}})
 
 
 @pytest.mark.parametrize("h,reason", [
@@ -622,6 +626,29 @@ def test_trace_reciprocal_family_has_zero_tau(b0, b0_scan):
     k = tr.crossing_index
     assert np.hypot(tr.points[k, 0] - B0_EP[0],
                     tr.points[k, 1] - B0_EP[1]) <= 0.01
+
+
+@pytest.mark.parametrize("name", ["b38", "b0"])
+def test_corrector_stops_at_the_rounding_floor(name, monkeypatch):
+    # a Newton step that no longer cuts |cross_rel| tenfold ends the
+    # correction, so no point spends steps creeping by ulps at the floor
+    fam = load_family(name)
+    table = scan(ParamGrid(*fam.bounds_s, *fam.bounds_delta), fam)
+    ep = tuple(locate_ep(table))
+    field_type = eplab.epscan._PlaneField
+    cross_rel, calls = field_type.cross_rel, []
+
+    def counted(self, s, delta):
+        calls.append((s, delta))
+        return cross_rel(self, s, delta)
+
+    monkeypatch.setattr(field_type, "cross_rel", counted)
+    trace = trace_pt_curve(table, ep)
+    monkeypatch.undo()
+    assert trace.n_points == 91 and not trace.truncated
+    assert len(calls) <= 20 * trace.n_points
+    field = eplab.epscan._field_for(table)
+    assert max(abs(field.cross_rel(*p)) for p in trace.points) <= 1e-12
 
 
 def test_trace_symmetry_analysis_on_curve_points(b38_trace):
