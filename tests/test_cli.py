@@ -4,10 +4,12 @@ Everything runs main() in process for speed; one subprocess test proves the
 module entry point works. Fits use --n-starts 2 to keep the suite quick.
 """
 
+import argparse
 import hashlib
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -717,6 +719,40 @@ def test_plane_config_hashes_are_pinned(tmp_path, monkeypatch):
         assert main(argv + ["--out", "."]) == 0
         doc = json.loads((tmp_path / name).read_text())
         assert doc["config_hash"] == pinned
+
+
+def test_data_config_hashes_are_pinned(tmp_path, monkeypatch):
+    # the README's synth and fit runs keep the hash, and so the bytes, of
+    # every earlier run of the same commands
+    monkeypatch.chdir(tmp_path)
+    for argv, out, pinned in (
+            (["synth", "--family", "b38",
+              "--grid", "1.57:1.87:0.05x41.63:41.93:0.05",
+              "--sigma", "0.005", "--seed", "7"], "data", "ae6c0fa51fffd511"),
+            (["fit", "--in", "data", "--n-starts", "4"], "fits",
+             "a92dc459f80ee433")):
+        os.mkdir(out)
+        assert main(argv + ["--out", out]) == 0
+        doc = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert doc["config_hash"] == pinned
+
+
+def test_readme_names_only_existing_flags():
+    # a flag the README's command line section names is an option of some
+    # subcommand, so the docs cannot outlive a removed flag
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+
+    options, parsers = set(), [eplab.cli._build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert len(named) >= 10
+    assert named <= options, sorted(named - options)
 
 
 def test_analyze_scan_from_spectra_directory(tmp_path):
