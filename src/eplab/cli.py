@@ -131,15 +131,20 @@ def _parse_grid(text):
             raise UsageError(f"grid axis {axis!r} is not numeric")
     if spans[0][2] != spans[1][2]:
         raise UsageError("both grid axes must use the same step")
-    return ParamGrid(spans[0][0], spans[0][1],
+    grid = ParamGrid(spans[0][0], spans[0][1],
                      spans[1][0], spans[1][1], spans[0][2])
+    for axis, (lo, hi, step) in zip(axes, spans):
+        nodes = (hi - lo) / step        # whole, to the rounding of the text
+        if abs(nodes - round(nodes)) > 1e-9 * nodes:
+            raise UsageError(f"grid axis {axis!r}: step does not divide "
+                             f"the span")
+    return grid
 
 
-def _parse_point(text, what="point", table=None):
-    """(s, delta) of "s,delta" in mm; with table, the EP located on table()
-    for "ep" or no text."""
-    if table is not None and (text is None or str(text).strip().lower()
-                              == "ep"):
+def _parse_point(text, what, table):
+    """(s, delta) of "s,delta" in mm, or the EP located on table() for "ep"
+    or no text."""
+    if text is None or str(text).strip().lower() == "ep":
         return tuple(locate_ep(table()))
     parts = str(text).split(",")
     if len(parts) != 2:
@@ -157,19 +162,6 @@ def _parse_mask(text):
     mask = tuple(part.strip() for part in str(text).split(",") if part.strip())
     _channel_row_mask(mask)
     return mask
-
-
-def _listed(path, doc, suffix):
-    """Paths of the files with suffix that manifest doc at path lists."""
-    files = doc.get("files", [])
-    if not (isinstance(files, list)
-            and all(isinstance(name, str) for name in files)):
-        raise DataError(f"manifest {path!r}: files must be a list of names")
-    root = os.path.dirname(os.path.abspath(path))
-    paths = [os.path.join(root, n) for n in files if n.endswith(suffix)]
-    if not paths:
-        raise DataError(f"manifest {path!r} lists no {suffix} files")
-    return paths
 
 
 def _write_manifest(out, command, cfg_hash, seed, files):
@@ -257,31 +249,26 @@ def _synth_task(args):
 
 
 def _cmd_synth(ns):
-    if ns.family is None:
-        raise UsageError("synth requires --family")
-    if (ns.grid is None) == (ns.point is None):
-        raise UsageError("synth requires exactly one of --grid or --point")
+    if ns.family is None or ns.grid is None:
+        raise UsageError("synth requires --family and --grid")
 
     fam = load_family(ns.family)
-    defaults = fam.spectrum_defaults
-    f0 = ns.f0 if ns.f0 is not None else defaults["f_center_mhz"]
-    span = ns.span if ns.span is not None else defaults["span_mhz"]
-    fstep = ns.fstep if ns.fstep is not None else defaults["step_mhz"]
+    f0, span, fstep = (fam.spectrum_defaults[key] for key in
+                       ("f_center_mhz", "span_mhz", "step_mhz"))
     out = _resolve_out(ns)
 
-    if ns.grid is not None:
-        grid = _parse_grid(ns.grid)
-        points = [(s, d) for s in grid.s_values for d in grid.delta_values]
-    else:
-        points = [_parse_point(ns.point)]
+    grid = _parse_grid(ns.grid)
+    points = [(s, d) for s in grid.s_values for d in grid.delta_values]
     for s, d in points:
         if not fam.contains(s, d):
             raise OutOfBoundsError(
                 f"point ({s:g}, {d:g}) outside family bounds "
                 f"s in {fam.bounds_s}, delta in {fam.bounds_delta}")
 
+    # "point" stays a key, always None, and the window keys hold the
+    # preset's, so existing hashes still hold
     resolved = {"command": "synth", "family": fam.name,
-                "grid": ns.grid, "point": ns.point, "sigma": ns.sigma,
+                "grid": ns.grid, "point": None, "sigma": ns.sigma,
                 "seed": ns.seed, "f0": f0, "span": span, "fstep": fstep,
                 "out": out}
     cfg_hash = _config_hash(resolved)
@@ -302,19 +289,15 @@ def _cmd_synth(ns):
 
 
 def _spectrum_inputs(ns):
-    """Normalize --in / --manifest / positional files to sorted (s, d, path).
+    """Normalize --in or positional files to sorted (s, d, path).
 
     Each spectrum needs a sidecar JSON whose s_mm and delta_mm (read to
     1e-6 mm) are unique and sit on one grid. Under --in, a CSV with no
     sidecar at all, such as a summary.csv written there, is passed over.
     """
-    given = sum(bool(x) for x in (ns.spectra, ns.indir, ns.manifest))
-    if given == 0:
-        raise UsageError("fit requires spectra: files, --in DIR, or "
-                         "--manifest FILE")
-    if given > 1:
-        raise UsageError("give spectra as files, --in, or --manifest, "
-                         "not several at once")
+    if bool(ns.spectra) == bool(ns.indir):
+        raise UsageError("fit requires spectra as files or as --in DIR, "
+                         "one of the two")
 
     if ns.indir:
         if not os.path.isdir(ns.indir):
@@ -325,9 +308,6 @@ def _spectrum_inputs(ns):
                      _sidecar_path(os.path.join(ns.indir, name)))]
         if not paths:
             raise DataError(f"no spectrum files with sidecars in {ns.indir}")
-    elif ns.manifest:
-        paths = _listed(ns.manifest, _read_json(ns.manifest, "manifest"),
-                        ".csv")
     else:
         paths = list(ns.spectra)
 
@@ -394,8 +374,15 @@ def _read_table(path):
     doc = _read_json(path, "manifest")
     if doc.get("schema") != MANIFEST_SCHEMA or doc.get("command") != "fit":
         raise DataError(f"{path} is neither a scan CSV nor a fit manifest")
-    docs = [_read_json(fit, "fit result")
-            for fit in _listed(path, doc, "_fit.json")]
+    files = doc.get("files", [])
+    if not (isinstance(files, list)
+            and all(isinstance(name, str) for name in files)):
+        raise DataError(f"manifest {path!r}: files must be a list of names")
+    root = os.path.dirname(os.path.abspath(path))
+    docs = [_read_json(os.path.join(root, name), "fit result")
+            for name in files if name.endswith("_fit.json")]
+    if not docs:
+        raise DataError(f"manifest {path!r} lists no _fit.json files")
     try:
         if any(fit.get("schema") != FIT_SCHEMA for fit in docs):
             raise DataError(f"{path} lists a file without schema {FIT_SCHEMA}")
@@ -407,16 +394,17 @@ def _read_table(path):
 def _cmd_fit(ns):
     inputs = _spectrum_inputs(ns)
     mask = _parse_mask(ns.mask)
-    cfg = FitConfig(n_starts=ns.n_starts, seed=ns.seed)
+    cfg = FitConfig(n_starts=ns.n_starts)
     if not 0 <= ns.max_failures <= 1:
         raise InvalidArgumentError(
             f"--max-failures must be within [0, 1], got {ns.max_failures}")
     out = _resolve_out(ns)
 
+    # "seed" stays a key, always 0, the scatter's seed, so hashes hold
     resolved = {"command": "fit",
                 "inputs": [os.path.basename(p) for _, _, p in inputs],
                 "mask": list(mask) if mask else None,
-                "n_starts": cfg.n_starts, "seed": cfg.seed,
+                "n_starts": cfg.n_starts, "seed": 0,
                 "max_failures": ns.max_failures, "out": out}
     cfg_hash = _config_hash(resolved)
 
@@ -439,7 +427,7 @@ def _cmd_fit(ns):
     _fit_table(docs).write_csv(os.path.join(out, "summary.csv"),
                                config_hash=cfg_hash)
     files.append("summary.csv")
-    _write_manifest(out, "fit", cfg_hash, cfg.seed, files)
+    _write_manifest(out, "fit", cfg_hash, 0, files)
 
     n_failed_fits = sum(not doc["converged"] for doc in docs)
     rate = n_failed_fits / len(inputs)
@@ -622,14 +610,10 @@ def _build_parser():
     p = sub.add_parser("synth", help="synthesize spectrum datasets")
     p.add_argument("--family", help="preset name (b38, b0) or JSON path")
     p.add_argument("--grid", help="min:max:step x min:max:step in mm")
-    p.add_argument("--point", help="single s,delta point in mm")
     p.add_argument("--sigma", type=float, default=0.0,
                    help="noise level (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="base RNG seed (default %(default)s)")
-    p.add_argument("--f0", type=float, help="center frequency MHz")
-    p.add_argument("--span", type=float, help="frequency span MHz")
-    p.add_argument("--fstep", type=float, help="frequency step MHz")
     p.add_argument("--jobs", type=int, help="worker processes")
     _add_common(p)
     p.set_defaults(handler=_cmd_synth, parser=p)
@@ -637,14 +621,11 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit spectra to the two-level model")
     p.add_argument("spectra", nargs="*", help="spectrum CSV files")
     p.add_argument("--in", dest="indir", help="directory of spectra")
-    p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--mask", help="channels to fit, e.g. S11 or S11,S22")
     p.add_argument("--n-starts", type=int, default=FitConfig.n_starts,
                    help="at most this many starts per fit (default "
                         "%(default)s); a fit stops at its first exact or "
                         "white-residual start")
-    p.add_argument("--seed", type=int, default=FitConfig.seed,
-                   help="fit RNG seed (default %(default)s)")
     p.add_argument("--max-failures", type=float, default=0.2,
                    help="acceptable failure fraction (default %(default)s)")
     p.add_argument("--jobs", type=int, help="worker processes")

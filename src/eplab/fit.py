@@ -124,13 +124,10 @@ class Termination(Enum):
 class FitConfig:
     n_starts: int = 8           # at most; a fit stops at its first exact or
                                 # white-residual start, see fit_spectrum
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise InvalidArgumentError("the start count must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -596,12 +593,11 @@ def fit_spectrum(spec, cfg=None, mask=None):
     p0 = seed_initializer(spec, mask)
 
     white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * model.data.size)
-    rng = np.random.default_rng(cfg.seed)
     best = None
     converged_rms = []
     counts = dict.fromkeys(Termination, 0)
     stop_rule = "exhausted"
-    for start in _scatter_starts(p0, cfg.n_starts, rng):
+    for start in _scatter_starts(p0, cfg.n_starts, np.random.default_rng(0)):
         p, r, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
             start, model)
         counts[stop] += 1

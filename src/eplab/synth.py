@@ -104,15 +104,19 @@ def _read_table(path, header, schema=None, status=False):
     of one np.loadtxt call; with status, its numbers and an object array of
     its last column, "ok" or "failed:<reason>", one string per distinct
     text. With schema, the first line must be its tag. "#" comment and blank
-    lines may stand anywhere; DataError naming path unless the first other
-    line is the header and data rows follow, each (counted from 1) with
-    header's field count, a valid status and fields that parse."""
+    lines may stand anywhere; DataError naming path unless it opens, its
+    first other line is the header and data rows follow, each (counted from
+    1) with header's field count, a valid status and fields that parse."""
     def rows(lines, start=0):         # (index, line) that numpy reads as rows
         return ((k, line) for k, line in enumerate(lines, start)
                 if line.partition("#")[0].rstrip("\n"))
 
     width = len(header)
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    try:
+        fh = open(path, encoding="utf-8", errors="replace")
+    except OSError as exc:            # a directory, say, or unreadable
+        raise DataError(f"cannot read {path!r}: {exc}")
+    with fh:
         if schema and fh.readline().strip() != f"# schema={schema}":
             raise DataError(f"{path} does not carry schema {schema}")
         lines = rows(fh, bool(schema))

@@ -37,6 +37,11 @@ def synth_args(out, grid="1.68:1.76:0.02x41.74:41.82:0.02", sigma="0"):
             "--sigma", sigma, "--seed", "3", "--out", str(out)]
 
 
+def at(s, d):
+    """The --grid of the one node (s, d)."""
+    return f"{s}:{s}:0.01x{d}:{d}:0.01"
+
+
 def write_flat(path, s, d):
     """A spectrum with S = 1 everywhere, and its sidecar at (s, d)."""
     rows = [CSV_HEADER]
@@ -88,7 +93,7 @@ def test_synth_grid_writes_dataset(tmp_path):
 
 
 def test_synth_single_point(tmp_path):
-    code = main(["synth", "--family", "b0", "--point", "1.68,41.19",
+    code = main(["synth", "--family", "b0", "--grid", at(1.68, 41.19),
                  "--sigma", "0", "--out", str(tmp_path)])
     assert code == 0
     assert len(list(tmp_path.glob("b0_*.csv"))) == 1
@@ -96,12 +101,13 @@ def test_synth_single_point(tmp_path):
 
 def test_synth_requires_one_target(tmp_path):
     assert main(["synth", "--family", "b38", "--out", str(tmp_path)]) == 1
-    assert main(["synth", "--family", "b38", "--grid", "1.6:1.7:0.1x41.7:41.8:0.1",
-                 "--point", "1.7,41.8", "--out", str(tmp_path)]) == 1
+    assert main(["synth", "--grid", "1.6:1.7:0.1x41.7:41.8:0.1",
+                 "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_missing_output_dir(tmp_path):
-    code = main(["synth", "--family", "b38", "--point", "1.72,41.78",
+    code = main(["synth", "--family", "b38", "--grid", at(*B38_EP),
                  "--out", str(tmp_path / "nope")])
     assert code == 2
 
@@ -114,7 +120,8 @@ def test_synth_out_of_bounds_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-POINT = ["synth", "--family", "b38", "--point", "1.7,41.8"]
+POINT = ["synth", "--family", "b38", "--grid", at(1.7, 41.8)]
+UNEVEN = "1.70:1.77:0.02x41.78:41.78:0.02"       # 3.5 steps along s
 BRAID = ["analyze", "braid", "--family", "b38"]
 
 
@@ -123,19 +130,21 @@ BRAID = ["analyze", "braid", "--family", "b38"]
 OUT_OF_DOMAIN = [
     (POINT + ["--sigma", "-0.01"], "sigma"),
     (POINT + ["--sigma", "nan"], "sigma"),
-    (POINT + ["--f0", "nan"], "f0"),
-    (POINT + ["--fstep", "inf"], "step"),
-    (POINT + ["--span", "inf"], "span"),
+    (["synth", "--family", "b38", "--grid", UNEVEN], "1.70:1.77:0.02"),
+    (["analyze", "scan", "--family", "b38", "--grid", UNEVEN],
+     "1.70:1.77:0.02"),
+    (POINT + ["--sigma", "inf"], "sigma"),
     (["analyze", "scan", "--family", "b38",
       "--grid", "1.5:1.9:infx41.6:42:inf"], "step"),
     (BRAID + ["--radius", "nan"], "radius"),
     (BRAID + ["--radius", "inf"], "radius"),
     (POINT + ["--seed", "-1"], "seed"),
-    (["fit", "--in", "DATA", "--seed", "-1"], "seed"),
+    (["fit", "--in", "DATA", "--max-failures", "-0.1"], "max-failures"),
     (["fit", "--in", "DATA", "--max-failures", "nan"], "max-failures"),
     (["fit", "--in", "DATA", "--max-failures", "1.5"], "max-failures"),
     (["fit", "--in", "DATA", "--n-starts", "0"], "start count"),
-    (POINT + ["--fstep", "0"], "step"),
+    (["analyze", "scan", "--family", "b38",
+      "--grid", "1.5:1.9:0x41.6:42:0"], "step"),
     (BRAID + ["--radius", "0"], "radius"),
     (BRAID + ["--turns", "0"], "turns"),
 ]
@@ -171,12 +180,12 @@ def test_synth_rejects_mismatched_axis_steps(tmp_path):
 
 
 def test_synth_unknown_family(tmp_path):
-    assert main(["synth", "--family", "b99", "--point", "1.7,41.8",
+    assert main(["synth", "--family", "b99", "--grid", at(1.7, 41.8),
                  "--out", str(tmp_path)]) == 2
 
 
 def test_synth_idempotent_with_noise(tmp_path):
-    args = ["synth", "--family", "b38", "--point", "1.70,41.80",
+    args = ["synth", "--family", "b38", "--grid", at(1.70, 41.80),
             "--sigma", "0.005", "--seed", "11", "--out", str(tmp_path)]
     assert main(args) == 0
     first = {p.name: digest(p) for p in tmp_path.iterdir()}
@@ -192,7 +201,7 @@ def test_synth_idempotent_with_noise(tmp_path):
 
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("EPLAB_OUTPUT_ROOT", str(tmp_path))
-    code = main(["synth", "--family", "b38", "--point", "1.72,41.78"])
+    code = main(["synth", "--family", "b38", "--grid", at(*B38_EP)])
     assert code == 0
     assert len(list(tmp_path.glob("b38_*.csv"))) == 1
 
@@ -204,7 +213,7 @@ def test_config_file_fills_gaps_but_flags_win(tmp_path):
     for d in (a, b, c):
         d.mkdir()
 
-    base = ["synth", "--family", "b38", "--point", "1.70,41.80"]
+    base = ["synth", "--family", "b38", "--grid", at(1.70, 41.80)]
     assert main(base + ["--sigma", "0.005", "--seed", "11",
                         "--out", str(a)]) == 0
     assert main(base + ["--config", str(cfg), "--out", str(b)]) == 0
@@ -219,8 +228,32 @@ def test_config_file_fills_gaps_but_flags_win(tmp_path):
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"bogus": 1}))
-    assert main(["synth", "--family", "b38", "--point", "1.72,41.78",
+    assert main(["synth", "--family", "b38", "--grid", at(*B38_EP),
                  "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+# the window is the preset's, a point a one-node grid, the spectra --in or
+# files, and further starts come from --n-starts
+@pytest.mark.parametrize("argv, flag, value", [
+    (POINT, "--point", "1.7,41.8"),
+    (POINT, "--f0", "2725"),
+    (POINT, "--span", "40"),
+    (POINT, "--fstep", "0.01"),
+    (["fit", "--in", "DATA"], "--manifest", "manifest.json"),
+    (["fit", "--in", "DATA"], "--seed", "5"),
+])
+def test_removed_data_options_are_refused(dataset, tmp_path, capsys, argv,
+                                          flag, value):
+    argv = [str(dataset) if arg == "DATA" else arg for arg in argv]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(argv + [flag, value, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"unknown config keys: {flag[2:]}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_config_values_parse_like_their_flags(tmp_path, capsys):
@@ -240,8 +273,8 @@ def test_config_values_parse_like_their_flags(tmp_path, capsys):
         (["synth", "--family", "b38", "--sigma", "0.005", "--grid",
           "1.70:1.72:0.02x41.78:41.78:0.02"], ["--jobs", "2"], {"jobs": "2"}),
         (["fit", "--in", str(tmp_path)],
-         ["--n-starts", "3", "--max-failures", "0.5", "--seed", "5"],
-         {"n_starts": 3, "max_failures": "0.5", "seed": 5, "mask": None}),
+         ["--n-starts", "3", "--max-failures", "0.5"],
+         {"n_starts": 3, "max_failures": "0.5", "mask": None}),
         (braid, ["--radius", "0.05", "--turns", "2"],
          {"radius": 0.05, "turns": "2", "center": None}),
     )
@@ -317,22 +350,17 @@ def test_fit_is_idempotent(dataset, fitted):
     assert digest(fitted / "summary.csv") == before
 
 
-def test_fit_accepts_manifest_and_file_list(dataset, tmp_path):
-    via_manifest = tmp_path / "m"
-    via_files = tmp_path / "f"
-    via_manifest.mkdir()
-    via_files.mkdir()
-    name = "b38_s1.7200_d41.7800.csv"
+def test_fit_accepts_a_directory_and_a_file_list(dataset, fitted, tmp_path):
+    name = "b38_s1.7200_d41.7800"
+    assert main(["fit", str(dataset / (name + ".csv")), "--n-starts", "2",
+                 "--out", str(tmp_path)]) == 0
+    doc_d = json.loads((fitted / (name + "_fit.json")).read_text())
+    doc_f = json.loads((tmp_path / (name + "_fit.json")).read_text())
+    assert doc_d["e1"] == doc_f["e1"]
 
-    assert main(["fit", "--manifest", str(dataset / "manifest.json"),
-                 "--n-starts", "2", "--out", str(via_manifest)]) == 0
-    assert main(["fit", str(dataset / name), "--n-starts", "2",
-                 "--out", str(via_files)]) == 0
-    doc_m = json.loads((via_manifest / "b38_s1.7200_d41.7800_fit.json")
-                       .read_text())
-    doc_f = json.loads((via_files / "b38_s1.7200_d41.7800_fit.json")
-                       .read_text())
-    assert doc_m["e1"] == doc_f["e1"]
+    # the two forms at once, or neither, is a usage error
+    for form in ([], [str(dataset / (name + ".csv")), "--in", str(dataset)]):
+        assert main(["fit", *form, "--out", str(tmp_path)]) == 1
 
 
 def test_fit_rejects_duplicates_and_orphans(dataset, tmp_path):
@@ -352,9 +380,7 @@ def test_fit_input_forms_share_one_sidecar_check(dataset, tmp_path):
     for suffix in (".csv", ".json"):
         for copy in (name, "copy"):
             shutil.copy(dataset / (name + suffix), data / (copy + suffix))
-    manifest = data / "manifest.json"
-    manifest.write_text(json.dumps({"files": [name + ".csv", "copy.csv"]}))
-    forms = (["--in", str(data)], ["--manifest", str(manifest)],
+    forms = (["--in", str(data)],
              [str(data / (name + ".csv")), str(data / "copy.csv")])
 
     # two spectra at one point: every form refuses them
@@ -387,8 +413,12 @@ def test_failed_fit_keeps_its_detail(tmp_path, span):
     fits.mkdir()
     # a window at the EP narrower than the 1.875 MHz widths holds no whole
     # resonance: the seed's poles are wider than a quarter of the span
-    assert main(["synth", "--family", "b38", "--point", "1.72,41.78",
-                 "--span", span, "--fstep", "0.01", "--out", str(data)]) == 0
+    family = tmp_path / "narrow.json"
+    family.write_bytes(preset(spectrum={"f_center_mhz": 2725.0,
+                                        "span_mhz": float(span),
+                                        "step_mhz": 0.01}))
+    assert main(["synth", "--family", str(family), "--grid", at(*B38_EP),
+                 "--out", str(data)]) == 0
     assert main(["fit", "--in", str(data), "--out", str(fits)]) == 3
 
     doc = json.loads((fits / "b38_s1.7200_d41.7800_fit.json").read_text())
@@ -926,8 +956,9 @@ def preset(**fields):
 
 
 @pytest.mark.parametrize("command, content", [
-    (["fit", "--manifest"], b"[1, 2]"),
-    (["fit", "--manifest"], b'{"files": [3]}'),
+    (["analyze", "ep", "--in"], b"[1, 2]"),
+    (["analyze", "ep", "--in"],
+     b'{"schema": "eplab.manifest.v1", "command": "fit", "files": 3}'),
     (["analyze", "ep", "--in"],
      b'{"schema": "eplab.manifest.v1", "command": "fit", "files": [1]}'),
     (["analyze", "scan", "--family"], b"[1]"),
@@ -937,11 +968,11 @@ def preset(**fields):
     (["analyze", "scan", "--family"], preset(b_mt="abc")),
     (["analyze", "scan", "--family"], preset(g0=[0.5, 0.5])),
     (["analyze", "scan", "--family"], preset(fc_mhz="abc")),
-    (["synth", "--point", "1.72,41.78", "--family"], preset(spectrum={})),
-    (["synth", "--point", "1.72,41.78", "--family"],
+    (["synth", "--grid", at(*B38_EP), "--family"], preset(spectrum={})),
+    (["synth", "--grid", at(*B38_EP), "--family"],
      preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": "abc",
                       "step_mhz": 0.01})),
-    (["synth", "--point", "1.72,41.78", "--family"],
+    (["synth", "--grid", at(*B38_EP), "--family"],
      preset(spectrum={"f_center_mhz": 2725.0, "span_mhz": float("nan"),
                       "step_mhz": 0.01})),
     (["analyze", "ep", "--in"],
@@ -1040,6 +1071,34 @@ def test_fit_records_a_non_numeric_spectrum_and_goes_on(dataset, tmp_path,
     summary = ScanResult.read_csv(fits / "summary.csv")
     assert summary.status.tolist() == [["ok", "failed:DataError"],
                                        ["ok", "ok"]]
+
+
+@pytest.mark.parametrize("max_failures, code", [("0.2", 3), ("0.25", 0)])
+def test_fit_records_an_unreadable_spectrum_and_goes_on(
+        dataset, tmp_path, capsys, max_failures, code):
+    # a directory named like a spectrum, with a sidecar, among good ones
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    names = [f"b38_s{s}_d41.7800" for s in ("1.7000", "1.7200", "1.7400",
+                                             "1.7600")]
+    for name in names:
+        shutil.copy(dataset / (name + ".json"), data / (name + ".json"))
+    for name in names[:3]:
+        shutil.copy(dataset / (name + ".csv"), data / (name + ".csv"))
+    (data / (names[3] + ".csv")).mkdir()
+
+    assert main(["fit", "--in", str(data), "--n-starts", "2",
+                 "--max-failures", max_failures, "--out", str(fits)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((fits / (names[3] + "_fit.json")).read_text())
+    assert doc["reason"] == "DataError"
+    assert str(data / (names[3] + ".csv")) in doc["detail"]
+    manifest = json.loads((fits / "manifest.json").read_text())
+    assert len(manifest["files"]) == 5
+    summary = ScanResult.read_csv(fits / "summary.csv")
+    assert summary.status.tolist() == [["ok"], ["ok"], ["ok"],
+                                       ["failed:DataError"]]
 
 
 # line 101 holds frequency 100; line -1 the last one
