@@ -95,19 +95,6 @@ def _config_hash(resolved):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _config_defaults(ns):
-    """Set --config values as the command's option defaults, as text, so
-    parsing argv again converts each by its option's type; flags win."""
-    doc = _read_json(ns.config, "config file")
-    options = set(vars(ns)) - {"command", "mode", "handler", "parser",
-                               "config", "spectra"}
-    unknown = sorted(set(doc) - options)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    ns.parser.set_defaults(**{key: str(value) for key, value in doc.items()
-                              if value is not None})
-
-
 def _resolve_out(ns):
     out = ns.out or os.environ.get(OUTPUT_ROOT_ENV) or "."
     if not os.path.isdir(out):
@@ -129,10 +116,10 @@ def _parse_grid(text):
             spans.append(tuple(float(p) for p in parts))
         except ValueError:
             raise UsageError(f"grid axis {axis!r} is not numeric")
-    if spans[0][2] != spans[1][2]:
-        raise UsageError("both grid axes must use the same step")
     grid = ParamGrid(spans[0][0], spans[0][1],
                      spans[1][0], spans[1][1], spans[0][2])
+    if spans[0][2] != spans[1][2]:
+        raise UsageError("both grid axes must use the same step")
     for axis, (lo, hi, step) in zip(axes, spans):
         nodes = (hi - lo) / step        # whole, to the rounding of the text
         if abs(nodes - round(nodes)) > 1e-9 * nodes:
@@ -214,10 +201,13 @@ def _pin_blas_thread():
 
 
 def _pool_map(fn, items, jobs):
-    """Yield fn(item) for every item, in input order, as results arrive."""
+    """Yield fn(item) for every item, in input order, as results arrive;
+    fewer than one job is refused before the first item."""
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
+    if jobs < 1:
+        raise InvalidArgumentError(f"--jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     chunk = max(1, len(items) // (4 * jobs))
@@ -249,9 +239,6 @@ def _synth_task(args):
 
 
 def _cmd_synth(ns):
-    if ns.family is None or ns.grid is None:
-        raise UsageError("synth requires --family and --grid")
-
     fam = load_family(ns.family)
     f0, span, fstep = (fam.spectrum_defaults[key] for key in
                        ("f_center_mhz", "span_mhz", "step_mhz"))
@@ -444,10 +431,6 @@ def _cmd_fit(ns):
 
 def _family_grid(ns):
     """The --family preset and its --grid (default: the family bounds)."""
-    if not ns.family:
-        raise UsageError("this command requires --family")
-    if getattr(ns, "indir", None):
-        raise UsageError("give --family or --in, not both")
     fam = load_family(ns.family)
     if getattr(ns, "grid", None):
         grid = _parse_grid(ns.grid)
@@ -474,8 +457,6 @@ def _cmd_analyze_scan(ns):
 
 
 def _cmd_analyze_ep(ns):
-    if ns.infile is None:
-        raise UsageError("analyze ep requires --in SCAN.csv or manifest.json")
     result = _read_table(ns.infile)
     loc = locate_ep(result)
     out = _resolve_out(ns)
@@ -494,16 +475,13 @@ def _cmd_analyze_ep(ns):
 
 def _cmd_analyze_curve(ns):
     out = _resolve_out(ns)
-    if ns.family:
+    if ns.family is not None:
         fam, grid = _family_grid(ns)
         result = scan(grid, fam)
         origin = {"family": ns.family, "grid": ns.grid}
-    elif ns.indir:
+    else:
         result = _read_table(ns.indir)
         origin = {"scan": os.path.basename(ns.indir)}
-    else:
-        raise UsageError("analyze curve requires --family or --in "
-                         "manifest.json")
 
     start = _parse_point(ns.start, "--start", lambda: result)
 
@@ -528,8 +506,6 @@ def _cmd_analyze_curve(ns):
 
 
 def _cmd_analyze_pt(ns):
-    if ns.curve is None:
-        raise UsageError("analyze pt requires --curve TRACE.json")
     trace = CurveTrace.from_json_dict(_read_json(ns.curve, "curve"))
     out = _resolve_out(ns)
     resolved = {"command": "analyze-pt", "curve": ns.curve, "out": out}
@@ -600,7 +576,6 @@ def _cmd_analyze_braid(ns):
 
 def _add_common(parser):
     parser.add_argument("--out", help="output directory (must exist)")
-    parser.add_argument("--config", help="JSON config file; flags win")
 
 
 def _build_parser():
@@ -608,15 +583,17 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize spectrum datasets")
-    p.add_argument("--family", help="preset name (b38, b0) or JSON path")
-    p.add_argument("--grid", help="min:max:step x min:max:step in mm")
+    p.add_argument("--family", required=True,
+                   help="preset name (b38, b0) or JSON path")
+    p.add_argument("--grid", required=True,
+                   help="min:max:step x min:max:step in mm")
     p.add_argument("--sigma", type=float, default=0.0,
                    help="noise level (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="base RNG seed (default %(default)s)")
     p.add_argument("--jobs", type=int, help="worker processes")
     _add_common(p)
-    p.set_defaults(handler=_cmd_synth, parser=p)
+    p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit spectra to the two-level model")
     p.add_argument("spectra", nargs="*", help="spectrum CSV files")
@@ -630,57 +607,55 @@ def _build_parser():
                    help="acceptable failure fraction (default %(default)s)")
     p.add_argument("--jobs", type=int, help="worker processes")
     _add_common(p)
-    p.set_defaults(handler=_cmd_fit, parser=p)
+    p.set_defaults(handler=_cmd_fit)
 
     pa = sub.add_parser("analyze", help="plane analysis on fits or presets")
     mode = pa.add_subparsers(dest="mode", required=True)
 
     p = mode.add_parser("scan", help="tabulate a family on a grid")
-    p.add_argument("--family", help="preset name or JSON path")
+    p.add_argument("--family", required=True, help="preset name or JSON path")
     p.add_argument("--grid", help="min:max:step x min:max:step in mm")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_scan, parser=p)
+    p.set_defaults(handler=_cmd_analyze_scan)
 
     p = mode.add_parser("ep", help="locate the degeneracy on a scan table")
-    p.add_argument("--in", dest="infile",
+    p.add_argument("--in", dest="infile", required=True,
                    help="scan CSV (also a fit summary.csv) or fit manifest")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_ep, parser=p)
+    p.set_defaults(handler=_cmd_analyze_ep)
 
     p = mode.add_parser("curve", help="trace the real-splitting contour")
-    p.add_argument("--family", help="preset name or JSON path")
-    p.add_argument("--in", dest="indir",
-                   help="fit manifest.json to trace on")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="preset name or JSON path")
+    source.add_argument("--in", dest="indir",
+                        help="fit manifest.json to trace on")
     p.add_argument("--grid", help="grid when scanning a family")
     p.add_argument("--start", help="s,delta start point or 'ep' (default)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_curve, parser=p)
+    p.set_defaults(handler=_cmd_analyze_curve)
 
     p = mode.add_parser("pt", help="symmetry analysis along a traced curve")
-    p.add_argument("--curve", help="trace.json from analyze curve")
+    p.add_argument("--curve", required=True,
+                   help="trace.json from analyze curve")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_pt, parser=p)
+    p.set_defaults(handler=_cmd_analyze_pt)
 
     p = mode.add_parser("braid", help="eigenvalue exchange around a loop")
-    p.add_argument("--family", help="preset name or JSON path")
+    p.add_argument("--family", required=True, help="preset name or JSON path")
     p.add_argument("--center", help="loop center s,delta or 'ep' (default)")
     p.add_argument("--radius", type=float, default=0.1,
                    help="loop radius mm (default %(default)s)")
     p.add_argument("--turns", type=int, default=1,
                    help="windings (default %(default)s)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze_braid, parser=p)
+    p.set_defaults(handler=_cmd_analyze_braid)
 
     return top
 
 
 def main(argv=None):
     try:
-        parser = _build_parser()
-        ns = parser.parse_args(argv)
-        if ns.config is not None:
-            _config_defaults(ns)
-            ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         return ns.handler(ns)
     except SystemExit as exc:          # argparse --help
         return EXIT_OK if not exc.code else EXIT_USAGE

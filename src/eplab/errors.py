@@ -78,7 +78,7 @@ class RefineLoopError(EplabError):
 
 
 class UsageError(EplabError):
-    """Bad command line or config file (CLI exit code 1)."""
+    """Bad command line (CLI exit code 1)."""
 
 
 class DataError(EplabError):

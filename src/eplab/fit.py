@@ -22,7 +22,7 @@ per fit and takes J^T J and J^T r from their complex Gram matrix and the
 complex residual. A trial step that moves a pole out of the frequency window
 or makes it amplifying (Im E > 0) is rejected like a cost increase, so the
 damping grows. A start ends when its step shrinks to nothing or an accepted
-step gains less than CHI2_STALL of chi^2 per row; as a runaway, not
+step gains less than CHI2_STALL of chi^2 per fitted row; as a runaway, not
 converged, if a rejection came first. The model has an exact one-parameter
 gauge freedom (a common real orthogonal rotation of levels and couplings),
 so the curvature matrix is singular along that direction; damping
@@ -137,7 +137,7 @@ class FitResult:
     ham: EffHamiltonian
     coupling: CouplingSet
     tau: float
-    residual_rms: float
+    residual_rms: float     # over the real rows of the included channels
     converged: bool
     covariance_proxy: np.ndarray = field(repr=False)
     iterations: int = 0
@@ -221,15 +221,15 @@ class _Model:
     def __init__(self, spec, include):
         self.freqs = spec.freqs
         self.window = (float(spec.freqs[0]), float(spec.freqs[-1]))
-        self.rows = 8 * spec.n_points     # masked channels are zero rows
         self.channels = np.flatnonzero(include)
         self.data = spec.s[self.channels]
+        self.rows = 2 * self.data.size    # real rows of the included channels
         self._z = None
 
     def residual(self, p):
         """(r, cost): the complex (k, n) residual model - data of the k
         included channels and |r|^2 / 2; on a resolvent pole, None and
-        the cost of POLE_SENTINEL in all 8n rows."""
+        the cost of POLE_SENTINEL in every row."""
         e1, e2, h1, h2 = (complex(p[k], p[k + 1]) for k in (0, 2, 4, 6))
         try:
             entries = _sgrid(e1, e2, h1, h2, *p[8:], self.freqs)
@@ -315,7 +315,7 @@ def residual_vector(params, spec, mask=None):
     model = _Model(spec, _channel_row_mask(mask))
     r, _ = model.residual(p)
     if r is None:
-        return np.full(model.rows, POLE_SENTINEL)
+        return np.full(8 * spec.n_points, POLE_SENTINEL)
     out = np.zeros((spec.n_points, 4), dtype=complex)
     out[:, model.channels] = r.T
     return out.view(float).reshape(-1)

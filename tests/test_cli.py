@@ -99,10 +99,12 @@ def test_synth_single_point(tmp_path):
     assert len(list(tmp_path.glob("b0_*.csv"))) == 1
 
 
-def test_synth_requires_one_target(tmp_path):
+def test_synth_requires_one_target(tmp_path, capsys):
     assert main(["synth", "--family", "b38", "--out", str(tmp_path)]) == 1
+    assert "required: --grid" in capsys.readouterr().err
     assert main(["synth", "--grid", "1.6:1.7:0.1x41.7:41.8:0.1",
                  "--out", str(tmp_path)]) == 1
+    assert "required: --family" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -147,6 +149,10 @@ OUT_OF_DOMAIN = [
       "--grid", "1.5:1.9:0x41.6:42:0"], "step"),
     (BRAID + ["--radius", "0"], "radius"),
     (BRAID + ["--turns", "0"], "turns"),
+    (POINT + ["--jobs", "0"], "jobs"),
+    (["fit", "--in", "DATA", "--jobs", "-1"], "jobs"),
+    (["synth", "--family", "b38", "--grid", "1.72:1.74:nanx41.78:41.78:nan"],
+     "must be finite"),
 ]
 
 
@@ -206,32 +212,6 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("b38_*.csv"))) == 1
 
 
-def test_config_file_fills_gaps_but_flags_win(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"sigma": 0.005, "seed": 11}))
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    for d in (a, b, c):
-        d.mkdir()
-
-    base = ["synth", "--family", "b38", "--grid", at(1.70, 41.80)]
-    assert main(base + ["--sigma", "0.005", "--seed", "11",
-                        "--out", str(a)]) == 0
-    assert main(base + ["--config", str(cfg), "--out", str(b)]) == 0
-    assert main(base + ["--config", str(cfg), "--sigma", "0",
-                        "--out", str(c)]) == 0
-
-    name = "b38_s1.7000_d41.8000.csv"
-    assert digest(a / name) == digest(b / name)       # file supplied values
-    assert digest(a / name) != digest(c / name)       # flag overrode sigma
-
-
-def test_config_file_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert main(["synth", "--family", "b38", "--grid", at(*B38_EP),
-                 "--config", str(cfg), "--out", str(tmp_path)]) == 1
-
-
 # the window is the preset's, a point a one-node grid, the spectra --in or
 # files, and further starts come from --n-starts
 @pytest.mark.parametrize("argv, flag, value", [
@@ -249,43 +229,42 @@ def test_removed_data_options_are_refused(dataset, tmp_path, capsys, argv,
     out.mkdir()
     assert main(argv + [flag, value, "--out", str(out)]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({flag[2:]: value}))
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
-    assert f"unknown config keys: {flag[2:]}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
-def test_config_values_parse_like_their_flags(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    braid = ["analyze", "braid", "--family", "b38", "--out", str(tmp_path)]
-    for doc, message in (({"radius": "abc"}, "argument --radius: invalid "
-                          "float value: 'abc'"),
-                         ({"turns": True}, "argument --turns: invalid "
-                          "int value: 'True'")):
-        cfg.write_text(json.dumps(doc))
-        assert main(braid + ["--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("eplab: ") and message in err
+# every option comes from its flag; argparse enforces the required ones
+@pytest.mark.parametrize("argv, named", [
+    (["analyze", "scan"], "--family"),
+    (["analyze", "braid", "--center", "ep"], "--family"),
+    (["analyze", "ep"], "--in"),
+    (["analyze", "pt"], "--curve"),
+    (["analyze", "curve"], "one of the arguments --family --in is required"),
+    (["analyze", "curve", "--family", "b38", "--in", "manifest.json"],
+     "argument --in: not allowed with argument --family"),
+], ids=["scan", "braid", "ep", "pt", "curve-neither", "curve-both"])
+def test_missing_or_clashing_required_option_writes_nothing(tmp_path, capsys,
+                                                            argv, named):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eplab: ") and named in err
+    assert list(tmp_path.iterdir()) == []
 
-    # a value in the file gives the bytes its flag gives; null is unset
-    runs = (
-        (["synth", "--family", "b38", "--sigma", "0.005", "--grid",
-          "1.70:1.72:0.02x41.78:41.78:0.02"], ["--jobs", "2"], {"jobs": "2"}),
-        (["fit", "--in", str(tmp_path)],
-         ["--n-starts", "3", "--max-failures", "0.5"],
-         {"n_starts": 3, "max_failures": "0.5", "mask": None}),
-        (braid, ["--radius", "0.05", "--turns", "2"],
-         {"radius": 0.05, "turns": "2", "center": None}),
-    )
-    for argv, flags, doc in runs:
-        cfg.write_text(json.dumps(doc))
-        digests = []
-        for extra in (flags, ["--config", str(cfg)]):
-            assert main(argv + extra + ["--out", str(tmp_path)]) == 0
-            digests.append({p.name: digest(p) for p in tmp_path.iterdir()
-                            if p.suffix in (".csv", ".json") and p != cfg})
-        assert digests[0] == digests[1]
+
+def test_no_command_takes_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "x.json"
+    cfg.write_text("{}")
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["synth", "--family", "b38", "--grid", at(*B38_EP)],
+                 ["fit", "--in", "data"],
+                 ["analyze", "scan", "--family", "b38"],
+                 ["analyze", "ep", "--in", "scan.csv"],
+                 ["analyze", "curve", "--family", "b38"],
+                 ["analyze", "pt", "--curve", "trace.json"],
+                 ["analyze", "braid", "--family", "b38"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_help_shows_the_defaults(capsys):
@@ -435,20 +414,12 @@ def test_failed_fit_keeps_its_detail(tmp_path, span):
     assert summary.status.tolist() == [["failed:InsufficientSpanError"]]
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
 def test_fit_refuses_an_unknown_mask_channel_before_any_fit(dataset, tmp_path,
-                                                            capsys, how):
+                                                            capsys):
     out = tmp_path / "out"
     out.mkdir()
-    argv = ["fit", "--in", str(dataset), "--out", str(out)]
-    if how == "flag":
-        argv += ["--mask", "S11,S13"]
-    else:
-        # a JSON list is not the comma-separated text --mask takes
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"mask": ["S11", "S22"]}))
-        argv += ["--config", str(cfg)]
-    assert main(argv) == 1
+    assert main(["fit", "--in", str(dataset), "--mask", "S11,S13",
+                 "--out", str(out)]) == 1
     assert "unknown channel" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
@@ -768,8 +739,9 @@ def test_data_config_hashes_are_pinned(tmp_path, monkeypatch):
 
 
 def test_readme_names_only_existing_flags():
-    # a flag the README's command line section names is an option of some
-    # subcommand, so the docs cannot outlive a removed flag
+    # the README's command line section names every option of every
+    # subcommand and no other, so the docs neither outlive a removed flag
+    # nor miss one
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:
         section = fh.read().split("## Command line")[1].split("\n## ")[0]
@@ -781,8 +753,9 @@ def test_readme_names_only_existing_flags():
             options.update(action.option_strings)
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
-    assert len(named) >= 10
     assert named <= options, sorted(named - options)
+    missing = options - {"-h", "--help"} - named
+    assert not missing, sorted(missing)
 
 
 def test_analyze_scan_from_spectra_directory(tmp_path):

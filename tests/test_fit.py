@@ -528,14 +528,27 @@ def test_fit_noisy_spectrum_stays_accurate():
 
 @pytest.mark.parametrize("mask", [None, ("S11", "S22")])
 def test_fit_rms_is_the_rms_of_the_public_residual(mask):
-    # the LM sums its complex residual over the included channels only, but
-    # its rms divides by all 8n rows, as the public residual vector does
+    # the public residual vector keeps zero rows for masked channels; the
+    # rms divides its sum by the 2kn real rows of the k included channels
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=3))
     res = fit_spectrum(spec, FitConfig(n_starts=2), mask=mask)
     r = residual_vector(pack_params(res.ham, res.coupling.antenna), spec,
                         mask)
-    rms = math.sqrt(float(r @ r) / r.size)
+    k = len(mask) if mask else 4
+    rms = math.sqrt(float(r @ r) / (2 * k * spec.n_points))
     assert abs(res.residual_rms - rms) <= 1e-12 * rms
+
+
+@pytest.mark.parametrize("mask", [("S11", "S12", "S21"), ("S11", "S22"),
+                                  ("S11",)])
+def test_masked_fit_rms_reads_the_noise(mask):
+    # at the noise floor the rms over the fitted rows is sigma, to a few
+    # standard deviations of a mean square over 2kn rows
+    sigma = 0.02
+    fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(sigma, seed=5))
+    res = fit_spectrum(spec, mask=mask)
+    assert abs(res.residual_rms / sigma - 1) <= 6 / math.sqrt(
+        2 * len(mask) * spec.n_points)
 
 
 def test_fit_observables_invariant_under_rotated_initialization(monkeypatch):
