@@ -529,62 +529,62 @@ def _correct_onto_contour(field, point, epsilon, fd_step):
     1e-6 epsilon and each cuts it at least tenfold; the first that does not
     has met the rounding floor or a non-finite value and is discarded
     (Allgower & Georg), so from |cross_rel| <= 1/2 it ends within 15 steps
-    for epsilon >= 1e-9. Returns (point, "ok") if the point lies within
-    epsilon, (None, "exit") if a step leaves the window, or (None, "lost")."""
+    for epsilon >= 1e-9. Returns (point, gradient, "ok") if the point lies
+    within epsilon, with the gradient there (the discarded step's, or a fresh
+    one after a stop under 1e-6 epsilon): about 11 contour values a family
+    point. Else (None, None, "exit") if a step leaves the window, or
+    (None, None, "lost")."""
     p = np.array(point, dtype=float)
     c = field.cross_rel(*p)
+    g = None
     while abs(c) > 1e-6 * epsilon:
         g = field.gradient(*p, fd_step)
         g2 = float(g @ g)
         if not math.isfinite(g2) or g2 < 1e-300:
-            return None, "lost"
+            return None, None, "lost"
         q = p - (c / g2) * g
         if not field.in_window(*q, margin=fd_step):
-            return None, "exit"
+            return None, None, "exit"
         c_q = field.cross_rel(*q)
         if not abs(c_q) <= 0.1 * abs(c):
             break
-        p, c = q, c_q
-    return (p, "ok") if abs(c) <= epsilon else (None, "lost")
+        p, c, g = q, c_q, None
+    if abs(c) > epsilon:
+        return None, None, "lost"
+    return p, field.gradient(*p, fd_step) if g is None else g, "ok"
 
 
-def _tangent(field, p, fd_step):
-    """Unit contour tangent at p (the gradient turned by 90 degrees), or
-    None where the gradient is not finite or vanishes."""
-    g = field.gradient(*p, fd_step)
+def _tangent(g):
+    """Unit contour tangent from the contour-function gradient g (g turned
+    by 90 degrees), or None where g is not finite or vanishes."""
     norm = float(np.hypot(*g))
     if not math.isfinite(norm) or norm < 1e-300:
         return None
     return np.array([-g[1], g[0]]) / norm
 
 
-def _march(field, start, direction, step, epsilon, fd_step):
-    """Walk the contour one predictor-corrector step at a time."""
+def _march(field, start, tangent, step, epsilon, fd_step):
+    """Walk the contour one predictor-corrector step at a time, from start
+    along its unit tangent; each next tangent keeps the walk's direction."""
     points = []
     p = np.array(start, dtype=float)
-    t_prev = np.array(direction, dtype=float)
-    truncated = False
     while len(points) < _MAX_TRACE_POINTS:
-        tangent = _tangent(field, p, fd_step)
         if tangent is None:
-            truncated = True
-            break
-        if float(tangent @ t_prev) < 0:
-            tangent = -tangent
+            return points, True
         candidate = p + step * tangent
         if not field.in_window(*candidate, margin=fd_step):
             break                        # clean exit at the window edge
-        corrected, status = _correct_onto_contour(field, candidate, epsilon,
-                                                  fd_step)
+        corrected, g, status = _correct_onto_contour(field, candidate, epsilon,
+                                                     fd_step)
         if status == "exit":
             break
         if status == "lost" or float(np.hypot(*(corrected - p))) > 2.0 * step:
-            truncated = True
-            break
+            return points, True
         points.append(corrected)
-        t_prev = tangent
         p = corrected
-    return points, truncated
+        t = _tangent(g)
+        tangent = t if t is None or float(t @ tangent) >= 0 else -t
+    return points, False
 
 
 def trace_pt_curve(scan_result, start):
@@ -613,10 +613,12 @@ def trace_pt_curve(scan_result, start):
             f"start point has |cross|/(reh2+imh2) = {abs(c0):.3g} > {epsilon:.3g}")
 
     fd_step = 0.05 * step
-    polished, status = _correct_onto_contour(field, (s0, d0), epsilon, fd_step)
+    p, g, status = _correct_onto_contour(field, (s0, d0), epsilon, fd_step)
     if status == "ok":
-        s0, d0 = float(polished[0]), float(polished[1])
-    tangent = _tangent(field, (s0, d0), fd_step)
+        s0, d0 = float(p[0]), float(p[1])
+    else:
+        g = field.gradient(s0, d0, fd_step)
+    tangent = _tangent(g)
     if tangent is None:
         raise NotOnPTCurveError("contour direction undefined at start")
 

@@ -139,7 +139,6 @@ class FitResult:
     tau: float
     residual_rms: float     # over the real rows of the included channels
     converged: bool
-    covariance_proxy: np.ndarray = field(repr=False)
     iterations: int = 0
     starts_run: int = 0
     # starts per Termination value, every reason present, in enum order
@@ -158,7 +157,6 @@ class FitResult:
         d["tau"] = self.tau
         d["residual_rms"] = self.residual_rms
         d["converged"] = bool(self.converged)
-        d["covariance_proxy"] = list(self.covariance_proxy)
         d["iterations"] = int(self.iterations)
         d["starts_run"] = int(self.starts_run)
         d["terminations"] = dict(self.terminations)
@@ -332,7 +330,7 @@ def _poles_physical(params, f_lo, f_hi):
 def _levenberg_marquardt(p0, model):
     """Damped least squares on model; cost is monotone over accepted steps.
 
-    Returns (params, residual, rms, stop, iterations, jtj_diag, costs),
+    Returns (params, residual, rms, stop, iterations, costs),
     where residual is the complex (k, n) residual at params (None on a
     resolvent pole) and stop is the Termination of this start. Trial steps
     with unphysical poles are rejected like cost increases. A step below the
@@ -347,7 +345,6 @@ def _levenberg_marquardt(p0, model):
     nu = 2.0
     stop = Termination.MAX_ITERATIONS
     it = 0
-    jtj_diag = None
     for it in range(1, MAX_ITERATIONS + 1):
         try:
             jtj, grad = model.normal_equations(p, r)
@@ -355,11 +352,10 @@ def _levenberg_marquardt(p0, model):
             # a lossless pole on a grid frequency: the physical boundary
             stop = Termination.RUNAWAY
             break
-        jtj_diag = np.diag(jtj).copy()
         if np.max(np.abs(grad)) < GRADIENT_TOLERANCE:
             stop = Termination.CONVERGED
             break
-        scale = np.maximum(jtj_diag, 1e-12)
+        scale = np.maximum(np.diag(jtj), 1e-12)
         accepted = False
         blocked = False          # a trial of this iteration was unphysical
         while lam < 1e14:
@@ -397,7 +393,7 @@ def _levenberg_marquardt(p0, model):
             stop = Termination.RUNAWAY if blocked else Termination.CONVERGED
             break
     rms = math.sqrt(2.0 * cost / model.rows)
-    return p, r, rms, stop, it, jtj_diag, costs
+    return p, r, rms, stop, it, costs
 
 
 # -------------------------------------------------------------------- seeding
@@ -598,8 +594,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
     counts = dict.fromkeys(Termination, 0)
     stop_rule = "exhausted"
     for start in _scatter_starts(p0, cfg.n_starts, np.random.default_rng(0)):
-        p, r, rms, stop, iters, jtj_diag, _ = _levenberg_marquardt(
-            start, model)
+        p, r, rms, stop, iters, _ = _levenberg_marquardt(start, model)
         counts[stop] += 1
         ok = bool(stop)
         agrees = ok and any(abs(rms - prev) <= RMS_AGREEMENT * prev
@@ -607,7 +602,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
         if best is None or (ok and not best[2]) or (
                 ok == best[2] and rms < best[1] and not agrees):
             lag1 = _residual_lag1(r) if ok else None
-            best = (p, rms, ok, iters, jtj_diag, lag1)
+            best = (p, rms, ok, iters, lag1)
             if ok and rms < EARLY_EXIT_RMS:
                 stop_rule = "exact"
             elif ok and lag1 < white:
@@ -619,7 +614,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
         if ok:
             converged_rms.append(rms)
 
-    p, rms, ok, iters, jtj_diag, lag1 = best
+    p, rms, ok, iters, lag1 = best
     span = float(spec.freqs[-1] - spec.freqs[0])
     widths = [-2.0 * e.imag for e in eigenvalues_sorted(unpack_params(p)[0])]
     if span < 4.0 * max(*widths, 0.0):
@@ -646,7 +641,6 @@ def fit_spectrum(spec, cfg=None, mask=None):
         tau=extract_tau(ham) if coupled else 0.0,
         residual_rms=rms,
         converged=True,
-        covariance_proxy=jtj_diag,
         iterations=iters,
         starts_run=starts_run,
         terminations=terminations,

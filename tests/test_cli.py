@@ -322,6 +322,17 @@ def test_fit_outputs_match_family_truth(fitted):
     assert "summary.csv" in manifest["files"]
 
 
+def test_fit_document_carries_exactly_its_keys(fitted):
+    # the fitted matrix, what the fit did, and the CLI's provenance; a key
+    # that no reader reads does not creep back in
+    keys = {"e1", "e2", "h1", "h2", "W", "tau", "residual_rms", "converged",
+            "iterations", "starts_run", "terminations", "stop_rule",
+            "residual_lag1", "clipped_dissipation",
+            "schema", "config_hash", "source", "s_mm", "delta_mm"}
+    for path in fitted.glob("*_fit.json"):
+        assert set(json.loads(path.read_text())) == keys
+
+
 def test_fit_is_idempotent(dataset, fitted):
     before = digest(fitted / "summary.csv")
     assert main(["fit", "--in", str(dataset), "--n-starts", "2",

@@ -628,27 +628,44 @@ def test_trace_reciprocal_family_has_zero_tau(b0, b0_scan):
                     tr.points[k, 1] - B0_EP[1]) <= 0.01
 
 
-@pytest.mark.parametrize("name", ["b38", "b0"])
-def test_corrector_stops_at_the_rounding_floor(name, monkeypatch):
-    # a Newton step that no longer cuts |cross_rel| tenfold ends the
-    # correction, so no point spends steps creeping by ulps at the floor
+def _recorded_bounds_trace(name, monkeypatch, method):
+    """The trace of a preset over its bounds from the located EP, and the
+    points each call of the _PlaneField method was made at."""
     fam = load_family(name)
     table = scan(ParamGrid(*fam.bounds_s, *fam.bounds_delta), fam)
     ep = tuple(locate_ep(table))
     field_type = eplab.epscan._PlaneField
-    cross_rel, calls = field_type.cross_rel, []
+    original, calls = getattr(field_type, method), []
 
-    def counted(self, s, delta):
+    def recorded(self, s, delta, *args):
         calls.append((s, delta))
-        return cross_rel(self, s, delta)
+        return original(self, s, delta, *args)
 
-    monkeypatch.setattr(field_type, "cross_rel", counted)
+    monkeypatch.setattr(field_type, method, recorded)
     trace = trace_pt_curve(table, ep)
     monkeypatch.undo()
+    return table, trace, calls
+
+
+@pytest.mark.parametrize("name", ["b38", "b0"])
+def test_corrector_stops_at_the_rounding_floor(name, monkeypatch):
+    # a Newton step that no longer cuts |cross_rel| tenfold ends the
+    # correction, so no point spends steps creeping by ulps at the floor
+    table, trace, calls = _recorded_bounds_trace(name, monkeypatch, "cross_rel")
     assert trace.n_points == 91 and not trace.truncated
     assert len(calls) <= 20 * trace.n_points
     field = eplab.epscan._field_for(table)
     assert max(abs(field.cross_rel(*p)) for p in trace.points) <= 1e-12
+
+
+def test_trace_takes_each_gradient_once(monkeypatch):
+    # the corrector hands back the gradient it took at the point it keeps,
+    # and the march turns that into the next tangent without reading four
+    # more contour values there
+    _, trace, calls = _recorded_bounds_trace("b38", monkeypatch, "cross_rel")
+    assert len(calls) <= 11 * trace.n_points
+    _, _, at = _recorded_bounds_trace("b38", monkeypatch, "gradient")
+    assert len(set(at)) == len(at)
 
 
 def test_trace_symmetry_analysis_on_curve_points(b38_trace):

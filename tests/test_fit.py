@@ -602,7 +602,7 @@ def test_accepted_costs_never_increase():
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=3))
     p0 = seed_initializer(spec)
     model = _Model(spec, _channel_row_mask(None))
-    _, _, _, converged, _, _, costs = _levenberg_marquardt(p0, model)
+    _, _, _, converged, _, costs = _levenberg_marquardt(p0, model)
     assert converged
     assert len(costs) >= 2
     assert np.all(np.diff(costs) <= 0.0)
@@ -616,7 +616,7 @@ def test_lm_start_pinned_at_window_edge_is_runaway():
     spec = synth_spectrum(ham, w, *GRID)
     p0 = truth_params_of(ham, w)
     p0[2] = 2743.0
-    p, _, _, stop, _, _, costs = _levenberg_marquardt(
+    p, _, _, stop, _, costs = _levenberg_marquardt(
         p0, _Model(spec, _channel_row_mask(None)))
     assert stop is Termination.RUNAWAY
     assert not stop                      # reads as converged=False
@@ -688,7 +688,7 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
 
     def exact(p0, model):
         r = np.zeros_like(model.data)
-        return p, r, 0.0, Termination.CONVERGED, 1, np.ones(N_PARAMS), [0.0]
+        return p, r, 0.0, Termination.CONVERGED, 1, [0.0]
 
     monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", exact)
     with warnings.catch_warnings():
@@ -726,7 +726,7 @@ def test_white_first_start_is_the_fit(point, log_sigma, noise_seed):
     fam, spec = family_spectrum("b38", *point,
                                 NoiseSpec(10.0 ** log_sigma, seed=noise_seed))
     p0 = seed_initializer(spec)
-    p, r, rms, stop, iters, _, _ = _levenberg_marquardt(
+    p, r, rms, stop, iters, _ = _levenberg_marquardt(
         p0, _Model(spec, _channel_row_mask(None)))
     assume(stop and _residual_lag1(r) < noise_floor_limit(spec))
     res = fit_spectrum(spec)
@@ -759,7 +759,7 @@ def test_lm_restart_from_a_noisy_fit_stays_put(point):
     for noise_seed in (1, 2, 3):
         _, spec = family_spectrum("b38", *point, NoiseSpec(0.005, seed=noise_seed))
         res = fit_spectrum(spec)
-        p, _, _, stop, _, _, _ = _levenberg_marquardt(
+        p, _, _, stop, _, _ = _levenberg_marquardt(
             pack_params(res.ham, res.coupling.antenna),
             _Model(spec, _channel_row_mask(None)))
         assert stop
@@ -844,7 +844,7 @@ def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
 
     def scripted(p0, model):
         rms, iters = next(script)
-        return p, r, rms, Termination.CONVERGED, iters, np.ones(N_PARAMS), [1.0]
+        return p, r, rms, Termination.CONVERGED, iters, [1.0]
 
     monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", scripted)
     res = fit_spectrum(spec)
@@ -973,16 +973,6 @@ def test_noisy_lossless_fit_reports_clipped_dissipation():
     assert res.clipped_dissipation == pytest.approx(
         -np.linalg.eigvalsh(t_diss)[0], rel=1e-9)
     assert res.to_json_dict()["clipped_dissipation"] == res.clipped_dissipation
-
-
-def test_covariance_proxy_well_formed():
-    fam, spec = family_spectrum("b38", *GENERIC)
-    res = fit_spectrum(spec)
-    proxy = np.asarray(res.covariance_proxy)
-    assert proxy.shape == (N_PARAMS,)
-    assert np.all(np.isfinite(proxy))
-    assert np.all(proxy >= 0.0)
-    assert res.iterations >= 1
 
 
 # ------------------------------------------------------------- configuration
