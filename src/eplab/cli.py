@@ -474,6 +474,9 @@ def _cmd_analyze_ep(ns):
 
 
 def _cmd_analyze_curve(ns):
+    if ns.grid is not None and ns.family is None:
+        raise UsageError("--grid scans a --family; --in traces on the "
+                         "fitted table's own grid")
     out = _resolve_out(ns)
     if ns.family is not None:
         fam, grid = _family_grid(ns)

@@ -38,17 +38,15 @@ All types are immutable values and all operations are pure functions; they
 are safe to call from any number of workers.
 """
 
-__all__ = ["EPS_CROSS", "BasisTransform", "EffHamiltonian", "EigenPair",
-           "Observables", "PTNormalForm", "PTReport", "Radicand",
-           "TransformKind", "eigenvalues", "extract_tau", "from_matrix",
-           "from_pauli", "gauge_fix", "is_ep", "observables",
+__all__ = ["EPS_CROSS", "EffHamiltonian", "Observables", "PTNormalForm",
+           "PTReport", "Radicand", "eigenvalues", "extract_tau",
+           "from_matrix", "gauge_fix", "is_ep", "observables",
            "pt_commutator_norm", "pt_report", "radicand", "width_offset"]
 
 import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -115,11 +113,6 @@ class EffHamiltonian:
                                 for name in ("e1", "e2", "h1", "h2")))
 
 
-def from_pauli(e1, e2, h1, h2):
-    """Build an EffHamiltonian from its Pauli-vector components."""
-    return EffHamiltonian(complex(e1), complex(e2), complex(h1), complex(h2))
-
-
 def from_matrix(m):
     """Inverse of EffHamiltonian.matrix (exact for e1, e2; h to rounding)."""
     m = np.asarray(m, dtype=complex)
@@ -128,13 +121,6 @@ def from_matrix(m):
     h1 = 0.5 * (m[1, 0] + m[0, 1])
     h2 = -0.5j * (m[1, 0] - m[0, 1])
     return EffHamiltonian(complex(m[0, 0]), complex(m[1, 1]), complex(h1), complex(h2))
-
-
-class EigenPair(NamedTuple):
-    """Eigenvalues E_j = f_j - i*Gamma_j/2, E1 on the '+' sqrt branch."""
-
-    E1: complex
-    E2: complex
 
 
 class Radicand(NamedTuple):
@@ -149,35 +135,15 @@ class Radicand(NamedTuple):
         return complex(self.reh2 - self.imh2, 2.0 * self.cross)
 
 
-class TransformKind(Enum):
-    GAUGE_O0 = "gauge_o0"   # plane rotation fixing the off-diagonal ratio
-    TAU_U = "tau_u"         # phase twist removing the ratio phase
-    ROT_O = "rot_o"         # plane rotation onto the symmetric normal form
+def _rotation(angle):
+    """The real plane rotation O(angle) = [[cos, sin], [-sin, cos]]."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s], [-s, c]])
 
 
-class BasisTransform(NamedTuple):
-    """A conjugation M -> U M U^dagger.
-
-    angle is Phi0 for GAUGE_O0, tau/2 for TAU_U and Phi for ROT_O.
-    """
-
-    kind: TransformKind
-    angle: float
-
-    @property
-    def matrix(self):
-        if self.kind is TransformKind.TAU_U:
-            return np.array(
-                [[cmath.exp(1j * self.angle), 0.0],
-                 [0.0, cmath.exp(-1j * self.angle)]],
-                dtype=complex,
-            )
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, s], [-s, c]], dtype=complex)
-
-    def apply(self, ham):
-        u = self.matrix
-        return from_matrix(u @ ham.matrix @ u.conj().T)
+def _conjugate(ham, u):
+    """The basis change M -> U M U^dagger."""
+    return from_matrix(u @ ham.matrix @ u.conj().T)
 
 
 # --------------------------------------------------------- observables kernel
@@ -368,10 +334,11 @@ def eigenvalues(ham):
     """Eigenvalues via the closed form tr/2 +- sqrt(D).
 
     The square root is principal (Re >= 0); an exactly imaginary result is
-    normalized to Im >= 0 so that labeling is deterministic.
+    normalized to Im >= 0 so that labeling is deterministic. Returns
+    (E1, E2), E_j = f_j - i*Gamma_j/2, with E1 on the '+' branch.
     """
     ar, ai, br, bi = _eigen_of(ham)
-    return EigenPair(complex(ar, ai), complex(br, bi))
+    return complex(ar, ai), complex(br, bi)
 
 
 def eigenvalues_sorted(ham):
@@ -393,9 +360,9 @@ def width_offset(ham):
     radicand) is untouched; only the eigenvalue centroid moves.
     """
     offset = -0.5 * (ham.e1.imag + ham.e2.imag)   # = (Gamma1+Gamma2)/4
-    pair = eigenvalues(ham)
-    tol = 1e-12 * max(1.0, abs(pair.E1), abs(pair.E2))
-    if pair.E1.imag > tol or pair.E2.imag > tol:
+    e1, e2 = eigenvalues(ham)
+    tol = 1e-12 * max(1.0, abs(e1), abs(e2))
+    if e1.imag > tol or e2.imag > tol:
         warnings.warn(
             "width_offset applied to a matrix with amplifying eigenvalues "
             "(positive imaginary part); dissipative convention violated",
@@ -409,9 +376,9 @@ def width_offset(ham):
 def gauge_fix(ham):
     """Rotate to the basis where the off-diagonal ratio is unimodular.
 
-    Returns (rotated H, transform). The rotation mixes (h1, h3) and leaves
-    h2 alone; the angle solves Im(h1' conj(h2)) = 0, which is equivalent to
-    |h1 + i*h2| = |h1 - i*h2|.
+    Returns (rotated H, Phi0), H conjugated by O(Phi0). The rotation mixes
+    (h1, h3) and leaves h2 alone; the angle solves Im(h1' conj(h2)) = 0,
+    which is equivalent to |h1 + i*h2| = |h1 - i*h2|.
 
     Raises
     ------
@@ -420,7 +387,7 @@ def gauge_fix(ham):
         none is defined).
     """
     if ham.h2 == 0:
-        return ham, BasisTransform(TransformKind.GAUGE_O0, 0.0)
+        return ham, 0.0
     two_phi, degenerate, (h1r, h1i), (h3r, h3i) = _gauge_parts(
         *_ham_parts(ham))
     if degenerate:
@@ -428,7 +395,7 @@ def gauge_fix(ham):
     mean = 0.5 * (ham.e1 + ham.e2)
     h3 = complex(h3r, h3i)
     fixed = EffHamiltonian(mean + h3, mean - h3, complex(h1r, h1i), ham.h2)
-    return fixed, BasisTransform(TransformKind.GAUGE_O0, 0.5 * float(two_phi))
+    return fixed, 0.5 * float(two_phi)
 
 
 def extract_tau(ham):
@@ -536,7 +503,7 @@ def pt_report(ham, eps_cross=EPS_CROSS):
     Raises NotOnPTCurveError where |Re h . Im h| exceeds eps_cross times
     reh2 + imh2, and the errors of gauge_fix and extract_tau.
     """
-    fixed, o0 = gauge_fix(ham)
+    fixed, phi0 = gauge_fix(ham)
     tau = extract_tau(fixed)
     offset = -0.5 * (fixed.e1.imag + fixed.e2.imag)
     shifted = width_offset(fixed)
@@ -548,11 +515,12 @@ def pt_report(ham, eps_cross=EPS_CROSS):
             f"{eps_cross:g} * (reh2+imh2) = {eps_cross * scale:.3e}"
         )
 
-    u = BasisTransform(TransformKind.TAU_U, 0.5 * tau)
-    twisted = u.apply(shifted)
-    o = BasisTransform(TransformKind.ROT_O,
-                       0.5 * _symmetrizing_angle(twisted))
-    mat = o.apply(twisted).matrix
+    half = 0.5 * tau
+    twisted = _conjugate(shifted, np.array(
+        [[cmath.exp(1j * half), 0.0], [0.0, cmath.exp(-1j * half)]],
+        dtype=complex))
+    phi = 0.5 * _symmetrizing_angle(twisted)
+    mat = _conjugate(twisted, _rotation(phi)).matrix
     apb = 0.5 * (mat[0, 0] + mat[1, 1].conjugate())   # A + iB
     cpd = 0.5 * (mat[0, 1] + mat[1, 0].conjugate())   # C + iD
     residual = 0.5 * max(
@@ -562,9 +530,9 @@ def pt_report(ham, eps_cross=EPS_CROSS):
     reh2, imh2, _ = radicand(ham)
     return PTReport(
         offset=float(offset),
-        phi0=o0.angle,
+        phi0=phi0,
         tau=tau,
-        phi=o.angle,
+        phi=phi,
         form=PTNormalForm(a=apb.real, b=apb.imag, c=cpd.real, dpt=cpd.imag,
                           residual=residual),
         commutator_norm=pt_commutator_norm(mat),

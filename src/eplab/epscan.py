@@ -680,11 +680,10 @@ def braid(loop, source):
     field = _field_for(source)
     path1, path2 = np.empty((2, pts.shape[0]), dtype=complex)
     for k, (s, d) in enumerate(pts):
-        pair = eigenvalues(field.ham(s, d))
+        x, y = eigenvalues(field.ham(s, d))
         if k == 0:
-            path1[0], path2[0] = pair.E1, pair.E2
+            path1[0], path2[0] = x, y
             continue
-        x, y = pair.E1, pair.E2
         a, b = path1[k - 1], path2[k - 1]
         straight = max(abs(x - a), abs(y - b))
         crossed = max(abs(y - a), abs(x - b))

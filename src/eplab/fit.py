@@ -64,6 +64,7 @@ import numpy as np
 
 from .core import (
     EffHamiltonian,
+    _rotation,
     eigenvalues_sorted,
     extract_tau,
     from_matrix,
@@ -503,9 +504,8 @@ def _canonicalize(ham, w_ant):
     if abs(ham.h2) < 1e-9 * max(abs(ham.h1), abs(ham.h3)):
         fixed, w = ham, np.array(w_ant, dtype=float)
     else:
-        fixed, transform = gauge_fix(ham)
-        o = transform.matrix.real
-        w = np.asarray(w_ant, dtype=float) @ o.T
+        fixed, phi0 = gauge_fix(ham)
+        w = np.asarray(w_ant, dtype=float) @ _rotation(phi0).T
     # each step is a level symmetry of H, compensated in W
     if abs(w[0, 0]) < abs(w[0, 1]):      # sigma_x: relabel the two levels
         fixed = EffHamiltonian(fixed.e2, fixed.e1, fixed.h1, -fixed.h2)

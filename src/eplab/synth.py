@@ -31,7 +31,7 @@ parameters in mm.
 
 __all__ = ["CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum",
            "SyntheticFamily", "effective_hamiltonian", "frequency_grid",
-           "load_family", "read_spectrum", "smatrix_at", "synth_spectrum"]
+           "load_family", "read_spectrum", "synth_spectrum"]
 
 import itertools
 import json
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EffHamiltonian, is_ep, observables, radicand
+from .core import EffHamiltonian, is_ep, radicand
 from .errors import (
     DataError,
     InvalidArgumentError,
@@ -409,8 +409,7 @@ class Spectrum:
     """Complex S-matrix samples on a uniform ascending frequency grid.
 
     s is a C-contiguous (4, n) array, one row per channel in the order
-    S11, S12, S21, S22 (the CSV's and the fit's order); s11..s22 are views
-    of its rows.
+    S11, S12, S21, S22 (the CSV's and the fit's order).
     """
 
     __slots__ = ("freqs", "s", "meta")
@@ -439,11 +438,6 @@ class Spectrum:
     @property
     def n_points(self):
         return self.freqs.size
-
-    s11 = property(lambda self: self.s[0])
-    s12 = property(lambda self: self.s[1])
-    s21 = property(lambda self: self.s[2])
-    s22 = property(lambda self: self.s[3])
 
     def write_csv(self, path):
         """Write the CSV file plus the JSON metadata sidecar."""
@@ -513,9 +507,9 @@ def _sgrid(e1, e2, h1, h2, w00, w01, w10, w11, freqs):
 def effective_hamiltonian(ham, coupling):
     """Heff = Hint - i pi W^T W, with the channel sum over all rows.
 
-    This is the exact arithmetic smatrix_at performs internally; fits that
-    parametrize Heff directly reproduce generated spectra bit-exactly when
-    seeded with this value.
+    This is the exact arithmetic synth_spectrum performs internally; fits
+    that parametrize Heff directly reproduce generated spectra bit-exactly
+    when seeded with this value.
     """
     t00, t01, t11 = coupling.t_entries()
     return EffHamiltonian(
@@ -524,21 +518,6 @@ def effective_hamiltonian(ham, coupling):
         ham.h1 - 1j * (math.pi * t01),
         ham.h2,
     )
-
-
-def smatrix_at(ham, coupling, f):
-    """Evaluate the 2x2 S-matrix at one frequency.
-
-    ham is the Hermitian internal Hamiltonian; the dissipative shift
-    -i pi W^T W is applied here, never by the caller.
-    """
-    if not math.isfinite(f):
-        raise InvalidArgumentError(f"frequency must be finite, got {f}")
-    eff = effective_hamiltonian(ham, coupling)
-    wa = coupling.antenna
-    return np.reshape(_sgrid(eff.e1, eff.e2, eff.h1, eff.h2,
-                             wa[0, 0], wa[0, 1], wa[1, 0], wa[1, 1],
-                             np.array([float(f)])), (2, 2))
 
 
 def frequency_grid(f0, span, step):
@@ -556,9 +535,10 @@ def frequency_grid(f0, span, step):
 def synth_spectrum(ham, coupling, f0, span, step, noise=None, meta=None):
     """Sample the S-matrix on a grid, optionally adding measurement noise.
 
-    With noise.sigma = 0 (or noise None) the result equals smatrix_at at
-    every grid point bit-exactly. Identical inputs and seed give bit-identical
-    spectra.
+    ham is the Hermitian internal Hamiltonian; the dissipative shift
+    -i pi W^T W is applied here, never by the caller. Without noise a
+    frequency gets the same bits alone as inside the grid. Identical
+    inputs and seed give bit-identical spectra.
     """
     freqs = frequency_grid(f0, span, step)
     eff = effective_hamiltonian(ham, coupling)
@@ -664,17 +644,10 @@ class SyntheticFamily:
         return tuple(out)
 
     def internal_at(self, s, delta):
-        """Hermitian closed-cavity Hamiltonian (pass to smatrix_at)."""
+        """Hermitian closed-cavity Hamiltonian (pass to synth_spectrum)."""
         self._check_bounds(s, delta)
         return EffHamiltonian(*(complex(re)
                                 for re, _ in self._entries(s, delta)))
-
-    def tau_profile(self, s, delta):
-        """Reciprocity-violation angle of the local effective matrix."""
-        ham = self.h_at(s, delta)
-        obs = observables(ham.e1, ham.e2, ham.h1, ham.h2)
-        obs.raise_first_failure()
-        return float(obs.tau)
 
     def __repr__(self):
         return (f"SyntheticFamily({self.name!r}, B={self.b_mt} mT, "
@@ -698,7 +671,7 @@ def _validate_family(fam):
     if rad.d != 0 or not is_ep(fam.h_at(fam.s_ep, fam.delta_ep)):
         raise DataError(f"family {fam.name!r}: radicand at the declared EP "
                         f"is {rad.d!r}, not an exact zero")
-    # direct Heff must agree with the smatrix_at construction
+    # direct Heff must agree with the effective_hamiltonian construction
     probe = (fam.bounds_s[0], fam.bounds_delta[1])
     direct = fam.h_at(*probe)
     built = effective_hamiltonian(fam.internal_at(*probe), fam.coupling)

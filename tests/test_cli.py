@@ -661,6 +661,18 @@ def test_analyze_curve_refuses_a_scan_csv(tmp_path, capsys):
     assert not (tmp_path / "curve.csv").exists()
 
 
+def test_analyze_curve_refuses_a_grid_without_a_family(fitted, tmp_path,
+                                                       capsys):
+    # --in traces on the fitted table's own grid, so a --grid, here nowhere
+    # near the data, would go unread
+    assert main(["analyze", "curve", "--in", str(fitted / "manifest.json"),
+                 "--grid", "1.0:1.1:0.01x41.0:41.1:0.01",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eplab: ") and "--grid" in err and "--family" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def assert_pt_phases_are_the_report_phases(out):
     """pt.json phases: pt_report's, and the radicand split of the trace."""
     trace = json.loads((out / "trace.json").read_text())
@@ -1166,14 +1178,13 @@ def test_importing_the_main_module_does_not_run_the_cli(monkeypatch):
 
 
 PUBLIC_NAMES = [
-    "EPS_CROSS", "BasisTransform", "EffHamiltonian", "EigenPair",
-    "Observables", "PTNormalForm", "PTReport", "Radicand", "TransformKind",
-    "eigenvalues", "extract_tau", "from_matrix", "from_pauli", "gauge_fix",
-    "is_ep", "observables", "pt_commutator_norm", "pt_report", "radicand",
-    "width_offset",
+    "EPS_CROSS", "EffHamiltonian", "Observables", "PTNormalForm",
+    "PTReport", "Radicand", "eigenvalues", "extract_tau", "from_matrix",
+    "gauge_fix", "is_ep", "observables", "pt_commutator_norm", "pt_report",
+    "radicand", "width_offset",
     "CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum", "SyntheticFamily",
     "effective_hamiltonian", "frequency_grid", "load_family",
-    "read_spectrum", "smatrix_at", "synth_spectrum",
+    "read_spectrum", "synth_spectrum",
     "FitConfig", "FitResult", "fit_spectrum", "seed_initializer",
     "BraidTrace", "CurveTrace", "EPLocation", "ParamGrid", "Permutation",
     "ScanResult", "braid", "braid_loop", "locate_ep", "scan",

@@ -54,6 +54,11 @@ B38_EP = (1.72, 41.78)
 B0_EP = (1.68, 41.19)
 
 
+def planted_tau(fam, s, d):
+    """tau of the family's own matrix at (s, d), by the scalar chain."""
+    return extract_tau(gauge_fix(fam.h_at(s, d))[0])
+
+
 def ep_window(ep, half=0.25, step=0.01):
     return ParamGrid(ep[0] - half, ep[0] + half,
                      ep[1] - half, ep[1] + half, step)
@@ -122,7 +127,7 @@ def test_family_scan_is_complete_and_exact(b38, b38_scan):
     assert b38_scan.g1[i, j] == -2.0 * pair[0].imag
     assert b38_scan.reh2[i, j] == rad.reh2
     assert b38_scan.cross[i, j] == rad.cross
-    assert b38_scan.tau[i, j] == b38.tau_profile(s, d)
+    assert b38_scan.tau[i, j] == planted_tau(b38, s, d)
     assert EffHamiltonian(*(complex(getattr(b38_scan, name)[i, j])
                             for name in ("e1", "e2", "h1", "h2"))) == ham
 
@@ -497,7 +502,7 @@ def test_scan_from_fitted_spectra_matches_family(tmp_path, b38):
             pair = eigenvalues_sorted(b38.h_at(s, d))
             assert abs(sr.f1[i, j] - pair[0].real) < 1e-3
             assert abs(sr.g1[i, j] + 2.0 * pair[0].imag) < 1e-3
-            assert abs(sr.tau[i, j] - b38.tau_profile(s, d)) < 1e-3
+            assert abs(sr.tau[i, j] - planted_tau(b38, s, d)) < 1e-3
 
 
 # ----------------------------------------------------------- EP localization
@@ -613,7 +618,7 @@ def test_trace_split_sign_matches_side_of_ep(b38_trace):
 
 
 def test_trace_reproduces_planted_tau_profile(b38, b38_trace):
-    planted = np.array([b38.tau_profile(s, d) for s, d in b38_trace.points])
+    planted = np.array([planted_tau(b38, s, d) for s, d in b38_trace.points])
     assert np.max(np.abs(b38_trace.tau - planted)) < 1e-6
     assert np.ptp(b38_trace.tau) > 0.5                  # clearly nonconstant
     assert np.max(np.abs(np.diff(b38_trace.tau))) < 0.2  # and smooth

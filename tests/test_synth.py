@@ -28,18 +28,19 @@ from eplab import (
     NoiseSpec,
     OutOfBoundsError,
     PoleOnGridError,
+    EffHamiltonian,
     Spectrum,
     effective_hamiltonian,
+    extract_tau,
     frequency_grid,
-    from_pauli,
+    gauge_fix,
     is_ep,
     load_family,
     radicand,
     read_spectrum,
-    smatrix_at,
     synth_spectrum,
 )
-from eplab.synth import _ROW_BLOCK, _write_table
+from eplab.synth import _ROW_BLOCK, _sgrid, _write_table
 
 # one-level Breit-Wigner setup shared by several tests
 BW_W, BW_D = 0.2, 0.3
@@ -50,8 +51,16 @@ BW_MIN_DEPTH = 25.0 / 169.0                        # ((d^2-w^2)/(d^2+w^2))^2
 
 def _bw_parts():
     coupling = CouplingSet([[BW_W, 0.0], [0.0, 0.0], [BW_D, 0.0]])
-    ham = from_pauli(BW_F1, BW_F1 - 300.0, 0.0, 0.0)   # partner level far away
+    # the partner level sits far away
+    ham = EffHamiltonian(BW_F1, BW_F1 - 300.0, 0.0, 0.0)
     return ham, coupling
+
+
+def _s_at(ham, coupling, f):
+    """The 2x2 S-matrix at f, the centre of a 3-point grid."""
+    spec = synth_spectrum(ham, coupling, f, 2.0, 1.0)
+    assert spec.freqs[1] == f
+    return spec.s[:, 1].reshape(2, 2)
 
 
 # ------------------------------------------------------------------ couplings
@@ -82,15 +91,15 @@ def test_coupling_t_entries():
 
 
 def test_smatrix_identity_when_decoupled():
-    ham = from_pauli(2725.0, 2720.0, 1.0, 0.5)
+    ham = EffHamiltonian(2725.0, 2720.0, 1.0, 0.5)
     coupling = CouplingSet(np.zeros((2, 2)))
     for f in (2700.0, 2725.0, 2722.5):
-        assert np.array_equal(smatrix_at(ham, coupling, f), np.eye(2))
+        assert np.array_equal(_s_at(ham, coupling, f), np.eye(2))
 
 
 def test_breit_wigner_depth():
     ham, coupling = _bw_parts()
-    s = smatrix_at(ham, coupling, BW_F1)
+    s = _s_at(ham, coupling, BW_F1)
     assert abs(s[0, 0]) ** 2 == pytest.approx(BW_MIN_DEPTH, abs=1e-13)
     # the second antenna is decoupled
     assert s[0, 1] == 0 and s[1, 0] == 0 and s[1, 1] == 1
@@ -101,7 +110,7 @@ def test_breit_wigner_full_width_at_half_depth():
     ham, coupling = _bw_parts()
     half = 0.5 * (1.0 + BW_MIN_DEPTH)
     for sgn in (1.0, -1.0):
-        s = smatrix_at(ham, coupling, BW_F1 + sgn * BW_GAMMA_TOT / 2)
+        s = _s_at(ham, coupling, BW_F1 + sgn * BW_GAMMA_TOT / 2)
         assert abs(abs(s[0, 0]) ** 2 - half) < 1e-12
 
 
@@ -110,16 +119,14 @@ def test_breit_wigner_lorentzian_profile():
     a = math.pi * (BW_D**2 - BW_W**2)
     b = math.pi * (BW_D**2 + BW_W**2)
     for df in (-3.0, -0.7, 0.05, 1.3, 8.0):
-        s = smatrix_at(ham, coupling, BW_F1 + df)
+        s = _s_at(ham, coupling, BW_F1 + df)
         want = (df * df + a * a) / (df * df + b * b)
         assert abs(abs(s[0, 0]) ** 2 - want) < 1e-12
 
 
 def test_pole_on_grid_raises():
-    ham = from_pauli(2725.0, 2730.0, 0.0, 0.0)
+    ham = EffHamiltonian(2725.0, 2730.0, 0.0, 0.0)
     coupling = CouplingSet(np.zeros((2, 2)))   # no widths: real poles
-    with pytest.raises(PoleOnGridError):
-        smatrix_at(ham, coupling, 2725.0)
     with pytest.raises(PoleOnGridError):
         synth_spectrum(ham, coupling, 2725.0, 2.0, 0.5)
 
@@ -127,7 +134,7 @@ def test_pole_on_grid_raises():
 def test_nonfinite_frequency_rejected():
     ham, coupling = _bw_parts()
     with pytest.raises(InvalidArgumentError):
-        smatrix_at(ham, coupling, float("nan"))
+        synth_spectrum(ham, coupling, float("nan"), 2.0, 1.0)
 
 
 # ----------------------------------------------------------------- grid/noise
@@ -154,10 +161,12 @@ def test_noiseless_grid_matches_pointwise_bitexact():
     fam = load_family("b38")
     spec = synth_spectrum(fam.internal_at(1.9, 41.9), fam.coupling,
                           2725.0, 40.0, 0.01)
+    eff = effective_hamiltonian(fam.internal_at(1.9, 41.9), fam.coupling)
+    wa = fam.coupling.antenna
     for k in (0, 777, 2000, 4000):
-        pt = smatrix_at(fam.internal_at(1.9, 41.9), fam.coupling,
-                        spec.freqs[k])
-        assert np.array_equal(pt, spec.s[:, k].reshape(2, 2))
+        pt = _sgrid(eff.e1, eff.e2, eff.h1, eff.h2, wa[0, 0], wa[0, 1],
+                    wa[1, 0], wa[1, 1], spec.freqs[k:k + 1])
+        assert np.array_equal(np.ravel(pt), spec.s[:, k])
 
 
 def test_noise_statistics():
@@ -240,23 +249,23 @@ def test_b0_family_is_t_invariant():
     fam = load_family("b0")
     for s, delta in [(1.68, 41.19), (1.5, 41.0), (1.95, 41.45)]:
         assert fam.h_at(s, delta).h2 == 0
-        assert fam.tau_profile(s, delta) == 0.0
+        assert extract_tau(gauge_fix(fam.h_at(s, delta))[0]) == 0.0
 
 
 def test_b38_family_breaks_reciprocity():
     fam = load_family("b38")
-    tau = fam.tau_profile(1.72, 41.78)
+    tau = extract_tau(gauge_fix(fam.h_at(1.72, 41.78))[0])
     assert abs(tau) > 0.1
     spec = synth_spectrum(fam.internal_at(1.9, 41.9), fam.coupling,
                           2725.0, 40.0, 0.01)
-    assert np.max(np.abs(spec.s12 - spec.s21)) > 1e-3
+    assert np.max(np.abs(spec.s[1] - spec.s[2])) > 1e-3
 
 
 def test_b0_reciprocity_bitexact_on_grid():
     fam = load_family("b0")
     spec = synth_spectrum(fam.internal_at(1.8, 41.3), fam.coupling,
                           2725.0, 40.0, 0.01)
-    assert np.array_equal(spec.s12, spec.s21)
+    assert np.array_equal(spec.s[1], spec.s[2])
 
 
 def test_family_entries_affine_in_parameters():
@@ -316,8 +325,8 @@ def test_family_passivity_on_grid():
                 spec = synth_spectrum(
                     fam.internal_at(fam.s_ep + ds, fam.delta_ep + dd),
                     fam.coupling, 2725.0, 40.0, 0.05)
-                assert np.max(np.abs(spec.s11)) <= 1 + 1e-12
-                assert np.max(np.abs(spec.s22)) <= 1 + 1e-12
+                assert np.max(np.abs(spec.s[0])) <= 1 + 1e-12
+                assert np.max(np.abs(spec.s[3])) <= 1 + 1e-12
 
 
 def test_far_from_resonance_approaches_identity():
@@ -578,9 +587,6 @@ def test_table_bytes_match_per_row_format(tmp_path_factory, values, n_rows,
         "utf-8", "backslashreplace")
 
 
-CHANNELS = ("s11", "s12", "s21", "s22")
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 30).flatmap(lambda n: st.lists(
     st.floats(allow_nan=False), min_size=8 * n, max_size=8 * n)))
@@ -597,13 +603,11 @@ def test_spectrum_csv_roundtrip_keeps_samples(tmp_path_factory, values):
         ",".join("%.17g" % v for v in row) + "\n"
         for row in zip(freqs, *columns)))
     spec = read_spectrum(drawn)
-    for k, name in enumerate(CHANNELS):
-        parts = getattr(spec, name).view(float)
+    for k in range(4):
+        parts = spec.s[k].view(float)
         assert parts.tobytes() == columns[2 * k:2 * k + 2].T.tobytes()
     spec.write_csv(again)
     assert again.read_bytes() == drawn.read_bytes()
     back = read_spectrum(again)
     assert back.freqs.tobytes() == spec.freqs.tobytes()
     assert back.s.tobytes() == spec.s.tobytes()
-    for name in CHANNELS:
-        assert getattr(back, name).tobytes() == getattr(spec, name).tobytes()
