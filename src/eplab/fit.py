@@ -16,19 +16,20 @@ fit.
 The optimizer is a damped least-squares loop (Levenberg-Marquardt with
 Marquardt diagonal scaling and the Nielsen lambda update) over the analytic
 Jacobian of the resolvent model, computed from one resolvent per frequency.
-The real (8n, 12) Jacobian is never formed: each iteration writes its 8
-distinct complex columns, for the included channels only, into one workspace
-per fit and takes J^T J and J^T r from their complex Gram matrix and the
-complex residual. A trial step that moves a pole out of the frequency window
-or makes it amplifying (Im E > 0) is rejected like a cost increase, so the
-damping grows. A start ends when its step shrinks to nothing or an accepted
-step gains less than CHI2_STALL of chi^2 per fitted row; as a runaway, not
-converged, if a rejection came first. The model has an exact one-parameter
-gauge freedom (a common real orthogonal rotation of levels and couplings),
-so the curvature matrix is singular along that direction; damping
-regularizes it and the gauge is fixed after convergence, not during.
-Residual sums are einsum reductions, not BLAS dot products, whose summation
-order varies with the BLAS thread count.
+Neither the real (8n, 12) Jacobian nor its columns are formed: each column
+is a combination, with scalar coefficients, of nine functions of frequency
+made from the resolvent, so an iteration takes J^T J and J^T r of the
+included channels from the 9x9 Gram of those functions and their products
+with the complex residual. A trial step that moves a pole out of the
+frequency window or makes it amplifying (Im E > 0) is rejected like a cost
+increase, so the damping grows. A start ends when its step shrinks to
+nothing or an accepted step gains less than CHI2_STALL of chi^2 per fitted
+row; as a runaway, not converged, if a rejection came first. The model has
+an exact one-parameter gauge freedom (a common real orthogonal rotation of
+levels and couplings), so the curvature matrix is singular along that
+direction; damping regularizes it and the gauge is fixed after convergence,
+not during. Residual sums are einsum reductions, not BLAS dot products,
+whose summation order varies with the BLAS thread count.
 
 The first start is a closed-form two-pole fit of the spectrum from weighted
 moments (see seed_initializer): exact on noiseless data, a few LM iterations
@@ -77,7 +78,7 @@ from .errors import (
     PoleOnGridError,
     UnresolvableDoubletError,
 )
-from .synth import CouplingSet, _resolvent, _sgrid
+from .synth import CouplingSet, _sgrid
 
 N_PARAMS = 12
 # residual value used for every row when the model hits a resolvent pole;
@@ -101,6 +102,9 @@ MAX_ITERATIONS = 200
 GRADIENT_TOLERANCE = 1e-10
 STEP_TOLERANCE = 1e-13
 DAMPING_INIT = 1e-3
+# the normal equations sum the samples within this share of the window of a
+# pole column by column, not through the Gram of the resolvent functions
+POLE_NEIGHBOURHOOD = 1e-3
 
 CHANNEL_NAMES = ("S11", "S12", "S21", "S22")
 # S - _DELTA is the resonant part of S11, S12, S21, S22
@@ -202,20 +206,20 @@ def _channel_row_mask(mask):
     return include
 
 
-# (a, b) index pairs of S11, S12, S21, S22; also (c, i) of W00, W01, W10, W11
-_INDEX_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# real parameter k is -2 pi i _ALPHA[k] times complex column _COLUMN[k] (e1,
-# e2, h1, h2, W00..W11): holomorphy gives d/dIm = i d/dRe, and the h2 column
-# lacks its i. Lists, not arrays: numpy work at import costs every process.
-_COLUMN = [0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7]
-_ALPHA = [1, 1j, 1, 1j, 1, 1j, 1j, -1, 1, 1, 1, 1]
+# dH/dp of the 8 level parameters; W's are the unit matrices E_ci. Lists,
+# not arrays: numpy work at import costs every process.
+_D_LEVELS = [[[1, 0], [0, 0]], [[1j, 0], [0, 0]], [[0, 0], [0, 1]],
+             [[0, 0], [0, 1j]], [[0, 1], [1, 0]], [[0, 1j], [1j, 0]],
+             [[0, -1j], [1j, 0]], [[0, 1], [-1, 0]]]
+# rows 3..8 of the functions phi: the products of its rows s, t = 0..2
+_PRODUCTS = [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2), (0, 1)]
 
 
 class _Model:
     """The model against the included channels of one spectrum, over its
-    frequency window; a masked channel is dropped, not zeroed. The Jacobian
-    workspace is allocated at the first linearization and refilled in
-    place, by every LM start of a fit."""
+    frequency window; a masked channel is dropped, not zeroed. Every LM
+    start of a fit runs on it and refills its one buffer of the Gram's
+    functions, which a new array per iteration would page-fault in."""
 
     def __init__(self, spec, include):
         self.freqs = spec.freqs
@@ -223,7 +227,14 @@ class _Model:
         self.channels = np.flatnonzero(include)
         self.data = spec.s[self.channels]
         self.rows = 2 * self.data.size    # real rows of the included channels
-        self._z = None
+        self.near = POLE_NEIGHBOURHOOD * (self.window[1] - self.window[0])
+        self._phi = np.empty((2, 9, spec.n_points), dtype=complex)
+        # u_ai v_jb, row (ij, st) with s, t its terms in A, B, D, into the
+        # level columns: column (k, row of phi)
+        pair = np.zeros((9, 9))
+        for row, (s, t) in enumerate(_PRODUCTS, start=3):
+            pair[[3 * s + t, 3 * t + s], row] = 1.0
+        self._levels = np.kron(np.reshape(_D_LEVELS, (8, 4)).T, pair)
 
     def residual(self, p):
         """(r, cost): the complex (k, n) residual model - data of the k
@@ -241,46 +252,58 @@ class _Model:
         return r, 0.5 * np.einsum("ij,ij->", f, f)
 
     def normal_equations(self, p, r):
-        """J^T J and J^T r of the real residual rows, from complex columns.
+        """J^T J and J^T r of the real residual rows, from the Gram of nine
+        functions of frequency.
 
-        With G = (f - H)^-1 the model is S = 1 - 2 pi i W G W^T, so a change
-        dH moves S_ab by -2 pi i u_ai dH_ij v_jb with u = W G, v = G W^T,
-        and a change of W_ci moves (W G W^T)_ab by
-        delta_ac v_ib + delta_bc u_ai. The (Re, Im) row pairs of two real
-        columns alpha z and alpha' z' sum to Re(conj(alpha z) alpha' z'),
-        so with the Gram C = conj(Z) Z^T and y = conj(Z) r,
-        J^T J = Re(conj(alpha_p) alpha_q C[col_p, col_q]) and
-        J^T r = Re(conj(alpha_p) y[col_p]).
+        With G = (f - H)^-1 the model is S = 1 - 2 pi i W G W^T, so the
+        complex column of parameter k is z_k = -2 pi i (u dH_k v) for a
+        level and -2 pi i (dW_k v + u dW_k^T) for a coupling, u = W G and
+        v = G W^T. G's entries are A = g00, B = g11, m12 D and m21 D with
+        D = 1/det: each coupling column is a combination of phi = (A, B, D),
+        each level column one of their six products, phi's other rows. So
+        z_k = c_k phi with scalars c (12, channels, 9), and as the (Re, Im)
+        rows of two real columns sum to Re(conj(z_k) z_l),
+        J^T J = Re(conj(c) Gamma c^T) and J^T r = Re(conj(c) conj(phi) r)
+        with the Gram Gamma = conj(phi) phi^T, summed over channels. The
+        Gram squares the resolvent, which a column without a pole's residue
+        cancels: the samples within self.near of a pole are summed per
+        column instead.
         """
         e1, e2, h1, h2 = (complex(p[k], p[k + 1]) for k in (0, 2, 4, 6))
-        g = _resolvent(e1, e2, h1, h2, self.freqs)
+        m12, m21 = h1 - 1j * h2, h1 + 1j * h2
+        a00, a11 = self.freqs - e1, self.freqs - e2
+        det = a00 * a11 - m12 * m21
+        split = abs(cmath.sqrt((e1 - e2) ** 2 + 4.0 * m12 * m21))  # |E1 - E2|
+        hot = np.abs(det) < self.near * (split + self.near)
+        if np.any(det[hot] == 0):
+            raise PoleOnGridError("a resolvent pole hit a grid frequency")
+        phi, phic = self._phi
+        np.divide(1.0, det, out=phi[2])
+        np.multiply(a11, phi[2], out=phi[0])
+        np.multiply(a00, phi[2], out=phi[1])
+        for row, (s, t) in enumerate(_PRODUCTS, start=3):
+            np.multiply(phi[s], phi[t], out=phi[row])
+        phi_hot = phi[:, hot]
+        phi[:, hot] = 0.0
+        np.conjugate(phi, out=phic)
+        gram, proj = phic @ phi.T, phic @ r.T
+        # G, u and v in A, B, D; c of all four channels ab, then the included
+        g = np.array([[[1, 0, 0], [0, 0, m12]], [[0, 0, m21], [0, 1, 0]]])
         w = p[8:].reshape(2, 2)
-        u = [[w[a, 0] * g[i] + w[a, 1] * g[2 + i] for i in range(2)]
-             for a in range(2)]
-        v = [[g[2 * j] * w[b, 0] + g[2 * j + 1] * w[b, 1] for b in range(2)]
-             for j in range(2)]
-        if self._z is None:      # W columns a channel lacks stay zero
-            self._z = np.zeros((2, 8) + self.data.shape, dtype=complex)
-        z, zc = self._z
-        for k, c in enumerate(self.channels):
-            a, b = _INDEX_PAIRS[c]
-            np.multiply(u[a][0], v[0][b], out=z[0, k])
-            np.multiply(u[a][1], v[1][b], out=z[1, k])
-            s, t = u[a][0] * v[1][b], u[a][1] * v[0][b]
-            np.add(s, t, out=z[2, k])
-            np.subtract(t, s, out=z[3, k])
-            for col, (wc, i) in enumerate(_INDEX_PAIRS, start=4):    # W_ci
-                if a == wc == b:
-                    np.add(v[i][b], u[a][i], out=z[col, k])
-                elif a == wc or b == wc:
-                    z[col, k] = v[i][b] if a == wc else u[a][i]
-        np.conjugate(z, out=zc)
-        zc = zc.reshape(8, -1)
-        alpha = -2j * math.pi * np.array(_ALPHA)
-        gram = (zc @ z.reshape(8, -1).T)[np.ix_(_COLUMN, _COLUMN)]
-        jtj = (np.outer(alpha.conj(), alpha) * gram).real
-        grad = (alpha.conj() * (zc @ r.reshape(-1))[_COLUMN]).real
-        return jtj, grad
+        u = np.einsum("aj,jis->ais", w, g)
+        v = np.einsum("jis,bi->jbs", g, w)
+        c = np.zeros((12, 2, 2, 9), dtype=complex)
+        uv = np.einsum("ais,jbt->abijst", u, v).reshape(4, 36)
+        c[:8] = (uv @ self._levels).reshape(2, 2, 8, 9).transpose(2, 0, 1, 3)
+        coupling = c[8:, ..., :3].reshape(2, 2, 2, 2, 3)    # [c, i, a, b]
+        for k in range(2):
+            coupling[k, :, k] += v
+            coupling[k, :, :, k] += u.transpose(1, 0, 2)
+        c = -2j * math.pi * c.reshape(12, 4, 9)[:, self.channels]
+        cc, z = c.conj().reshape(12, -1), (c @ phi_hot).reshape(12, -1)
+        jtj = cc @ (c @ gram.T).reshape(12, -1).T + z.conj() @ z.T
+        grad = cc @ proj.T.reshape(-1) + z.conj() @ r[:, hot].reshape(-1)
+        return jtj.real, grad.real
 
 
 def _residual_lag1(r):

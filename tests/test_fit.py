@@ -38,6 +38,7 @@ from eplab.errors import (
     InsufficientSpanError,
     InvalidArgumentError,
     NonConvergenceError,
+    PoleOnGridError,
     UnresolvableDoubletError,
 )
 from eplab.fit import (
@@ -230,6 +231,90 @@ def test_masked_channel_data_never_enters_the_normal_equations(
     for got, want in zip(normal_equations(p, other, mask),
                          normal_equations(p, spec, mask)):
         assert np.array_equal(got, want)
+
+
+def column_gram_normal_equations(params, r, model):
+    """J^T J and J^T r from the Gram of the 8 complex columns of the
+    included channels, each written out per frequency, in long double."""
+    q = np.asarray(params).astype(np.longdouble)
+    levels = np.empty(4, dtype=np.clongdouble)
+    levels.real, levels.imag = q[0:8:2], q[1:8:2]
+    e1, e2, h1, h2 = levels
+    m12, m21 = h1 - 1j * h2, h1 + 1j * h2
+    f = model.freqs.astype(np.longdouble)
+    det = (f - e1) * (f - e2) - m12 * m21
+    g = [[(f - e2) / det, m12 / det], [m21 / det, (f - e1) / det]]
+    w = q[8:].reshape(2, 2)
+    u = [[w[a, 0] * g[0][i] + w[a, 1] * g[1][i] for i in range(2)]
+         for a in range(2)]
+    v = [[g[j][0] * w[b, 0] + g[j][1] * w[b, 1] for b in range(2)]
+         for j in range(2)]
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    z = np.zeros((8, len(model.channels), f.size), dtype=np.clongdouble)
+    for k, c in enumerate(model.channels):
+        a, b = pairs[c]
+        s, t = u[a][0] * v[1][b], u[a][1] * v[0][b]
+        z[:4, k] = u[a][0] * v[0][b], u[a][1] * v[1][b], s + t, t - s
+        for col, (wc, i) in enumerate(pairs, start=4):      # W_ci
+            z[col, k] = ((v[i][b] if a == wc else 0)
+                         + (u[a][i] if b == wc else 0))
+    z = z.reshape(8, -1)
+    gram = np.einsum("pn,qn->pq", z.conj(), z)
+    y = z.conj() @ r.reshape(-1).astype(np.clongdouble)
+    columns = [0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7]
+    alpha = -2j * np.arccos(np.longdouble(-1)) * np.array(
+        [1, 1j, 1, 1j, 1, 1j, 1j, -1, 1, 1, 1, 1], dtype=np.clongdouble)
+    jtj = (np.outer(alpha.conj(), alpha) * gram[np.ix_(columns, columns)]).real
+    return jtj.astype(float), (alpha.conj() * y[columns]).real.astype(float)
+
+
+def null_directions(jtj):
+    """Eigenvalues of J^T J below 1e-10 of the largest."""
+    evals = np.linalg.eigvalsh(jtj)
+    return int(np.sum(evals < 1e-10 * evals[-1]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="needs an 80-bit long double")
+@pytest.mark.parametrize("sigma", [0.005, 0.05])
+@pytest.mark.parametrize("point", [GENERIC, (1.72, 41.78), (1.57, 41.63)])
+def test_normal_equations_match_the_long_double_column_gram(point, sigma):
+    # per entry within 1e-7 of the columns' norms, at the seed, a kicked
+    # point and the fitted point of every mask, where the fit also sees the
+    # same count of null directions
+    fam, spec = family_spectrum("b38", *point, NoiseSpec(sigma, seed=0))
+    kick = np.random.default_rng(0).uniform(-1.0, 1.0, N_PARAMS)
+    for mask in ALL_MASKS:
+        model = _Model(spec, _channel_row_mask(mask))
+        p0 = seed_initializer(spec, mask)
+        kicked = truth_params(fam, *point)
+        kicked[:8] += 0.05 * kick[:8]
+        kicked[8:] *= 1.0 + 0.02 * kick[8:]
+        fitted = _levenberg_marquardt(p0, model)[0]
+        for p in (p0, kicked, fitted):
+            r, _ = model.residual(p)
+            jtj, grad = model.normal_equations(p, r)
+            want_jtj, want_grad = column_gram_normal_equations(p, r, model)
+            norm = np.sqrt(np.diag(want_jtj))
+            assert np.all(np.abs(jtj - want_jtj) <= 1e-7 * np.outer(norm, norm))
+            assert np.all(np.abs(grad - want_grad)
+                          <= 1e-7 * norm * np.linalg.norm(r))
+        # jtj and want_jtj are the fitted point's
+        assert null_directions(jtj) == null_directions(want_jtj)
+
+
+def test_pole_on_the_grid_ends_the_start_as_a_runaway():
+    fam, spec = family_spectrum("b38", *GENERIC)
+    # a lossless level exactly on a grid frequency
+    p = np.zeros(N_PARAMS)
+    p[0] = float(spec.freqs[17])
+    p[2] = 2750.0
+    p[8:] = [0.2, 0.0, 0.0, 0.2]
+    model = _Model(spec, _channel_row_mask(None))
+    with pytest.raises(PoleOnGridError):
+        model.normal_equations(p, model.residual(p)[0])
+    _, r, _, stop, iterations, _ = _levenberg_marquardt(p, model)
+    assert (r, stop, iterations) == (None, Termination.RUNAWAY, 1)
 
 
 def test_residual_rejects_bad_shapes():
@@ -701,7 +786,7 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
 
 def test_every_start_of_a_fit_runs_on_one_model(monkeypatch):
     # no start is white and none agrees, so all eight run; they share the
-    # fit's one _Model and its Jacobian workspace
+    # fit's one _Model and its buffer of the Gram's functions
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=1))
     built = []
 
@@ -926,6 +1011,42 @@ def test_library_fits_ignore_the_blas_thread_count():
                 put(threads)
             runs.append([json.dumps(fit_spectrum(spec).to_json_dict())
                          for spec in spectra])
+    finally:
+        for (_, put), n in zip(functions, before):
+            put(n)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.skipif(not eplab.cli._openblas_thread_functions()
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs numpy's own OpenBLAS and two cores")
+def test_normal_equations_and_masked_fits_ignore_the_blas_thread_count():
+    # the normal equations' Gram is a BLAS product; its bits, and those of
+    # the masked fits built on it, must not depend on the thread count
+    fam = load_family("b38")
+    spectra = [synth_spectrum(fam.internal_at(1.62 + 0.1 * a, 41.68 + 0.1 * b),
+                              fam.coupling, *GRID,
+                              NoiseSpec(0.005, seed=2000 + 3 * a + b))
+               for a in range(3) for b in range(3)]
+    masks = (None, ("S11", "S22"), ("S11",))
+    functions = eplab.cli._openblas_thread_functions()
+    before = [get() for get, _ in functions]
+    runs = []
+    try:
+        for threads in (1, 2, 4):
+            for _, put in functions:
+                put(threads)
+            run = []
+            for spec, mask in itertools.product(spectra, masks):
+                model = _Model(spec, _channel_row_mask(mask))
+                p = seed_initializer(spec, mask)
+                run.append([x.tobytes() for x in
+                            model.normal_equations(p, model.residual(p)[0])])
+                if mask:
+                    run.append(json.dumps(
+                        fit_spectrum(spec, mask=mask).to_json_dict()))
+            runs.append(run)
     finally:
         for (_, put), n in zip(functions, before):
             put(n)
