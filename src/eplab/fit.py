@@ -216,10 +216,8 @@ _PRODUCTS = [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2), (0, 1)]
 
 
 class _Model:
-    """The model against the included channels of one spectrum, over its
-    frequency window; a masked channel is dropped, not zeroed. Every LM
-    start of a fit runs on it and refills its one buffer of the Gram's
-    functions, which a new array per iteration would page-fault in."""
+    """The model of one spectrum's included channels over its window, which
+    every LM start of a fit runs on; a masked channel is dropped, not zeroed."""
 
     def __init__(self, spec, include):
         self.freqs = spec.freqs
@@ -228,7 +226,6 @@ class _Model:
         self.data = spec.s[self.channels]
         self.rows = 2 * self.data.size    # real rows of the included channels
         self.near = POLE_NEIGHBOURHOOD * (self.window[1] - self.window[0])
-        self._phi = np.empty((2, 9, spec.n_points), dtype=complex)
         # u_ai v_jb, row (ij, st) with s, t its terms in A, B, D, into the
         # level columns: column (k, row of phi)
         pair = np.zeros((9, 9))
@@ -277,7 +274,7 @@ class _Model:
         hot = np.abs(det) < self.near * (split + self.near)
         if np.any(det[hot] == 0):
             raise PoleOnGridError("a resolvent pole hit a grid frequency")
-        phi, phic = self._phi
+        phi, phic = np.empty((2, 9, self.freqs.size), dtype=complex)
         np.divide(1.0, det, out=phi[2])
         np.multiply(a11, phi[2], out=phi[0])
         np.multiply(a00, phi[2], out=phi[1])

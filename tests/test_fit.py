@@ -9,6 +9,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -785,8 +787,8 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
 
 
 def test_every_start_of_a_fit_runs_on_one_model(monkeypatch):
-    # no start is white and none agrees, so all eight run; they share the
-    # fit's one _Model and its buffer of the Gram's functions
+    # no start is white and none agrees, so all eight run on the fit's one
+    # _Model
     fam, spec = family_spectrum("b38", *GENERIC, NoiseSpec(0.005, seed=1))
     built = []
 
@@ -1096,6 +1098,77 @@ def test_noisy_lossless_fit_reports_clipped_dissipation():
     assert res.clipped_dissipation == pytest.approx(
         -np.linalg.eigvalsh(t_diss)[0], rel=1e-9)
     assert res.to_json_dict()["clipped_dissipation"] == res.clipped_dissipation
+
+
+# ------------------------------------------------------- allocator thresholds
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+_FAULTS_PER_CALL = """
+import resource, sys
+from eplab import NoiseSpec, fit_spectrum, load_family, synth_spectrum
+fam = load_family("b38")
+spec = synth_spectrum(fam.internal_at(1.72, 41.78), fam.coupling,
+                      2725.0, 40.0, 0.01, NoiseSpec(0.005, seed=1))
+call = {"fit": lambda: fit_spectrum(spec),
+        "write_csv": lambda: spec.write_csv(sys.argv[2])}[sys.argv[1]]
+for _ in range(3):
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    call()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+def _faults_per_call(what, tmp_path, **malloc_env):
+    """Minor page faults per call of a noisy four-channel fit or of the
+    4001-row spectrum write_csv, after three warm-up calls, in a fresh
+    interpreter on one BLAS thread whose environment sets no malloc option
+    but malloc_env."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    env.update(malloc_env, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CALL, what,
+         str(tmp_path / "spectrum.csv")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return float(proc.stdout)
+
+
+glibc_only = pytest.mark.skipif(
+    not _on_glibc(), reason="eplab pins malloc thresholds on glibc only")
+
+
+@glibc_only
+def test_noisy_fits_reuse_their_heap_pages(tmp_path):
+    # the fit's 0.25-1.15 MB arrays stay below the pinned 4 MiB mmap
+    # threshold; glibc's dynamic one can map them afresh, about 500 a fit
+    assert _faults_per_call("fit", tmp_path) < 20
+
+
+@glibc_only
+def test_spectrum_csv_writes_reuse_their_heap_pages(tmp_path):
+    # the writer's 1024-row blocks hold about 2.7 MB, below the threshold
+    assert _faults_per_call("write_csv", tmp_path) < 50
+
+
+@glibc_only
+@pytest.mark.parametrize("malloc_env", [
+    {"MALLOC_MMAP_THRESHOLD_": "131072"},
+    {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"},
+], ids=["variable", "tunable"])
+def test_a_malloc_threshold_from_the_environment_is_left_alone(
+        tmp_path, malloc_env):
+    # a 128 kB threshold maps the fit's arrays afresh on every call
+    assert _faults_per_call("fit", tmp_path, **malloc_env) > 200
 
 
 # ------------------------------------------------------------- configuration
