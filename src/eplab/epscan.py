@@ -134,7 +134,7 @@ class ParamGrid:
         j = np.rint((delta - grid.delta_min) / step).astype(int)
         if (np.max(np.abs(grid.s_values[i] - s)) > 1e-6
                 or np.max(np.abs(grid.delta_values[j] - delta)) > 1e-6
-                or np.unique(i * grid.n_delta + j).size != len(i)):
+                or not np.diff(np.sort(i * grid.n_delta + j)).all()):
             raise DataError(
                 f"{source}: points do not sit on distinct nodes of a "
                 f"uniform grid")

@@ -57,6 +57,7 @@ random gauge copy.
 __all__ = ["FitConfig", "FitResult", "fit_spectrum", "seed_initializer"]
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -215,6 +216,18 @@ _D_LEVELS = [[[1, 0], [0, 0]], [[1j, 0], [0, 0]], [[0, 0], [0, 1]],
 _PRODUCTS = [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2), (0, 1)]
 
 
+@functools.cache
+def _level_columns():
+    """u_ai v_jb, row (ij, st) with s, t its terms in A, B, D, into the
+    level columns: column (k, row of phi); shared, read-only, built once."""
+    pair = np.zeros((9, 9))
+    for row, (s, t) in enumerate(_PRODUCTS, start=3):
+        pair[[3 * s + t, 3 * t + s], row] = 1.0
+    levels = np.kron(np.reshape(_D_LEVELS, (8, 4)).T, pair)
+    levels.flags.writeable = False
+    return levels
+
+
 class _Model:
     """The model of one spectrum's included channels over its window, which
     every LM start of a fit runs on; a masked channel is dropped, not zeroed."""
@@ -226,12 +239,7 @@ class _Model:
         self.data = spec.s[self.channels]
         self.rows = 2 * self.data.size    # real rows of the included channels
         self.near = POLE_NEIGHBOURHOOD * (self.window[1] - self.window[0])
-        # u_ai v_jb, row (ij, st) with s, t its terms in A, B, D, into the
-        # level columns: column (k, row of phi)
-        pair = np.zeros((9, 9))
-        for row, (s, t) in enumerate(_PRODUCTS, start=3):
-            pair[[3 * s + t, 3 * t + s], row] = 1.0
-        self._levels = np.kron(np.reshape(_D_LEVELS, (8, 4)).T, pair)
+        self._levels = _level_columns()
 
     def residual(self, p):
         """(r, cost): the complex (k, n) residual model - data of the k

@@ -33,7 +33,6 @@ __all__ = ["CSV_HEADER", "CouplingSet", "NoiseSpec", "Spectrum",
            "SyntheticFamily", "effective_hamiltonian", "frequency_grid",
            "load_family", "read_spectrum", "synth_spectrum"]
 
-import itertools
 import json
 import math
 import os
@@ -101,15 +100,21 @@ def _rows_text(columns):
 
 def _read_table(path, header, schema=None, status=False):
     """The data rows of a CSV with column names header, as the float array
-    of one np.loadtxt call; with status, its numbers and an object array of
-    its last column, "ok" or "failed:<reason>", one string per distinct
-    text. With schema, the first line must be its tag. "#" comment and blank
-    lines may stand anywhere; DataError naming path unless it opens, its
-    first other line is the header and data rows follow, each (counted from
-    1) with header's field count, a valid status and fields that parse."""
+    of one np.loadtxt call; with status, that call reads a row as a record
+    of its numbers and its last column's text, "ok" or "failed:<reason>",
+    and both come back, the texts as an object array. With schema, the
+    first line must be its tag. "#" comment and blank lines may stand
+    anywhere; DataError naming path unless it opens, its first other line
+    is the header and data rows follow, each (counted from 1) with header's
+    field count, fields that parse and a valid status."""
     def rows(lines, start=0):         # (index, line) that numpy reads as rows
         return ((k, line) for k, line in enumerate(lines, start)
                 if line.partition("#")[0].rstrip("\n"))
+
+    def check(row, text):
+        if text != "ok" and not (text.startswith("failed:") and text[7:]):
+            raise DataError(f"{path}: data row {row} has status {text!r}, "
+                            f"expected ok or failed:<reason>")
 
     width = len(header)
     try:
@@ -127,24 +132,14 @@ def _read_table(path, header, schema=None, status=False):
                         f"found {head!r}")
     if skip is None:
         raise DataError(f"{path} has no data rows")
-    codes, calls = {}, itertools.count(1)
-
-    def code(text):                   # called once per data row, in order
-        row = next(calls)
-        if text != "ok" and not (text.startswith("failed:") and text[7:]):
-            raise DataError(f"{path}: data row {row} has status {text!r}, "
-                            f"expected ok or failed:<reason>")
-        return codes.setdefault(text, len(codes))
-
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
-                           encoding="utf-8",
-                           converters={-1: code} if status else None)
-        if table.shape[1] != width:   # every row: the scan below names one
+        table = np.loadtxt(path, [("x", float, (width - 1,)),
+                                  ("status", object)] if status else float,
+                           delimiter=",", skiprows=skip,
+                           ndmin=1 if status else 2, encoding="utf-8")
+        if not status and table.shape[1] != width:   # the scan names a row
             raise ValueError(f"rows of {table.shape[1]} fields")
     except ValueError as exc:         # also text that is not UTF-8
-        if isinstance(exc.__cause__, DataError):   # a status, numpy-wrapped
-            raise exc.__cause__
         with open(path, encoding="utf-8", errors="replace") as fh:
             data = [line.partition("#")[0].split(",")
                     for k, line in rows(fh) if k >= skip]
@@ -156,11 +151,14 @@ def _read_table(path, header, schema=None, status=False):
                 np.array(fields[:width - status], dtype=float)
             except ValueError as err:         # names the text
                 raise DataError(f"{path}: data row {row}: {err}")
+            if status:
+                check(row, fields[-1].rstrip("\n"))
         raise DataError(f"{path}: {exc}")
     if not status:
         return table
-    texts = np.array(list(codes), dtype=object)
-    return table[:, :-1], texts[table[:, -1].astype(np.intp)]
+    for row in np.flatnonzero(table["status"] != "ok"):
+        check(row + 1, table["status"][row])
+    return table["x"], table["status"]
 
 
 # "%.17g" in array operations. A finite nonzero x is formatted from the

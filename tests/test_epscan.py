@@ -323,8 +323,10 @@ def test_scan_csv_second_header_line_is_refused(tmp_path, b38_scan):
                          ids=["cause-wrapped", "raised-as-is"])
 def test_scan_csv_bad_status_gives_one_error_however_numpy_reports_it(
         tmp_path, b38_scan, monkeypatch, wrapped):
-    # numpy 2 raises a ValueError whose __cause__ is the converter's
-    # exception; older numpy may let the converter's exception through
+    # the reader checks statuses after np.loadtxt has read them as text, so
+    # numpy's way of reporting an exception raised while it reads (numpy 2
+    # wraps it in a ValueError, older numpy may let it through) cannot
+    # change the message
     path = tmp_path / "scan.csv"
     b38_scan.write_csv(path)
     lines = path.read_text().splitlines(keepends=True)
@@ -346,6 +348,49 @@ def test_scan_csv_bad_status_gives_one_error_however_numpy_reports_it(
         ScanResult.read_csv(path)
     assert str(info.value) == (f"{path}: data row 4 has status 'okay', "
                                f"expected ok or failed:<reason>")
+
+
+def test_scan_csv_names_a_bad_status_before_a_later_bad_number(tmp_path,
+                                                               b38_scan):
+    # the number fails np.loadtxt's read; the rescan after it still checks
+    # each row's status in order
+    path = tmp_path / "scan.csv"
+    b38_scan.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",okay\n"      # data row 3
+    lines[8] = "x" + lines[8]                              # data row 7
+    path.write_text("".join(lines))
+    with pytest.raises(DataError) as info:
+        ScanResult.read_csv(path)
+    assert str(info.value) == (f"{path}: data row 3 has status 'okay', "
+                               f"expected ok or failed:<reason>")
+
+
+@pytest.mark.parametrize("written, read", [
+    ("failed:Ωmega", "failed:Ωmega"),
+    ("failed:\udcff", "failed:\\udcff"),     # as the writer escapes it
+], ids=["non-ascii", "lone-surrogate"])
+def test_scan_csv_status_text_reads_back(tmp_path, b38_scan, written, read):
+    status = b38_scan.status.copy()
+    status[2, 5] = written
+    path = tmp_path / "scan.csv"
+    dataclasses.replace(b38_scan, status=status).write_csv(path)
+    back = ScanResult.read_csv(path)
+    status[2, 5] = read
+    assert back.status.tolist() == status.tolist()
+
+
+def test_scan_csv_roundtrip_of_a_241_square_family_scan(tmp_path, b38):
+    # a table of the plane benchmark's size, read in one np.loadtxt call
+    table = scan(ParamGrid(1.40, 2.00, 41.46, 42.06, 0.0025), b38)
+    assert table.grid.shape == (241, 241)
+    path = tmp_path / "scan.csv"
+    table.write_csv(path)
+    back = ScanResult.read_csv(path)
+    assert back.grid.shape == table.grid.shape
+    assert back.status.tolist() == table.status.tolist()
+    for name in ("f1", "g1", "f2", "g2", "reh2", "imh2", "cross", "tau"):
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
 
 
 # every status a scan table records: ok, and its own, the kernel's and the

@@ -305,6 +305,15 @@ def test_normal_equations_match_the_long_double_column_gram(point, sigma):
         assert null_directions(jtj) == null_directions(want_jtj)
 
 
+def test_models_share_one_level_column_array():
+    # built on first use, not once per model
+    _, spec = family_spectrum("b38", *GENERIC)
+    a = _Model(spec, _channel_row_mask(None))
+    b = _Model(spec, _channel_row_mask(["S12"]))
+    assert a._levels is b._levels
+    assert a._levels.shape == (36, 72) and not a._levels.flags.writeable
+
+
 def test_pole_on_the_grid_ends_the_start_as_a_runaway():
     fam, spec = family_spectrum("b38", *GENERIC)
     # a lossless level exactly on a grid frequency
