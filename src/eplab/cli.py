@@ -129,10 +129,10 @@ def _parse_grid(text):
 
 
 def _parse_point(text, what, table):
-    """(s, delta) of "s,delta" in mm, or the EP located on table() for "ep"
-    or no text."""
+    """(s, delta) of "s,delta" in mm, or the EP located on table for "ep" or
+    no text."""
     if text is None or str(text).strip().lower() == "ep":
-        return tuple(locate_ep(table()))
+        return tuple(locate_ep(table))
     parts = str(text).split(",")
     if len(parts) != 2:
         raise UsageError(f"{what} must be s,delta (mm), got {text!r}")
@@ -486,7 +486,7 @@ def _cmd_analyze_curve(ns):
         result = _read_table(ns.indir)
         origin = {"scan": os.path.basename(ns.indir)}
 
-    start = _parse_point(ns.start, "--start", lambda: result)
+    start = _parse_point(ns.start, "--start", result)
 
     # "epsilon" and "step" stay keys, always None, so hashes hold
     resolved = {"command": "analyze-curve", "source": origin,
@@ -553,8 +553,8 @@ def _cmd_analyze_pt(ns):
 def _cmd_analyze_braid(ns):
     fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
-
-    center = _parse_point(ns.center, "--center", lambda: scan(grid, fam))
+    table = scan(grid, fam)
+    center = _parse_point(ns.center, "--center", table)
 
     # "grid" and "points" stay keys, at their one value, so hashes hold
     resolved = {"command": "analyze-braid", "family": fam.name,
@@ -562,7 +562,7 @@ def _cmd_analyze_braid(ns):
                 "points": 64, "turns": ns.turns, "out": out}
     cfg_hash = _config_hash(resolved)
 
-    trace = braid_loop(fam, center, ns.radius, turns=ns.turns)
+    trace = braid_loop(table, center, ns.radius, turns=ns.turns)
     doc = trace.to_json_dict(config_hash=cfg_hash)
     doc["center"] = [center[0], center[1]]
     doc["radius"] = ns.radius

@@ -12,21 +12,22 @@ table between its nodes. On a scan table:
   * trace_pt_curve walks the zero contour of cross = Re h . Im h (where the
     shifted matrix has the antiunitary symmetry) on a family's closed form
     or the affine fit of a fit table's matrix entries;
-  * braid tracks the two eigenvalues round a closed parameter loop and
-    reports whether they swap, the topological signature of an EP.
+  * braid_loop tracks the two eigenvalues round a circle in the table's
+    window and reports whether they swap, the topological signature of an EP.
 
 Scan tables serialize to CSV with columns s_mm, delta_mm, f1, g1, f2, g2,
 reh2, imh2, cross, tau, status: (f, g) are resonance frequency and full
 width (E = f - i g/2) in the deterministic reporting order, status is "ok"
 or "failed:<reason>", and failed points carry NaN data. Read back by
-synth._read_table, a table holds no matrices: it feeds locate_ep but not
-the tracer. Curve and braid traces serialize to JSON, a curve trace read
-back from its matrices alone. Every file starts with a schema tag.
+synth._read_table, a table holds no matrices: it feeds locate_ep but neither
+trace_pt_curve nor braid_loop, which read matrices through one _PlaneField.
+Curve and braid traces serialize to JSON, a curve trace read back from its
+matrices alone. Every file starts with a schema tag.
 """
 
 __all__ = ["BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
-           "Permutation", "ScanResult", "braid", "braid_loop", "locate_ep",
-           "scan", "trace_pt_curve"]
+           "Permutation", "ScanResult", "braid_loop", "locate_ep", "scan",
+           "trace_pt_curve"]
 
 import enum
 import math
@@ -61,6 +62,7 @@ _MATRICES = ("e1", "e2", "h1", "h2")
 EPSILON_CURVE_EXACT = 1e-9      # closed-form family evaluations
 EPSILON_CURVE_FITTED = 1e-3     # per-point fits, noise limited
 
+_MAX_POINTS = 10_000_000        # largest grid, and largest braid loop
 _MAX_TRACE_POINTS = 100_000
 _LOOP_POINTS = 64               # braid_loop's first samples per turn
 _MAX_LOOP_POINTS = 4096         # braid_loop stops doubling its samples here
@@ -88,7 +90,7 @@ class ParamGrid:
                                        f"{self.step} must be finite, step > 0")
         if self.s_max < self.s_min or self.delta_max < self.delta_min:
             raise InvalidArgumentError("grid bounds must be ordered")
-        if self.n_s * self.n_delta > 10_000_000:
+        if self.n_s * self.n_delta > _MAX_POINTS:
             raise InvalidArgumentError(
                 f"grid of {self.n_s} x {self.n_delta} points is too large")
 
@@ -353,19 +355,26 @@ def locate_ep(scan_result):
 
 
 class _PlaneField(object):
-    """Point evaluator behind tracing and braiding.
+    """Point evaluator behind tracing and braiding, over a scan table.
 
-    Family-backed fields evaluate the effective matrix in closed form;
-    table-backed fields fit its four stored entries round the point with
-    the weighted affine _local_fit, which an affine family passes exactly.
-    cross_rel is the basis-invariant contour function cross/(reh2 + imh2).
+    A family scan evaluates the effective matrix in closed form; any other
+    table fits its four stored entries round the point with the weighted
+    affine _local_fit, which an affine family passes exactly. cross_rel is
+    the basis-invariant contour function cross/(reh2 + imh2).
     """
 
-    def __init__(self, grid, family=None, scan_result=None):
-        self.grid = grid
-        self.family = family
-        if scan_result is not None:
-            self.entries = np.stack([getattr(scan_result, name)
+    def __init__(self, table):
+        if not isinstance(table, ScanResult):
+            raise InvalidArgumentError(
+                f"source must be a ScanResult, got {type(table).__name__}")
+        if table.family is None and table.e1 is None:
+            raise DataError(
+                "a scan table read from CSV carries no matrices to trace; "
+                "trace the family (--family) or the fit manifest.json")
+        self.grid = table.grid
+        self.family = table.family
+        if table.family is None:
+            self.entries = np.stack([getattr(table, name)
                                      for name in _MATRICES], axis=-1)
 
     def in_window(self, s, delta, margin=0.0):
@@ -404,23 +413,6 @@ class _PlaneField(object):
         gs = (self.cross_rel(s + h, delta) - self.cross_rel(s - h, delta)) / (2 * h)
         gd = (self.cross_rel(s, delta + h) - self.cross_rel(s, delta - h)) / (2 * h)
         return np.array([gs, gd])
-
-
-def _field_for(source):
-    if isinstance(source, SyntheticFamily):
-        grid = ParamGrid(source.bounds_s[0], source.bounds_s[1],
-                         source.bounds_delta[0], source.bounds_delta[1])
-        return _PlaneField(grid, family=source)
-    if isinstance(source, ScanResult):
-        if source.family is None and source.e1 is None:
-            raise DataError(
-                "a scan table read from CSV carries no matrices to trace; "
-                "trace the family (--family) or the fit manifest.json")
-        return _PlaneField(source.grid, family=source.family,
-                           scan_result=None if source.family else source)
-    raise InvalidArgumentError(
-        f"source must be a SyntheticFamily or ScanResult, "
-        f"got {type(source).__name__}")
 
 
 @dataclass
@@ -590,16 +582,16 @@ def _march(field, start, tangent, step, epsilon, fd_step):
 def trace_pt_curve(scan_result, start):
     """Trace the zero contour of cross through the window, both directions.
 
-    scan_result is a SyntheticFamily or a ScanResult that carries matrices: a
-    family scan or a fit table. Every point is read off a matrix, the family's
-    closed form or the affine _local_fit of the table's entries; a table read
-    from CSV stores none and raises DataError. The trace marches at the grid
-    step (0.01 mm for a bare family); start must satisfy |cross|/(reh2+imh2)
-    <= epsilon, EPSILON_CURVE_EXACT on a family and EPSILON_CURVE_FITTED on
-    fitted matrices. The trace is ordered along the curve and holds each
-    point's matrix and flags truncation where the corrector loses the contour.
+    scan_result is a ScanResult that carries matrices: a family scan or a fit
+    table. Every point is read off a matrix, the family's closed form or the
+    affine _local_fit of the table's entries; a table read from CSV stores
+    none and raises DataError. The trace marches at the grid step; start
+    must satisfy |cross|/(reh2+imh2) <= epsilon, EPSILON_CURVE_EXACT on a
+    family and EPSILON_CURVE_FITTED on fitted matrices. The trace is ordered
+    along the curve and holds each point's matrix and flags truncation where
+    the corrector loses the contour.
     """
-    field = _field_for(scan_result)
+    field = _PlaneField(scan_result)
     step = field.grid.step
     epsilon = (EPSILON_CURVE_EXACT if field.family is not None
                else EPSILON_CURVE_FITTED)
@@ -662,24 +654,12 @@ class BraidTrace(NamedTuple):
         return out
 
 
-def braid(loop, source):
-    """Track both eigenvalues around a closed loop in the (s, delta) plane.
-
-    The loop must repeat its first point at the end. Eigenvalues continue by
-    nearest-neighbor assignment; an assignment jump of at least half the
-    local gap means the discretization cannot resolve the braid and raises
-    RefineLoopError.
-    """
-    pts = np.asarray(loop, dtype=float)
-    if (pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4
-            or not np.isfinite(pts).all()):
-        raise InvalidArgumentError("loop must be (n >= 4, 2) finite points")
-    if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-12):
-        raise InvalidArgumentError("loop must be closed (first point == last)")
-
-    field = _field_for(source)
-    path1, path2 = np.empty((2, pts.shape[0]), dtype=complex)
-    for k, (s, d) in enumerate(pts):
+def _braid(field, loop):
+    """Continue both eigenvalues along the closed loop by nearest-neighbor
+    assignment; an assignment jump of at least half the local gap means the
+    samples cannot resolve the braid and raises RefineLoopError."""
+    path1, path2 = np.empty((2, loop.shape[0]), dtype=complex)
+    for k, (s, d) in enumerate(loop):
         x, y = eigenvalues(field.ham(s, d))
         if k == 0:
             path1[0], path2[0] = x, y
@@ -698,23 +678,37 @@ def braid(loop, source):
         path1[k], path2[k] = x, y
 
     swap = abs(path1[-1] - path2[0]) < abs(path1[-1] - path1[0])
-    return BraidTrace(loop=pts, path1=path1, path2=path2,
+    return BraidTrace(loop=loop, path1=path1, path2=path2,
                       permutation=Permutation.SWAP if swap
                       else Permutation.IDENTITY)
 
 
-def braid_loop(source, center, radius, turns=1):
-    """Braid around a circle, doubling the resolution until it resolves.
+def braid_loop(table, center, radius, turns=1):
+    """Braid round a circle on a scan table, doubling the samples until the
+    braid resolves.
 
-    turns > 1 traverses the circle repeatedly before closing, which composes
-    the permutation with itself. The samples per turn double from
-    _LOOP_POINTS up to _MAX_LOOP_POINTS; past that RefineLoopError propagates.
+    table is a ScanResult that carries matrices, read as trace_pt_curve
+    reads it. A circle whose bounding box leaves the table's window raises
+    OutOfBoundsError. turns > 1 traverses the circle repeatedly before
+    closing, which composes the permutation with itself; turns may not take
+    the loop past the 1e7 points a grid may hold. The samples per turn double
+    from _LOOP_POINTS up to _MAX_LOOP_POINTS; past that RefineLoopError
+    propagates.
     """
     if not 0 < radius < math.inf:
         raise InvalidArgumentError(f"radius {radius} must be finite and > 0")
     if turns < 1:
         raise InvalidArgumentError(f"turns must be >= 1, got {turns}")
+    if turns * _MAX_LOOP_POINTS > _MAX_POINTS:
+        raise InvalidArgumentError(
+            f"turns {turns} may sample more than the 1e7 point cap")
     cs, cd = float(center[0]), float(center[1])
+    if not (math.isfinite(cs) and math.isfinite(cd)):
+        raise InvalidArgumentError(f"center ({cs}, {cd}) must be finite")
+    field = _PlaneField(table)
+    if not field.in_window(cs, cd, margin=radius):
+        raise OutOfBoundsError(f"loop of radius {radius} round ({cs}, {cd}) "
+                               f"leaves the scan window")
     n = _LOOP_POINTS
     while True:
         angles = 2.0 * math.pi * turns * np.arange(n * turns + 1) / (n * turns)
@@ -722,7 +716,7 @@ def braid_loop(source, center, radius, turns=1):
                                 cd + radius * np.sin(angles)])
         loop[-1] = loop[0]               # close exactly despite rounding
         try:
-            return braid(loop, source)
+            return _braid(field, loop)
         except RefineLoopError:
             if 2 * n > _MAX_LOOP_POINTS:
                 raise

@@ -202,6 +202,7 @@ def test_criterion_07_curve_structure():
 def test_criterion_08_braiding_statistics():
     """50/50 random loops per class: swap, identity, doubled identity."""
     fam = load_family("b38")
+    table = scan(ParamGrid(*fam.bounds_s, *fam.bounds_delta), fam)
     rng = np.random.default_rng(108)
 
     def enclosing_geometry():
@@ -214,7 +215,8 @@ def test_criterion_08_braiding_statistics():
 
     for _ in range(N_LOOPS):
         center, radius = enclosing_geometry()
-        assert braid_loop(fam, center, radius).permutation is Permutation.SWAP
+        assert braid_loop(table, center,
+                          radius).permutation is Permutation.SWAP
 
     for _ in range(N_LOOPS):
         radius = rng.uniform(0.03, 0.08)
@@ -222,12 +224,12 @@ def test_criterion_08_braiding_statistics():
         angle = rng.uniform(0.0, 2.0 * math.pi)
         center = (B38_EP[0] + dist * math.cos(angle),
                   B38_EP[1] + dist * math.sin(angle))
-        assert braid_loop(fam, center,
+        assert braid_loop(table, center,
                           radius).permutation is Permutation.IDENTITY
 
     for _ in range(N_LOOPS):
         center, radius = enclosing_geometry()
-        assert braid_loop(fam, center, radius,
+        assert braid_loop(table, center, radius,
                           turns=2).permutation is Permutation.IDENTITY
 
 

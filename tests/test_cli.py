@@ -153,6 +153,9 @@ OUT_OF_DOMAIN = [
     (["fit", "--in", "DATA", "--jobs", "-1"], "jobs"),
     (["synth", "--family", "b38", "--grid", "1.72:1.74:nanx41.78:41.78:nan"],
      "must be finite"),
+    (BRAID + ["--turns", str(10 ** 12)], "1e7 point cap"),
+    (BRAID + ["--center", "nan,41.78"], "finite"),
+    (BRAID + ["--center", "2.0,41.78"], "leaves the scan window"),
 ]
 
 
@@ -1187,8 +1190,7 @@ PUBLIC_NAMES = [
     "read_spectrum", "synth_spectrum",
     "FitConfig", "FitResult", "fit_spectrum", "seed_initializer",
     "BraidTrace", "CurveTrace", "EPLocation", "ParamGrid", "Permutation",
-    "ScanResult", "braid", "braid_loop", "locate_ep", "scan",
-    "trace_pt_curve",
+    "ScanResult", "braid_loop", "locate_ep", "scan", "trace_pt_curve",
     "EplabError", "InvalidArgumentError", "DegenerateGaugeError",
     "NotGaugeFixedError", "SingularRatioError", "NotOnPTCurveError",
     "OutOfBoundsError", "PoleOnGridError", "UnresolvableDoubletError",

@@ -32,7 +32,6 @@ from eplab.epscan import (
     ParamGrid,
     Permutation,
     ScanResult,
-    braid,
     braid_loop,
     locate_ep,
     scan,
@@ -82,6 +81,17 @@ def b38_scan(b38):
 @pytest.fixture(scope="module")
 def b0_scan(b0):
     return scan(ep_window(B0_EP), b0)
+
+
+@pytest.fixture(scope="module")
+def b38_plane(b38):
+    """The scan over b38's bounds, the table `analyze braid` braids."""
+    return scan(ParamGrid(*b38.bounds_s, *b38.bounds_delta), b38)
+
+
+@pytest.fixture(scope="module")
+def b0_plane(b0):
+    return scan(ParamGrid(*b0.bounds_s, *b0.bounds_delta), b0)
 
 
 @pytest.fixture(scope="module")
@@ -704,7 +714,7 @@ def test_corrector_stops_at_the_rounding_floor(name, monkeypatch):
     table, trace, calls = _recorded_bounds_trace(name, monkeypatch, "cross_rel")
     assert trace.n_points == 91 and not trace.truncated
     assert len(calls) <= 20 * trace.n_points
-    field = eplab.epscan._field_for(table)
+    field = eplab.epscan._PlaneField(table)
     assert max(abs(field.cross_rel(*p)) for p in trace.points) <= 1e-12
 
 
@@ -769,7 +779,7 @@ def test_table_field_reproduces_the_affine_family(b38, b38_scan, u, v):
     s = g.s_min + u * (g.s_max - g.s_min)
     d = g.delta_min + v * (g.delta_max - g.delta_min)
     table = dataclasses.replace(b38_scan, family=None)
-    got = eplab.epscan._field_for(table).ham(s, d)
+    got = eplab.epscan._PlaneField(table).ham(s, d)
     want = b38.h_at(s, d)
     names = ("e1", "e2", "h1", "h2")
     scale = max(abs(getattr(want, name)) for name in names)
@@ -851,67 +861,110 @@ def test_trace_read_back_is_bit_identical(name, step):
 # ------------------------------------------------------------------ braiding
 
 
-def test_braid_validates_loops(b38):
-    with pytest.raises(InvalidArgumentError):
-        braid(np.zeros((3, 3)), b38)
-    open_loop = [(1.6, 41.7), (1.8, 41.7), (1.8, 41.9), (1.6, 41.9)]
-    with pytest.raises(InvalidArgumentError):
-        braid(open_loop, b38)
-    nan_loop = [(1.6, 41.7), (1.8, 41.7), (math.nan, 41.9), (1.6, 41.7)]
-    with pytest.raises(InvalidArgumentError, match="finite"):
-        braid(nan_loop, b38)
+def test_plane_analysis_takes_only_a_scan_table(b38):
+    for call in (lambda: braid_loop(b38, B38_EP, 0.1),
+                 lambda: trace_pt_curve(b38, B38_EP)):
+        with pytest.raises(InvalidArgumentError, match="ScanResult"):
+            call()
 
 
-def test_braid_swap_iff_loop_encloses_ep(b38, b0):
-    for fam, ep in ((b38, B38_EP), (b0, B0_EP)):
-        assert braid_loop(fam, ep, 0.1).permutation is Permutation.SWAP
+def test_braid_swap_iff_loop_encloses_ep(b38_plane, b0_plane):
+    for table, ep in ((b38_plane, B38_EP), (b0_plane, B0_EP)):
+        assert braid_loop(table, ep, 0.1).permutation is Permutation.SWAP
         off = (ep[0] + 0.2, ep[1])
-        assert braid_loop(fam, off, 0.05).permutation is Permutation.IDENTITY
+        assert braid_loop(table, off, 0.05).permutation is Permutation.IDENTITY
 
 
-def test_braid_double_loop_composes_to_identity(b38):
-    assert braid_loop(b38, B38_EP, 0.1,
+def test_braid_double_loop_composes_to_identity(b38_plane):
+    assert braid_loop(b38_plane, B38_EP, 0.1,
                       turns=2).permutation is Permutation.IDENTITY
 
 
-def test_braid_homotopic_loops_agree(b38):
+def test_braid_homotopic_loops_agree(b38_plane):
     rng = np.random.default_rng(7)
     for _ in range(5):
         center = (B38_EP[0] + rng.uniform(-0.02, 0.02),
                   B38_EP[1] + rng.uniform(-0.02, 0.02))
         radius = rng.uniform(0.05, 0.15)
-        assert braid_loop(b38, center, radius).permutation is Permutation.SWAP
+        assert braid_loop(b38_plane, center,
+                          radius).permutation is Permutation.SWAP
     for _ in range(5):
         angle = rng.uniform(0, 2 * math.pi)
         center = (B38_EP[0] + 0.2 * math.cos(angle),
                   B38_EP[1] + 0.2 * math.sin(angle))
-        assert braid_loop(b38, center,
+        assert braid_loop(b38_plane, center,
                           0.04).permutation is Permutation.IDENTITY
 
 
-def test_braid_coarse_loop_raises_until_refined(b38, monkeypatch):
-    t = np.linspace(0.0, 2.0 * math.pi, 5)
-    coarse = np.column_stack([B38_EP[0] + 0.15 * np.cos(t),
-                              B38_EP[1] + 0.15 * np.sin(t)])
-    coarse[-1] = coarse[0]
-    with pytest.raises(RefineLoopError):
-        braid(coarse, b38)
-    # the adaptive wrapper succeeds from the same starting resolution
+def test_braid_coarse_loop_raises_until_refined(b38_plane, monkeypatch):
+    # four samples a turn cannot follow the exchange round the EP
     monkeypatch.setattr(eplab.epscan, "_LOOP_POINTS", 4)
-    assert braid_loop(b38, B38_EP, 0.15).permutation is Permutation.SWAP
+    monkeypatch.setattr(eplab.epscan, "_MAX_LOOP_POINTS", 4)
+    with pytest.raises(RefineLoopError):
+        braid_loop(b38_plane, B38_EP, 0.15)
+    # doubling from the same starting resolution resolves it
+    monkeypatch.undo()
+    monkeypatch.setattr(eplab.epscan, "_LOOP_POINTS", 4)
+    assert braid_loop(b38_plane, B38_EP, 0.15).permutation is Permutation.SWAP
 
 
-def test_braid_loop_through_ep_cannot_resolve(b38, monkeypatch):
+def test_braid_loop_through_ep_cannot_resolve(b38_plane, monkeypatch):
     center = (B38_EP[0] + 0.05, B38_EP[1] + 0.05)
     radius = math.hypot(0.05, 0.05)      # passes exactly through the EP
     monkeypatch.setattr(eplab.epscan, "_LOOP_POINTS", 8)
     monkeypatch.setattr(eplab.epscan, "_MAX_LOOP_POINTS", 64)
     with pytest.raises(RefineLoopError):
-        braid_loop(b38, center, radius)
+        braid_loop(b38_plane, center, radius)
 
 
-def test_braid_trace_serializes(b38):
-    tr = braid_loop(b38, B38_EP, 0.1)
+def test_braid_loop_refuses_bad_values(b38_plane, monkeypatch):
+    for center in ((math.nan, B38_EP[1]), (B38_EP[0], math.inf)):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            braid_loop(b38_plane, center, 0.1)
+
+    # turns past the point cap are refused before a sample is taken
+    def no_samples(*args):
+        raise AssertionError("loop sampled")
+
+    monkeypatch.setattr(eplab.epscan, "_braid", no_samples)
+    cap = eplab.epscan._MAX_POINTS // eplab.epscan._MAX_LOOP_POINTS
+    for turns in (cap + 1, 10 ** 12):
+        with pytest.raises(InvalidArgumentError, match="1e7 point cap"):
+            braid_loop(b38_plane, B38_EP, 0.1, turns=turns)
+
+
+def test_braid_loop_stays_in_the_scan_window(b38_scan):
+    # the tracer's window rule: the loop's bounding box must lie in the
+    # table's window, also where the family's bounds reach further
+    g = b38_scan.grid
+    inside = min(B38_EP[0] - g.s_min, g.s_max - B38_EP[0])
+    assert braid_loop(b38_scan, B38_EP,
+                      inside).permutation is Permutation.SWAP
+    with pytest.raises(OutOfBoundsError, match="leaves the scan window"):
+        braid_loop(b38_scan, B38_EP, inside + 0.01)
+
+
+def test_braid_loop_on_a_fitted_table_stays_in_its_window(tmp_path):
+    # fitted entries are read off the affine _local_fit, which would
+    # extrapolate without a word past the nodes; the EP sits 0.10 mm from
+    # the edge of this 0.20 mm window
+    data, fits = dirs(tmp_path)
+    assert main(["synth", "--family", "b38",
+                 "--grid", "1.62:1.82:0.02x41.68:41.88:0.02",
+                 "--sigma", "0.005", "--seed", "3", "--jobs", "2",
+                 "--out", str(data)]) == 0
+    assert main(["fit", "--in", str(data), "--jobs", "2",
+                 "--out", str(fits)]) == 0
+    table = _read_table(str(fits / "manifest.json"))
+    ep = tuple(locate_ep(table))
+    for radius in (0.02, 0.04, 0.06, 0.08):
+        assert braid_loop(table, ep, radius).permutation is Permutation.SWAP
+    with pytest.raises(OutOfBoundsError):
+        braid_loop(table, ep, 0.12)
+
+
+def test_braid_trace_serializes(b38_plane):
+    tr = braid_loop(b38_plane, B38_EP, 0.1)
     doc = tr.to_json_dict(config_hash="0011aabb")
     assert doc["schema"] == "eplab.braid.v1"
     assert doc["permutation"] == "swap"
@@ -920,8 +973,8 @@ def test_braid_trace_serializes(b38):
     json.dumps(doc)
 
 
-def test_braid_paths_are_continuous(b38):
-    tr = braid_loop(b38, B38_EP, 0.1)
+def test_braid_paths_are_continuous(b38_plane):
+    tr = braid_loop(b38_plane, B38_EP, 0.1)
     for path in (tr.path1, tr.path2):
         jumps = np.abs(np.diff(path))
         gaps = np.abs(tr.path1 - tr.path2)
