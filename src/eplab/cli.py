@@ -245,12 +245,9 @@ def _cmd_synth(ns):
     out = _resolve_out(ns)
 
     grid = _parse_grid(ns.grid)
-    points = [(s, d) for s in grid.s_values for d in grid.delta_values]
-    for s, d in points:
-        if not fam.contains(s, d):
-            raise OutOfBoundsError(
-                f"point ({s:g}, {d:g}) outside family bounds "
-                f"s in {fam.bounds_s}, delta in {fam.bounds_delta}")
+    s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
+    fam._check_bounds(s, d)
+    points = list(zip(s.ravel(), d.ravel()))
 
     # "point" stays a key, always None, and the window keys hold the
     # preset's, so existing hashes still hold

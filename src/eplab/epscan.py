@@ -3,9 +3,9 @@
 Everything here works in the (s, delta) plane, both in mm. A scan table
 holds the effective matrix on a rectangular grid with the per-point
 eigenvalues, radicand split (reh2, imh2, cross) and reciprocity angle tau:
-scan evaluates a synthetic family in closed form, `eplab fit` fits it point
-by point, and one locally weighted least-squares fit, _local_fit, reads a
-table between its nodes. On a scan table:
+scan evaluates a family in closed form within its bounds, `eplab fit` fits
+it point by point, and one locally weighted least-squares fit, _local_fit,
+reads a table between its nodes. On a scan table:
 
   * locate_ep solves D = 0 on the quadratic fit of complex D round the node
     of least |D|, with an error bar from the fit's residuals;
@@ -206,16 +206,17 @@ class ScanResult:
 def scan(grid, family):
     """Evaluate a SyntheticFamily in closed form on every grid point.
 
-    Points outside the family bounds are recorded as failed, not fatal,
-    unless failures exceed 20% of the grid.
+    A node outside the family bounds raises OutOfBoundsError naming the
+    first; points the observables kernel fails on are recorded as failed,
+    and ScanQualityError is raised when they exceed 20% of the grid.
     """
     if not isinstance(family, SyntheticFamily):
         raise InvalidArgumentError(
             f"source must be a SyntheticFamily, got {type(family).__name__}")
     s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
+    family._check_bounds(s, d)
     status = np.empty(grid.shape, dtype=object)
     status.fill("ok")
-    status[~family.contains(s, d)] = "failed:out-of-bounds"
     result = _scan_table(grid, family.h_grid(s, d), status, family=family)
     if result.n_failed > 0.2 * result.status.size:
         raise ScanQualityError(
@@ -359,8 +360,9 @@ class _PlaneField(object):
 
     A family scan evaluates the effective matrix in closed form; any other
     table fits its four stored entries round the point with the weighted
-    affine _local_fit, which an affine family passes exactly. cross_rel is
-    the basis-invariant contour function cross/(reh2 + imh2).
+    affine _local_fit, which an affine family passes exactly; the window is
+    the table's grid. cross_rel is the basis-invariant contour function
+    cross/(reh2 + imh2), NaN where ham raises, as just past a family's edge.
     """
 
     def __init__(self, table):
@@ -380,14 +382,9 @@ class _PlaneField(object):
     def in_window(self, s, delta, margin=0.0):
         """Point inside the window, at least margin away from its edges."""
         slack = 1e-9 * self.grid.step - margin
-        if not (self.grid.s_min - slack <= s <= self.grid.s_max + slack
+        return (self.grid.s_min - slack <= s <= self.grid.s_max + slack
                 and self.grid.delta_min - slack <= delta
-                <= self.grid.delta_max + slack):
-            return False
-        if self.family is not None:
-            return (self.family.contains(s - margin, delta - margin)
-                    and self.family.contains(s + margin, delta + margin))
-        return True
+                <= self.grid.delta_max + slack)
 
     def ham(self, s, delta):
         """The matrix at a point; InvalidArgumentError where the table's
@@ -541,7 +538,7 @@ def _correct_onto_contour(field, point, epsilon, fd_step):
         if not abs(c_q) <= 0.1 * abs(c):
             break
         p, c, g = q, c_q, None
-    if abs(c) > epsilon:
+    if not abs(c) <= epsilon:
         return None, None, "lost"
     return p, field.gradient(*p, fd_step) if g is None else g, "ok"
 
@@ -689,16 +686,16 @@ def braid_loop(table, center, radius, turns=1):
 
     table is a ScanResult that carries matrices, read as trace_pt_curve
     reads it. A circle whose bounding box leaves the table's window raises
-    OutOfBoundsError. turns > 1 traverses the circle repeatedly before
-    closing, which composes the permutation with itself; turns may not take
-    the loop past the 1e7 points a grid may hold. The samples per turn double
+    OutOfBoundsError. A whole turns > 1 (not a bool) traverses the circle
+    repeatedly before closing, which composes the permutation with itself,
+    but not past the 1e7 points a grid may hold. The samples per turn double
     from _LOOP_POINTS up to _MAX_LOOP_POINTS; past that RefineLoopError
     propagates.
     """
     if not 0 < radius < math.inf:
         raise InvalidArgumentError(f"radius {radius} must be finite and > 0")
-    if turns < 1:
-        raise InvalidArgumentError(f"turns must be >= 1, got {turns}")
+    if isinstance(turns, (bool, np.bool_)) or not turns >= 1 or turns % 1:
+        raise InvalidArgumentError(f"turns must be whole, >= 1, got {turns}")
     if turns * _MAX_LOOP_POINTS > _MAX_POINTS:
         raise InvalidArgumentError(
             f"turns {turns} may sample more than the 1e7 point cap")

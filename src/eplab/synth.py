@@ -400,7 +400,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
-            raise InvalidArgumentError(f"sigma must be >= 0, got {self.sigma}")
+            raise InvalidArgumentError(
+                f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 class Spectrum:
@@ -603,10 +604,14 @@ class SyntheticFamily:
                 & (delta <= self.bounds_delta[1]))
 
     def _check_bounds(self, s, delta):
-        if not self.contains(s, delta):
+        """OutOfBoundsError naming the first of like-shaped points outside."""
+        inside = self.contains(s, delta)
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+            k = np.argmin(inside)
             raise OutOfBoundsError(
-                f"(s, delta) = ({s}, {delta}) mm outside family bounds "
-                f"s in {self.bounds_s}, delta in {self.bounds_delta}")
+                f"point ({np.ravel(s)[k]:.10g}, {np.ravel(delta)[k]:.10g}) "
+                f"outside family bounds s in {self.bounds_s}, delta in "
+                f"{self.bounds_delta}")
 
     def _entries(self, s, delta):
         """(real, imaginary) parts of e1, e2, h1, h2; elementwise for arrays.
@@ -629,7 +634,7 @@ class SyntheticFamily:
     def h_grid(self, s, delta):
         """Entries (e1, e2, h1, h2) of h_at over arrays of points.
 
-        No bounds check (mask with contains).
+        No bounds check (check with _check_bounds).
         """
         entries = self._entries(np.asarray(s, dtype=float),
                                 np.asarray(delta, dtype=float))

@@ -156,6 +156,21 @@ OUT_OF_DOMAIN = [
     (BRAID + ["--turns", str(10 ** 12)], "1e7 point cap"),
     (BRAID + ["--center", "nan,41.78"], "finite"),
     (BRAID + ["--center", "2.0,41.78"], "leaves the scan window"),
+    (["synth", "--family", "b38", "--grid", "1.7:1.8:0.01"], "min:max:step x"),
+    (["synth", "--family", "b38", "--grid", "1.7:1.8x41.7:41.8:0.01"],
+     "'1.7:1.8'"),
+    (["analyze", "scan", "--family", "b38",
+      "--grid", "a:1.8:0.01x41.7:41.8:0.01"], "'a:1.8:0.01' is not numeric"),
+    (BRAID + ["--center", "1.72"], "--center must be s,delta"),
+    (["analyze", "curve", "--family", "b38", "--start", "1.72,b"],
+     "--start '1.72,b' is not numeric"),
+    # a family grid past the preset's bounds, refused as synth refuses it
+    (["analyze", "scan", "--family", "b38",
+      "--grid", "1.95:2.06:0.01x41.70:41.80:0.01"], "point (2.05, 41.7)"),
+    (["analyze", "scan", "--family", "b38",
+      "--grid", "1.99:2.10:0.01x41.70:41.80:0.01"], "point (2.05, 41.7)"),
+    (["analyze", "curve", "--family", "b38",
+      "--grid", "1.95:2.06:0.01x41.70:41.80:0.01"], "point (2.05, 41.7)"),
 ]
 
 
@@ -946,6 +961,10 @@ def assert_data_error(code, capsys):
     return err
 
 
+FIT_MANIFEST = (b'{"schema": "eplab.manifest.v1", "command": "fit", '
+                b'"files": [%s]}')
+
+
 def preset(**fields):
     """The b38 preset file's bytes, with fields replaced."""
     path = os.path.join(os.path.dirname(eplab.synth.__file__), "presets",
@@ -977,14 +996,26 @@ def preset(**fields):
     (["analyze", "ep", "--in"],
      b"# schema=eplab.scan.v1\n"
      b"s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status\n"),
+    (["analyze", "ep", "--in"], FIT_MANIFEST % b'"summary.csv"'),
+    (["analyze", "ep", "--in"],
+     {"a_fit.json": b'{"schema": "eplab.scan.v1"}'}),
+    (["analyze", "curve", "--in"],
+     {"a_fit.json": b'{"schema": "eplab.fit.v1", "s_mm": 1.72}'}),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
         "preset-text-field", "preset-short-g0",
         "preset-text-fc", "preset-empty-spectrum", "preset-text-span",
-        "preset-nan-span", "scan-header-only"])
+        "preset-nan-span", "scan-header-only", "manifest-no-fit-files",
+        "manifest-fit-schema", "manifest-fit-no-delta"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):
+    # a dict of content holds the fit results beside a manifest listing them
     path, out = tmp_path / "input.json", tmp_path / "out"
+    if isinstance(content, dict):
+        for name, doc in content.items():
+            (tmp_path / name).write_bytes(doc)
+        content = FIT_MANIFEST % b", ".join(
+            b'"%s"' % name.encode() for name in content)
     path.write_bytes(content)
     out.mkdir()
     err = assert_data_error(main(command + [str(path), "--out", str(out)]),

@@ -6,6 +6,7 @@ diagonal through it, and the reciprocity angle along that curve comes from
 the same closed form the scanner must reproduce.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -47,6 +48,7 @@ from eplab.errors import (
     OutOfBoundsError,
     RefineLoopError,
     ScanQualityError,
+    SingularRatioError,
 )
 
 B38_EP = (1.72, 41.78)
@@ -61,6 +63,15 @@ def planted_tau(fam, s, d):
 def ep_window(ep, half=0.25, step=0.01):
     return ParamGrid(ep[0] - half, ep[0] + half,
                      ep[1] - half, ep[1] + half, step)
+
+
+def masked_table(table, keep):
+    """A matrix table (a fit's, not a family's) of table's matrices where
+    keep holds, failed as missing-spectrum elsewhere."""
+    status = np.where(keep, "ok", "failed:missing-spectrum").astype(object)
+    mats = [np.where(keep, getattr(table, name), np.nan)
+            for name in ("e1", "e2", "h1", "h2")]
+    return eplab.epscan._scan_table(table.grid, mats, status)
 
 
 @pytest.fixture(scope="module")
@@ -172,20 +183,20 @@ def test_scan_threshold_lobes_sit_on_either_side(b38):
     assert s_grid[only_g].mean() > B38_EP[0]
 
 
-def test_scan_records_out_of_bounds_points(b38):
-    # window pokes 2 of 15 columns past the family edge: reported, not fatal
+def test_scan_refuses_a_grid_past_the_bounds(b38):
+    # window pokes 2 of 15 columns past the family edge: the first is named
     s_hi = b38.bounds_s[1]
     g = ParamGrid(s_hi - 0.12, s_hi + 0.02, 41.78, 41.78, 0.01)
-    sr = scan(g, b38)
-    assert sr.n_failed == 2
-    assert sr.status[~sr.ok].tolist() == ["failed:out-of-bounds"] * 2
-
-
-def test_scan_fails_loudly_when_mostly_outside(b38):
-    s_hi = b38.bounds_s[1]
-    g = ParamGrid(s_hi - 0.01, s_hi + 0.03, 41.78, 41.78, 0.01)
-    with pytest.raises(ScanQualityError):
+    with pytest.raises(OutOfBoundsError, match=r"point \(2\.05, 41\.78\)"):
         scan(g, b38)
+
+
+def test_scan_fails_loudly_when_the_kernel_fails(b38):
+    # uncoupled levels, h1 = h2 = 0, leave no ratio to read at any node
+    fam = copy.copy(b38)
+    fam.h_grid = lambda s, d: b38.h_grid(s, d)[:2] + (np.zeros(s.shape),) * 2
+    with pytest.raises(ScanQualityError, match="25 of 25 grid points"):
+        scan(ep_window(B38_EP, half=0.02), fam)
 
 
 def test_scan_rejects_unknown_source():
@@ -406,9 +417,9 @@ def test_scan_csv_roundtrip_of_a_241_square_family_scan(tmp_path, b38):
 # every status a scan table records: ok, and its own, the kernel's and the
 # fits' reasons for failing
 _STATUSES = ("ok",) + tuple("failed:" + reason for reason in (
-    "out-of-bounds", "missing-spectrum", "DegenerateGaugeError",
-    "SingularRatioError", "NotGaugeFixedError", "InsufficientSpanError",
-    "NonConvergenceError", "DataError"))
+    "missing-spectrum", "DegenerateGaugeError", "SingularRatioError",
+    "NotGaugeFixedError", "InsufficientSpanError", "NonConvergenceError",
+    "DataError"))
 _TABLE_VALUES = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
@@ -629,6 +640,18 @@ def test_locate_ep_flat_landscape_raises(b38):
         locate_ep(scan(g, b38))
 
 
+@pytest.mark.parametrize("rows, message", [
+    (slice(0, 0), "no valid grid points"),
+    # one row of nodes through the EP: collinear, so no quadratic fit
+    (slice(25, 26), "no regular fit"),
+])
+def test_locate_ep_refuses_a_table_it_cannot_fit(b38_scan, rows, message):
+    keep = np.zeros(b38_scan.grid.shape, dtype=bool)
+    keep[rows] = True
+    with pytest.raises(NoEPFoundError, match=message):
+        locate_ep(masked_table(b38_scan, keep))
+
+
 def test_locate_ep_from_csv_scan(tmp_path, b38_scan):
     path = tmp_path / "scan.csv"
     b38_scan.write_csv(path)
@@ -769,6 +792,20 @@ def test_trace_interpolated_scan_without_closed_form(b38_scan):
     assert np.max(np.abs(tr.points[:, 1] - expected_delta)) < 5e-3
 
 
+def test_trace_truncates_at_a_hole_in_a_fitted_table(b38_scan):
+    # no node within the fit's reach round the hole's middle, so the
+    # contour value there is NaN: the walk stops, flagged, before the hole
+    g = b38_scan.grid
+    center = (B38_EP[0] + 0.085, B38_EP[1] + 0.085)      # on the curve
+    s, d = np.meshgrid(g.s_values, g.delta_values, indexing="ij")
+    hole = np.hypot(s - center[0], d - center[1]) < (
+        eplab.epscan._FIT_REACH + 3) * g.step
+    tr = trace_pt_curve(masked_table(b38_scan, ~hole), B38_EP)
+    assert tr.truncated and tr.provenance == "fit"
+    assert np.all(np.isfinite(tr.points))
+    assert tr.points[:, 0].max() < center[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(u=st.floats(min_value=0.0, max_value=1.0),
        v=st.floats(min_value=0.0, max_value=1.0))
@@ -837,6 +874,14 @@ def test_trace_json_roundtrip(b38_trace):
 
     with pytest.raises(DataError):
         CurveTrace.from_json_dict({"schema": "something-else"})
+
+
+def test_trace_refuses_a_matrix_the_gauge_chain_refuses():
+    # uncoupled levels, h1 = h2 = 0: no ratio to read, as the scalar chain
+    with pytest.raises(SingularRatioError):
+        CurveTrace(points=np.array([[1.0, 41.0]]),
+                   hams=[EffHamiltonian(1, 2, 0, 0)], truncated=False,
+                   epsilon=1e-9, step=0.01, provenance="family")
 
 
 @settings(max_examples=12, deadline=None)
@@ -930,6 +975,10 @@ def test_braid_loop_refuses_bad_values(b38_plane, monkeypatch):
     cap = eplab.epscan._MAX_POINTS // eplab.epscan._MAX_LOOP_POINTS
     for turns in (cap + 1, 10 ** 12):
         with pytest.raises(InvalidArgumentError, match="1e7 point cap"):
+            braid_loop(b38_plane, B38_EP, 0.1, turns=turns)
+    # and so are turns that are not whole numbers
+    for turns in (1.5, True, np.True_, math.nan):
+        with pytest.raises(InvalidArgumentError, match="whole"):
             braid_loop(b38_plane, B38_EP, 0.1, turns=turns)
 
 
