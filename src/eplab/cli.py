@@ -15,11 +15,12 @@ configuration, and re-running a command with the same configuration and seed
 rewrites outputs bit-identically. EPLAB_OUTPUT_ROOT sets the default output
 directory; an explicit --out wins, and the directory must already exist.
 
-`fit` is the one driver from spectra to a scan table. `analyze ep` reads a
-table with --in from a scan CSV or from a fit manifest.json; the schema tag
-tells the two apart. `analyze curve --in` takes the manifest only: its
-*_fit.json files carry the fitted matrices that the tracer reads and passes
-on to `analyze pt`, where a scan CSV holds observables alone.
+`fit` is the one path from spectra to a scan table. The analyze commands
+but pt read their table through one loader, _table: a --family scan, or
+with --in a scan CSV or a fit manifest.json, told apart by schema tag.
+`analyze curve --in` takes the manifest only: its *_fit.json files carry
+the fitted matrices that the tracer reads and passes on to `analyze pt`,
+where a scan CSV holds observables alone.
 """
 
 import argparse
@@ -229,10 +230,9 @@ def _point_seed(base, index):
 
 def _synth_task(args):
     fam, s, d, f0, span, fstep, noise, cfg_hash, out = args
-    spec = synth_spectrum(
-        fam.internal_at(s, d), fam.coupling, f0, span, fstep, noise=noise,
-        meta={"s_mm": s, "delta_mm": d, "B_mT": fam.b_mt, "seed": noise.seed,
-              "sigma": noise.sigma, "config_hash": cfg_hash})
+    spec = synth_spectrum(fam.internal_at(s, d), fam.coupling, f0, span,
+                          fstep, noise=noise)
+    spec.meta.update(s_mm=s, delta_mm=d, B_mT=fam.b_mt, config_hash=cfg_hash)
     name = f"{fam.name}_s{s:.4f}_d{d:.4f}.csv"
     spec.write_csv(os.path.join(out, name))
     return name
@@ -349,32 +349,6 @@ def _fit_table(docs):
     return _scan_table(grid, mats, status, tau=tau)
 
 
-def _read_table(path):
-    """Scan table of a scan CSV or of a fit manifest, told by schema tag."""
-    with open(path, "rb") as fh:
-        is_csv = fh.readline().startswith(b"# schema=")
-    if is_csv:
-        return ScanResult.read_csv(path)
-    doc = _read_json(path, "manifest")
-    if doc.get("schema") != MANIFEST_SCHEMA or doc.get("command") != "fit":
-        raise DataError(f"{path} is neither a scan CSV nor a fit manifest")
-    files = doc.get("files", [])
-    if not (isinstance(files, list)
-            and all(isinstance(name, str) for name in files)):
-        raise DataError(f"manifest {path!r}: files must be a list of names")
-    root = os.path.dirname(os.path.abspath(path))
-    docs = [_read_json(os.path.join(root, name), "fit result")
-            for name in files if name.endswith("_fit.json")]
-    if not docs:
-        raise DataError(f"manifest {path!r} lists no _fit.json files")
-    try:
-        if any(fit.get("schema") != FIT_SCHEMA for fit in docs):
-            raise DataError(f"{path} lists a file without schema {FIT_SCHEMA}")
-        return _fit_table(docs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path} lists a malformed fit result: {exc!r}")
-
-
 def _cmd_fit(ns):
     inputs = _spectrum_inputs(ns)
     mask = _parse_mask(ns.mask)
@@ -394,7 +368,7 @@ def _cmd_fit(ns):
 
     # each *_fit.json is written as its result arrives, so an interrupted
     # run keeps the fits it finished; the summary is built from them at the
-    # end, as _read_table builds it from the manifest
+    # end, as _table builds it from the manifest
     results = _pool_map(_fit_task,
                         [(s, d, p, mask, cfg) for s, d, p in inputs],
                         ns.jobs)
@@ -426,37 +400,57 @@ def _cmd_fit(ns):
 # ----------------------------------------------------------------- analyze
 
 
-def _family_grid(ns):
-    """The --family preset and its --grid (default: the family bounds)."""
-    fam = load_family(ns.family)
-    if getattr(ns, "grid", None):
-        grid = _parse_grid(ns.grid)
-    else:
-        grid = ParamGrid(fam.bounds_s[0], fam.bounds_s[1],
-                         fam.bounds_delta[0], fam.bounds_delta[1])
-    return fam, grid
+def _table(family, grid, path):
+    """The scan table of the --family preset on --grid (default: the
+    preset's bounds at 0.01 mm), or of the scan CSV or fit manifest at path
+    (--in), told apart by its schema tag."""
+    if path is None:
+        fam = load_family(family)
+        grid = (_parse_grid(grid) if grid else
+                ParamGrid(*fam.bounds_s, *fam.bounds_delta))
+        return scan(grid, fam)
+    with open(path, "rb") as fh:
+        is_csv = fh.readline().startswith(b"# schema=")
+    if is_csv:
+        return ScanResult.read_csv(path)
+    doc = _read_json(path, "manifest")
+    if doc.get("schema") != MANIFEST_SCHEMA or doc.get("command") != "fit":
+        raise DataError(f"{path} is neither a scan CSV nor a fit manifest")
+    files = doc.get("files", [])
+    if not (isinstance(files, list)
+            and all(isinstance(name, str) for name in files)):
+        raise DataError(f"manifest {path!r}: files must be a list of names")
+    root = os.path.dirname(os.path.abspath(path))
+    docs = [_read_json(os.path.join(root, name), "fit result")
+            for name in files if name.endswith("_fit.json")]
+    if not docs:
+        raise DataError(f"manifest {path!r} lists no _fit.json files")
+    try:
+        if any(fit.get("schema") != FIT_SCHEMA for fit in docs):
+            raise DataError(f"{path} lists a file without schema {FIT_SCHEMA}")
+        return _fit_table(docs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} lists a malformed fit result: {exc!r}")
 
 
 def _cmd_analyze_scan(ns):
-    fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
+    result = _table(ns.family, ns.grid, None)
     # "in" stays a key, always None, so existing scan.csv hashes still hold
     resolved = {"command": "analyze-scan", "family": ns.family,
                 "in": None, "grid": ns.grid, "out": out}
     cfg_hash = _config_hash(resolved)
 
-    result = scan(grid, fam)
     result.write_csv(os.path.join(out, "scan.csv"), config_hash=cfg_hash)
-    print(f"scanned {grid.shape[0]}x{grid.shape[1]} grid, "
+    print(f"scanned {result.grid.shape[0]}x{result.grid.shape[1]} grid, "
           f"{result.n_failed} failed points; wrote scan.csv "
           f"(config={cfg_hash})")
     return EXIT_OK
 
 
 def _cmd_analyze_ep(ns):
-    result = _read_table(ns.infile)
-    loc = locate_ep(result)
     out = _resolve_out(ns)
+    loc = locate_ep(_table(None, None, ns.infile))
     resolved = {"command": "analyze-ep", "in": ns.infile, "out": out}
     cfg_hash = _config_hash(resolved)
     doc = {"schema": EP_SCHEMA, "config_hash": cfg_hash,
@@ -475,13 +469,9 @@ def _cmd_analyze_curve(ns):
         raise UsageError("--grid scans a --family; --in traces on the "
                          "fitted table's own grid")
     out = _resolve_out(ns)
-    if ns.family is not None:
-        fam, grid = _family_grid(ns)
-        result = scan(grid, fam)
-        origin = {"family": ns.family, "grid": ns.grid}
-    else:
-        result = _read_table(ns.indir)
-        origin = {"scan": os.path.basename(ns.indir)}
+    result = _table(ns.family, ns.grid, ns.infile)
+    origin = ({"family": ns.family, "grid": ns.grid} if ns.infile is None
+              else {"scan": os.path.basename(ns.infile)})
 
     start = _parse_point(ns.start, "--start", result)
 
@@ -548,13 +538,12 @@ def _cmd_analyze_pt(ns):
 
 
 def _cmd_analyze_braid(ns):
-    fam, grid = _family_grid(ns)
     out = _resolve_out(ns)
-    table = scan(grid, fam)
+    table = _table(ns.family, None, None)
     center = _parse_point(ns.center, "--center", table)
 
     # "grid" and "points" stay keys, at their one value, so hashes hold
-    resolved = {"command": "analyze-braid", "family": fam.name,
+    resolved = {"command": "analyze-braid", "family": table.family.name,
                 "grid": None, "center": ns.center, "radius": ns.radius,
                 "points": 64, "turns": ns.turns, "out": out}
     cfg_hash = _config_hash(resolved)
@@ -627,7 +616,7 @@ def _build_parser():
     p = mode.add_parser("curve", help="trace the real-splitting contour")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", help="preset name or JSON path")
-    source.add_argument("--in", dest="indir",
+    source.add_argument("--in", dest="infile",
                         help="fit manifest.json to trace on")
     p.add_argument("--grid", help="grid when scanning a family")
     p.add_argument("--start", help="s,delta start point or 'ep' (default)")

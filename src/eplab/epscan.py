@@ -47,7 +47,7 @@ from .errors import (
     RefineLoopError,
     ScanQualityError,
 )
-from .synth import SyntheticFamily, _read_table, _write_table
+from .synth import SyntheticFamily, _read_table, _whole_steps, _write_table
 
 SCAN_SCHEMA = "eplab.scan.v1"
 CURVE_SCHEMA = "eplab.curve.v1"
@@ -75,7 +75,8 @@ class Permutation(enum.Enum):
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Rectangular (s, delta) grid, bounds inclusive, uniform step in mm."""
+    """Rectangular (s, delta) grid, uniform step in mm, from the mins to the
+    last whole step within the maxes."""
 
     s_min: float
     s_max: float
@@ -96,11 +97,11 @@ class ParamGrid:
 
     @property
     def n_s(self):
-        return int(round((self.s_max - self.s_min) / self.step)) + 1
+        return _whole_steps(self.s_max - self.s_min, self.step) + 1
 
     @property
     def n_delta(self):
-        return int(round((self.delta_max - self.delta_min) / self.step)) + 1
+        return _whole_steps(self.delta_max - self.delta_min, self.step) + 1
 
     @property
     def shape(self):
@@ -134,8 +135,10 @@ class ParamGrid:
                    float(delta.min()), float(delta.max()), step)
         i = np.rint((s - grid.s_min) / step).astype(int)
         j = np.rint((delta - grid.delta_min) / step).astype(int)
-        if (np.max(np.abs(grid.s_values[i] - s)) > 1e-6
-                or np.max(np.abs(grid.delta_values[j] - delta)) > 1e-6
+        # clipped: a point past the last node is off by its distance to it
+        if (np.max(np.abs(grid.s_values.take(i, mode="clip") - s)) > 1e-6
+                or np.max(np.abs(grid.delta_values.take(j, mode="clip")
+                                 - delta)) > 1e-6
                 or not np.diff(np.sort(i * grid.n_delta + j)).all()):
             raise DataError(
                 f"{source}: points do not sit on distinct nodes of a "

@@ -60,7 +60,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -114,18 +113,6 @@ _DELTA = [1.0, 0.0, 0.0, 1.0]
 SEED_PASSES = 3
 
 
-class Termination(Enum):
-    """How one Levenberg-Marquardt start ended; only CONVERGED is truthy."""
-
-    CONVERGED = "converged"
-    RUNAWAY = "runaway"
-    MAX_ITERATIONS = "max_iterations"
-    DAMPING_OVERFLOW = "damping_overflow"
-
-    def __bool__(self):
-        return self is Termination.CONVERGED
-
-
 @dataclass(frozen=True)
 class FitConfig:
     n_starts: int = 8           # at most; a fit stops at its first exact or
@@ -147,7 +134,8 @@ class FitResult:
     converged: bool
     iterations: int = 0
     starts_run: int = 0
-    # starts per Termination value, every reason present, in enum order
+    # starts per termination: "converged", "runaway", "max_iterations" and
+    # "damping_overflow", every one present, in that order
     terminations: dict = field(default_factory=dict)
     # what ended the starts: "exact", "noise_floor", "agreement" or
     # "exhausted" (all cfg.n_starts ran); see fit_spectrum
@@ -361,10 +349,11 @@ def _levenberg_marquardt(p0, model):
 
     Returns (params, residual, rms, stop, iterations, costs),
     where residual is the complex (k, n) residual at params (None on a
-    resolvent pole) and stop is the Termination of this start. Trial steps
-    with unphysical poles are rejected like cost increases. A step below the
-    step tolerance, or an accepted one gaining less than CHI2_STALL * cost /
-    rows, ends the start: as a runaway if a trial of it was unphysical.
+    resolvent pole) and stop is how this start ended, a key of
+    FitResult.terminations. Trial steps with unphysical poles are rejected
+    like cost increases. A step below the step tolerance, or an accepted one
+    gaining less than CHI2_STALL * cost / rows, ends the start: as a runaway
+    if a trial of it was unphysical.
     """
     f_lo, f_hi = model.window
     p = np.array(p0, dtype=float)
@@ -372,17 +361,17 @@ def _levenberg_marquardt(p0, model):
     costs = [cost]
     lam = DAMPING_INIT
     nu = 2.0
-    stop = Termination.MAX_ITERATIONS
+    stop = "max_iterations"
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
         try:
             jtj, grad = model.normal_equations(p, r)
         except PoleOnGridError:
             # a lossless pole on a grid frequency: the physical boundary
-            stop = Termination.RUNAWAY
+            stop = "runaway"
             break
         if np.max(np.abs(grad)) < GRADIENT_TOLERANCE:
-            stop = Termination.CONVERGED
+            stop = "converged"
             break
         scale = np.maximum(np.diag(jtj), 1e-12)
         accepted = False
@@ -396,7 +385,7 @@ def _levenberg_marquardt(p0, model):
                 continue
             if np.linalg.norm(step) < STEP_TOLERANCE * (
                     np.linalg.norm(p) + STEP_TOLERANCE):
-                stop = Termination.RUNAWAY if blocked else Termination.CONVERGED
+                stop = "runaway" if blocked else "converged"
                 break
             trial = p + step
             if _poles_physical(trial, f_lo, f_hi):
@@ -415,11 +404,11 @@ def _levenberg_marquardt(p0, model):
             lam *= nu
             nu *= 2.0
         else:                    # the damping ran out before any step
-            stop = Termination.DAMPING_OVERFLOW
+            stop = "damping_overflow"
         if not accepted:
             break
         if costs[-2] - cost < CHI2_STALL * cost / model.rows:
-            stop = Termination.RUNAWAY if blocked else Termination.CONVERGED
+            stop = "runaway" if blocked else "converged"
             break
     rms = math.sqrt(2.0 * cost / model.rows)
     return p, r, rms, stop, it, costs
@@ -619,12 +608,13 @@ def fit_spectrum(spec, cfg=None, mask=None):
     white = NOISE_FLOOR_SIGMAS / math.sqrt(2.0 * model.data.size)
     best = None
     converged_rms = []
-    counts = dict.fromkeys(Termination, 0)
+    counts = dict.fromkeys(
+        ("converged", "runaway", "max_iterations", "damping_overflow"), 0)
     stop_rule = "exhausted"
     for start in _scatter_starts(p0, cfg.n_starts, np.random.default_rng(0)):
         p, r, rms, stop, iters, _ = _levenberg_marquardt(start, model)
         counts[stop] += 1
-        ok = bool(stop)
+        ok = stop == "converged"
         agrees = ok and any(abs(rms - prev) <= RMS_AGREEMENT * prev
                             for prev in converged_rms)
         if best is None or (ok and not best[2]) or (
@@ -650,9 +640,8 @@ def fit_spectrum(spec, cfg=None, mask=None):
             f"grid span {span:.3g} MHz does not cover 4x the fitted widths "
             f"{widths[0]:.3g}, {widths[1]:.3g} MHz")
     starts_run = sum(counts.values())
-    terminations = {stop.value: n for stop, n in counts.items()}
     if not ok:
-        tally = ", ".join(f"{n} {reason}" for reason, n in terminations.items())
+        tally = ", ".join(f"{n} {reason}" for reason, n in counts.items())
         raise NonConvergenceError(
             f"no start converged within {MAX_ITERATIONS} iterations "
             f"(best residual rms {rms:.3e}; {starts_run} starts run: {tally})",
@@ -671,7 +660,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
         converged=True,
         iterations=iters,
         starts_run=starts_run,
-        terminations=terminations,
+        terminations=counts,
         stop_rule=stop_rule,
         residual_lag1=lag1,
         clipped_dissipation=clipped,

@@ -519,43 +519,48 @@ def effective_hamiltonian(ham, coupling):
     )
 
 
+def _whole_steps(span, step):
+    """Whole steps in span: its count of steps to 1e-9 of that count (the
+    tolerance of a typed grid), rounded down, so no node passes the span.
+    A count past 2**53, even an infinite one, reads as 2**53 for the
+    caller's cap to refuse."""
+    steps = span / step
+    return math.floor(min(steps + 1e-9 * steps, 2.0 ** 53))
+
+
 def frequency_grid(f0, span, step):
-    """Uniform grid centered on f0: round(span/step)+1 points."""
+    """Uniform grid from f0 - span/2 to its last whole step within span."""
     if not (span > 0 and step > 0
             and all(map(math.isfinite, (f0, span, step)))):
         raise InvalidArgumentError(f"f0, span and step must be finite and "
                                    f"span, step > 0; got {f0}, {span}, {step}")
-    n = int(round(span / step)) + 1
+    n = _whole_steps(span, step) + 1
     if n > 10_000_001:
         raise InvalidArgumentError(f"grid of {n} points exceeds the 1e7 cap")
     return (f0 - 0.5 * span) + np.arange(n) * step
 
 
-def synth_spectrum(ham, coupling, f0, span, step, noise=None, meta=None):
+def synth_spectrum(ham, coupling, f0, span, step, noise=None):
     """Sample the S-matrix on a grid, optionally adding measurement noise.
 
     ham is the Hermitian internal Hamiltonian; the dissipative shift
     -i pi W^T W is applied here, never by the caller. Without noise a
     frequency gets the same bits alone as inside the grid. Identical
-    inputs and seed give bit-identical spectra.
+    inputs and seed give bit-identical spectra. The spectrum's meta holds
+    the noise's sigma and seed.
     """
     freqs = frequency_grid(f0, span, step)
     eff = effective_hamiltonian(ham, coupling)
     wa = coupling.antenna
     s = np.array(_sgrid(eff.e1, eff.e2, eff.h1, eff.h2,
                         wa[0, 0], wa[0, 1], wa[1, 0], wa[1, 1], freqs))
-    full_meta = dict(meta) if meta else {}
-    if noise is not None and noise.sigma > 0.0:
+    noise = noise or NoiseSpec()
+    if noise.sigma > 0.0:
         # drawn frequency by frequency, S11..S22 at each
         rng = np.random.default_rng(noise.seed)
         s = s + noise.sigma * (rng.standard_normal(s.shape[::-1]).T
                                + 1j * rng.standard_normal(s.shape[::-1]).T)
-        full_meta.setdefault("sigma", noise.sigma)
-        full_meta.setdefault("seed", noise.seed)
-    else:
-        full_meta.setdefault("sigma", 0.0)
-        full_meta.setdefault("seed", noise.seed if noise else None)
-    return Spectrum(freqs, s, full_meta)
+    return Spectrum(freqs, s, {"sigma": noise.sigma, "seed": noise.seed})
 
 
 # ----------------------------------------------------------- synthetic family

@@ -171,6 +171,9 @@ OUT_OF_DOMAIN = [
       "--grid", "1.99:2.10:0.01x41.70:41.80:0.01"], "point (2.05, 41.7)"),
     (["analyze", "curve", "--family", "b38",
       "--grid", "1.95:2.06:0.01x41.70:41.80:0.01"], "point (2.05, 41.7)"),
+    # a step so small that span / step overflows
+    (["analyze", "scan", "--family", "b38",
+      "--grid", "1.5:1.9:1e-320x41.6:42:1e-320"], "too large"),
 ]
 
 
@@ -587,6 +590,20 @@ def test_analyze_ep_error_paths(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_analyze_ep_checks_its_output_dir_before_reading(tmp_path,
+                                                         monkeypatch):
+    assert main(["analyze", "scan", "--family", "b38",
+                 "--grid", "1.62:1.82:0.01x41.68:41.88:0.01",
+                 "--out", str(tmp_path)]) == 0
+
+    def unread(path):
+        raise AssertionError(f"read {path} before checking --out")
+
+    monkeypatch.setattr(ScanResult, "read_csv", unread)
+    assert main(["analyze", "ep", "--in", str(tmp_path / "scan.csv"),
+                 "--out", str(tmp_path / "missing")]) == 2
+
+
 def test_analyze_ep_no_minimum_is_numerical_failure(tmp_path):
     assert main(["analyze", "scan", "--family", "b38",
                  "--grid", "1.80:1.92:0.01x41.54:41.66:0.01",
@@ -837,7 +854,7 @@ def test_summary_csv_is_the_manifest_table(dataset, tmp_path):
     assert main(["fit", "--in", str(data), "--n-starts", "2",
                  "--max-failures", "1", "--out", str(fits)]) == 0
 
-    table = eplab.cli._read_table(str(fits / "manifest.json"))
+    table = eplab.cli._table(None, None, str(fits / "manifest.json"))
     summary = ScanResult.read_csv(fits / "summary.csv")
     assert table.e1 is not None
     assert table.status.tolist() == summary.status.tolist() == [
@@ -867,7 +884,7 @@ def test_fit_records_nodes_without_a_spectrum(dataset, tmp_path):
                  "--out", str(fits)]) == 0
 
     summary = ScanResult.read_csv(fits / "summary.csv")
-    table = eplab.cli._read_table(str(fits / "manifest.json"))
+    table = eplab.cli._table(None, None, str(fits / "manifest.json"))
     assert summary.grid.shape == table.grid.shape == (4, 3)
     missing = {(2, 0), (2, 1), (2, 2), (0, 1), (1, 1), (3, 1)}
     status = [["failed:missing-spectrum" if (i, j) in missing else "ok"
@@ -881,8 +898,8 @@ def test_fit_summary_keeps_an_uncoupled_fit(tmp_path):
     coupling = CouplingSet(np.array([[0.2, 0.0], [0.0, 0.2],
                                      [0.3, 0.0], [0.0, 0.3]]))
     spec = synth_spectrum(EffHamiltonian(2720.0, 2730.0, 0.0, 0.0),
-                          coupling, 2725.0, 40.0, 0.01,
-                          meta={"s_mm": 1.7, "delta_mm": 41.8})
+                          coupling, 2725.0, 40.0, 0.01)
+    spec.meta.update(s_mm=1.7, delta_mm=41.8)
     spec.write_csv(tmp_path / "uncoupled.csv")
     out = tmp_path / "out"
     out.mkdir()
@@ -895,7 +912,8 @@ def test_fit_summary_keeps_an_uncoupled_fit(tmp_path):
     summary = ScanResult.read_csv(out / "summary.csv")
     assert summary.n_failed == 0
     assert summary.tau[0, 0] == 0.0
-    assert eplab.cli._read_table(str(out / "manifest.json")).n_failed == 0
+    table = eplab.cli._table(None, None, str(out / "manifest.json"))
+    assert table.n_failed == 0
 
 
 def test_fitted_matrices_reach_the_symmetry_analysis(tmp_path):
@@ -1022,6 +1040,23 @@ def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                             capsys)
     assert str(path) in err
     assert list(out.iterdir()) == []
+
+
+def test_default_grid_stops_at_the_last_whole_step_in_bounds(tmp_path,
+                                                             capsys):
+    # s bounds 0.647 mm wide: 64 whole steps of 0.01 mm, then 0.007 mm
+    family = tmp_path / "odd.json"
+    family.write_bytes(preset(bounds={"s_mm": [1.4, 2.047],
+                                      "delta_mm": [41.46, 42.1]}))
+    for mode in ("scan", "curve", "braid"):
+        assert main(["analyze", mode, "--family", str(family),
+                     "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    table = ScanResult.read_csv(tmp_path / "scan.csv")
+    assert table.grid.shape == (65, 65)
+    assert 1.4 <= table.grid.s_values.min() <= table.grid.s_values.max() \
+        <= 2.047
+    assert 41.46 <= table.grid.delta_values.min() \
+        <= table.grid.delta_values.max() <= 42.1
 
 
 def test_fit_records_a_header_only_spectrum_as_having_no_data_rows(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import eplab.epscan
 from eplab import EffHamiltonian, SyntheticFamily, load_family, synth_spectrum
-from eplab.cli import _read_table, main
+from eplab.cli import _table, main
 from eplab.core import (
     eigenvalues_sorted,
     extract_tau,
@@ -127,6 +127,38 @@ def test_param_grid_validation():
         ParamGrid(2.0, 1.0, 40.0, 41.0)
     with pytest.raises(InvalidArgumentError):
         ParamGrid(0.0, 4000.0, 0.0, 4000.0, step=0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-100.0, 100.0), step=st.floats(1e-3, 1.0),
+       steps=st.integers(0, 2000), extra=st.floats(0.0, 1.0, exclude_max=True))
+def test_param_grid_never_places_a_node_past_its_max(lo, step, steps, extra):
+    # a span of whole steps keeps round(span / step) + 1 nodes; any other
+    # span ends at its last whole step, past the max by at most the 1e-9
+    # tolerance of a typed grid
+    hi = lo + steps * step
+    assert ParamGrid(lo, hi, lo, lo, step).n_s == steps + 1 \
+        == int(round((hi - lo) / step)) + 1
+    grid = ParamGrid(lo, lo, lo, hi + extra * step, step)
+    span = grid.delta_max - lo
+    slack = 1e-9 * span + 4 * np.spacing(abs(lo) + abs(grid.delta_max))
+    nodes = grid.delta_values
+    assert nodes[0] == lo and grid.s_values.tolist() == [lo]
+    assert nodes[-1] <= grid.delta_max + slack
+    assert nodes[-1] + step > grid.delta_max - slack
+
+
+def test_param_grid_stops_short_of_a_partial_step():
+    g = ParamGrid(1.5, 1.8, 41.6, 41.9, 0.2)
+    assert g.shape == (2, 2)
+    assert np.allclose(g.s_values, [1.5, 1.7])
+    assert np.allclose(g.delta_values, [41.6, 41.8])
+
+
+def test_grid_of_points_refuses_a_point_past_its_last_node():
+    # 3.7 steps from the first point: there is no fourth step to sit on
+    with pytest.raises(DataError, match="distinct nodes"):
+        ParamGrid.from_points([1.0, 1.01, 1.037], [40.0, 40.0, 40.0], "pts")
 
 
 # -------------------------------------------------------------------- scans
@@ -519,8 +551,8 @@ def test_scan_reasons_match_the_scalar_chain(h, reason):
 
 def write_point(fam, directory, s, d):
     spec = synth_spectrum(fam.internal_at(s, d), fam.coupling,
-                          2725.0, 40.0, 0.01,
-                          meta={"s_mm": s, "delta_mm": d})
+                          2725.0, 40.0, 0.01)
+    spec.meta.update(s_mm=s, delta_mm=d)
     spec.write_csv(directory / f"point_{s:.3f}_{d:.3f}.csv")
 
 
@@ -555,7 +587,7 @@ def test_scan_from_fitted_spectra_matches_family(tmp_path, b38):
         write_point(b38, data, s, d)
     assert main(["fit", "--in", str(data), "--out", str(fits)]) == 0
 
-    sr = _read_table(str(fits / "manifest.json"))
+    sr = _table(None, None, str(fits / "manifest.json"))
     assert sr.grid.shape == (2, 3)
     assert sr.family is None
     assert sr.n_failed == 1
@@ -833,7 +865,7 @@ def test_fitted_gauge_is_continuous_near_the_ep(tmp_path):
                  "--sigma", "0.005", "--seed", "0", "--out", str(data)]) == 0
     assert main(["fit", "--in", str(data), "--jobs", "2",
                  "--out", str(fits)]) == 0
-    sr = _read_table(str(fits / "manifest.json"))
+    sr = _table(None, None, str(fits / "manifest.json"))
     assert sr.n_failed == 0
     for axis in (0, 1):
         (e1, f1), (e2, f2), (h1, k1), (h2, k2) = (
@@ -1004,7 +1036,7 @@ def test_braid_loop_on_a_fitted_table_stays_in_its_window(tmp_path):
                  "--out", str(data)]) == 0
     assert main(["fit", "--in", str(data), "--jobs", "2",
                  "--out", str(fits)]) == 0
-    table = _read_table(str(fits / "manifest.json"))
+    table = _table(None, None, str(fits / "manifest.json"))
     ep = tuple(locate_ep(table))
     for radius in (0.02, 0.04, 0.06, 0.08):
         assert braid_loop(table, ep, radius).permutation is Permutation.SWAP

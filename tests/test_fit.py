@@ -50,7 +50,6 @@ from eplab.fit import (
     N_PARAMS,
     NOISE_FLOOR_SIGMAS,
     POLE_SENTINEL,
-    Termination,
     _Model,
     _canonicalize,
     _levenberg_marquardt,
@@ -325,7 +324,7 @@ def test_pole_on_the_grid_ends_the_start_as_a_runaway():
     with pytest.raises(PoleOnGridError):
         model.normal_equations(p, model.residual(p)[0])
     _, r, _, stop, iterations, _ = _levenberg_marquardt(p, model)
-    assert (r, stop, iterations) == (None, Termination.RUNAWAY, 1)
+    assert (r, stop, iterations) == (None, "runaway", 1)
 
 
 def test_residual_rejects_bad_shapes():
@@ -716,8 +715,7 @@ def test_lm_start_pinned_at_window_edge_is_runaway():
     p0[2] = 2743.0
     p, _, _, stop, _, costs = _levenberg_marquardt(
         p0, _Model(spec, _channel_row_mask(None)))
-    assert stop is Termination.RUNAWAY
-    assert not stop                      # reads as converged=False
+    assert stop == "runaway"
     assert np.all(np.diff(costs) <= 0.0)
     poles = eigenvalues_sorted(unpack_params(p)[0])
     assert all(spec.freqs[0] <= e.real <= spec.freqs[-1] for e in poles)
@@ -786,7 +784,7 @@ def test_zero_residual_reads_white_without_warning(monkeypatch):
 
     def exact(p0, model):
         r = np.zeros_like(model.data)
-        return p, r, 0.0, Termination.CONVERGED, 1, [0.0]
+        return p, r, 0.0, "converged", 1, [0.0]
 
     monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", exact)
     with warnings.catch_warnings():
@@ -942,7 +940,7 @@ def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
 
     def scripted(p0, model):
         rms, iters = next(script)
-        return p, r, rms, Termination.CONVERGED, iters, [1.0]
+        return p, r, rms, "converged", iters, [1.0]
 
     monkeypatch.setattr(eplab.fit, "_levenberg_marquardt", scripted)
     res = fit_spectrum(spec)
@@ -994,7 +992,8 @@ def test_fit_result_serializes_with_stable_keys():
         assert key in d
     assert d["stop_rule"] == "exact"
     assert d["clipped_dissipation"] == 0.0
-    assert list(d["terminations"]) == [t.value for t in Termination]
+    assert list(d["terminations"]) == ["converged", "runaway",
+                                       "max_iterations", "damping_overflow"]
     assert sum(d["terminations"].values()) == d["starts_run"] >= 1
     assert d["terminations"]["converged"] >= 1
     assert d["e1"] == [res.ham.e1.real, res.ham.e1.imag]

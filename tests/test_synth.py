@@ -148,6 +148,13 @@ def test_default_grid_has_4001_points():
     assert np.max(np.abs(steps - 0.01)) <= 1e-9 * 0.01
 
 
+def test_grid_stops_at_its_last_whole_step():
+    # 40 MHz is 666.7 steps of 0.06 MHz: no sample past f0 + span/2
+    freqs = frequency_grid(2725.0, 40.0, 0.06)
+    assert freqs.size == 667
+    assert freqs[-1] <= 2745.0
+
+
 def test_grid_validation():
     with pytest.raises(InvalidArgumentError):
         frequency_grid(2725.0, -1.0, 0.01)
@@ -155,6 +162,8 @@ def test_grid_validation():
         frequency_grid(2725.0, 40.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         frequency_grid(2725.0, 200.0, 1e-8)
+    with pytest.raises(InvalidArgumentError):
+        frequency_grid(2725.0, 40.0, 1e-320)      # span / step overflows
 
 
 def test_noiseless_grid_matches_pointwise_bitexact():
@@ -405,8 +414,8 @@ def test_spectrum_csv_roundtrip(tmp_path):
     fam = load_family("b38")
     spec = synth_spectrum(fam.internal_at(1.9, 41.9), fam.coupling,
                           2725.0, 4.0, 0.01,
-                          noise=NoiseSpec(0.005, seed=7),
-                          meta={"s_mm": 1.9, "delta_mm": 41.9, "B_mT": 38.0})
+                          noise=NoiseSpec(0.005, seed=7))
+    spec.meta.update(s_mm=1.9, delta_mm=41.9, B_mT=38.0)
     path = tmp_path / "point_s1.900_d41.900.csv"
     spec.write_csv(path)
     text = path.read_text()
