@@ -52,7 +52,7 @@ from .errors import (
     OutOfBoundsError,
     UsageError,
 )
-from .fit import FitConfig, _channel_row_mask, fit_spectrum
+from .fit import CHANNEL_NAMES, FitConfig, _channel_row_mask, fit_spectrum
 from .synth import (
     NoiseSpec,
     _read_json,
@@ -144,12 +144,14 @@ def _parse_point(text, what, table):
 
 
 def _parse_mask(text):
-    """The --mask channels as typed, checked like fit_spectrum checks them."""
+    """The --mask channels, checked like fit_spectrum checks them, once each
+    in S11, S12, S21, S22 order; None when all four are named."""
     if text is None:
         return None
-    mask = tuple(part.strip() for part in str(text).split(",") if part.strip())
-    _channel_row_mask(mask)
-    return mask
+    include = _channel_row_mask(
+        [part.strip() for part in str(text).split(",") if part.strip()])
+    return (None if include.all() else
+            tuple(name for name, on in zip(CHANNEL_NAMES, include) if on))
 
 
 def _write_manifest(out, command, cfg_hash, seed, files):
@@ -229,11 +231,10 @@ def _point_seed(base, index):
 
 
 def _synth_task(args):
-    fam, s, d, f0, span, fstep, noise, cfg_hash, out = args
+    fam, s, d, name, f0, span, fstep, noise, cfg_hash, out = args
     spec = synth_spectrum(fam.internal_at(s, d), fam.coupling, f0, span,
                           fstep, noise=noise)
     spec.meta.update(s_mm=s, delta_mm=d, B_mT=fam.b_mt, config_hash=cfg_hash)
-    name = f"{fam.name}_s{s:.4f}_d{d:.4f}.csv"
     spec.write_csv(os.path.join(out, name))
     return name
 
@@ -248,6 +249,11 @@ def _cmd_synth(ns):
     s, d = np.meshgrid(grid.s_values, grid.delta_values, indexing="ij")
     fam._check_bounds(s, d)
     points = list(zip(s.ravel(), d.ravel()))
+    names = [f"{fam.name}_s{s:.4f}_d{d:.4f}.csv" for s, d in points]
+    ordered = sorted(names)
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise UsageError(f"two --grid points round to the file name {a}")
 
     # "point" stays a key, always None, and the window keys hold the
     # preset's, so existing hashes still hold
@@ -258,9 +264,9 @@ def _cmd_synth(ns):
     cfg_hash = _config_hash(resolved)
 
     # NoiseSpec refuses a bad --sigma here, before any file is written
-    tasks = [(fam, s, d, f0, span, fstep,
+    tasks = [(fam, s, d, name, f0, span, fstep,
               NoiseSpec(ns.sigma, _point_seed(ns.seed, k)), cfg_hash, out)
-             for k, (s, d) in enumerate(points)]
+             for k, ((s, d), name) in enumerate(zip(points, names))]
     files = list(_pool_map(_synth_task, tasks, ns.jobs))
     _write_manifest(out, "synth", cfg_hash, ns.seed,
                     files + [_sidecar_path(f) for f in files])
@@ -554,7 +560,7 @@ def _cmd_analyze_braid(ns):
     doc["radius"] = ns.radius
     doc["turns"] = ns.turns
     _write_json(os.path.join(out, "braid.json"), doc)
-    print(f"permutation: {trace.permutation.value} "
+    print(f"permutation: {trace.permutation} "
           f"(center {center[0]:.4f},{center[1]:.4f}, radius {ns.radius:g}, "
           f"turns {ns.turns})")
     return EXIT_OK

@@ -26,10 +26,8 @@ matrices alone. Every file starts with a schema tag.
 """
 
 __all__ = ["BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
-           "Permutation", "ScanResult", "braid_loop", "locate_ep", "scan",
-           "trace_pt_curve"]
+           "ScanResult", "braid_loop", "locate_ep", "scan", "trace_pt_curve"]
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,11 +64,6 @@ _MAX_POINTS = 10_000_000        # largest grid, and largest braid loop
 _MAX_TRACE_POINTS = 100_000
 _LOOP_POINTS = 64               # braid_loop's first samples per turn
 _MAX_LOOP_POINTS = 4096         # braid_loop stops doubling its samples here
-
-
-class Permutation(enum.Enum):
-    IDENTITY = "identity"
-    SWAP = "swap"
 
 
 @dataclass(frozen=True)
@@ -456,7 +449,7 @@ class CurveTrace:
     def n_points(self):
         return self.points.shape[0]
 
-    def to_json_dict(self, source=None, config_hash=None):
+    def to_json_dict(self, source, config_hash):
         rows = []
         for k in range(self.n_points):
             row = {
@@ -474,7 +467,7 @@ class CurveTrace:
                                self.split_norm[k].tolist()))
             row["ham"] = self.hams[k].to_json_dict()
             rows.append(row)
-        out = {
+        return {
             "schema": CURVE_SCHEMA,
             "crossing_index": self.crossing_index,
             "truncated": bool(self.truncated),
@@ -482,12 +475,9 @@ class CurveTrace:
             "step": self.step,
             "provenance": self.provenance,
             "points": rows,
+            "source": source,
+            "config_hash": config_hash,
         }
-        if source is not None:
-            out["source"] = source
-        if config_hash is not None:
-            out["config_hash"] = config_hash
-        return out
 
     @staticmethod
     def from_json_dict(d):
@@ -630,28 +620,24 @@ def trace_pt_curve(scan_result, start):
 
 
 class BraidTrace(NamedTuple):
-    """Eigenvalue paths around a closed loop and the resulting permutation."""
+    """Eigenvalue paths around a closed loop and how the loop permutes them:
+    permutation is "swap" when each path ends where the other began, else
+    "identity", the text braid.json and the CLI print."""
 
     loop: np.ndarray                     # (n, 2), first row equals last
     path1: np.ndarray                    # complex (n,)
     path2: np.ndarray
-    permutation: Permutation
+    permutation: str
 
-    @property
-    def n_points(self):
-        return self.loop.shape[0]
-
-    def to_json_dict(self, config_hash=None):
-        out = {
+    def to_json_dict(self, config_hash):
+        return {
             "schema": BRAID_SCHEMA,
-            "permutation": self.permutation.value,
+            "permutation": self.permutation,
             "loop": [[float(s), float(d)] for s, d in self.loop],
             "path1": [[z.real, z.imag] for z in self.path1],
             "path2": [[z.real, z.imag] for z in self.path2],
+            "config_hash": config_hash,
         }
-        if config_hash is not None:
-            out["config_hash"] = config_hash
-        return out
 
 
 def _braid(field, loop):
@@ -679,8 +665,7 @@ def _braid(field, loop):
 
     swap = abs(path1[-1] - path2[0]) < abs(path1[-1] - path1[0])
     return BraidTrace(loop=loop, path1=path1, path2=path2,
-                      permutation=Permutation.SWAP if swap
-                      else Permutation.IDENTITY)
+                      permutation="swap" if swap else "identity")
 
 
 def braid_loop(table, center, radius, turns=1):

@@ -54,11 +54,7 @@ class InsufficientSpanError(EplabError):
 
 
 class NonConvergenceError(EplabError):
-    """No optimizer start converged; carries the best residual seen."""
-
-    def __init__(self, message, best_rms=None):
-        super().__init__(message)
-        self.best_rms = best_rms
+    """No start converged; its message names the best rms and the starts."""
 
 
 class ScanQualityError(EplabError):

@@ -59,7 +59,7 @@ __all__ = ["FitConfig", "FitResult", "fit_spectrum", "seed_initializer"]
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -125,38 +125,31 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Converged model parameters in the canonical gauge."""
+    """Converged model parameters in the canonical gauge and how the fit got
+    there; to_json_dict writes ham's entries, "W", then each later field."""
 
     ham: EffHamiltonian
     coupling: CouplingSet
     tau: float
     residual_rms: float     # over the real rows of the included channels
     converged: bool
-    iterations: int = 0
-    starts_run: int = 0
+    iterations: int
+    starts_run: int
     # starts per termination: "converged", "runaway", "max_iterations" and
     # "damping_overflow", every one present, in that order
-    terminations: dict = field(default_factory=dict)
+    terminations: dict
     # what ended the starts: "exact", "noise_floor", "agreement" or
     # "exhausted" (all cfg.n_starts ran); see fit_spectrum
-    stop_rule: str = "exhausted"
+    stop_rule: str
     # lag-1 correlation of the kept start's residual along frequency
-    residual_lag1: float = 0.0
+    residual_lag1: float
     # negative eigenvalue magnitude clipped off the dissipative width block
-    clipped_dissipation: float = 0.0
+    clipped_dissipation: float
 
     def to_json_dict(self):
         d = self.ham.to_json_dict()
         d["W"] = [list(row) for row in self.coupling.w]
-        d["tau"] = self.tau
-        d["residual_rms"] = self.residual_rms
-        d["converged"] = bool(self.converged)
-        d["iterations"] = int(self.iterations)
-        d["starts_run"] = int(self.starts_run)
-        d["terminations"] = dict(self.terminations)
-        d["stop_rule"] = self.stop_rule
-        d["residual_lag1"] = float(self.residual_lag1)
-        d["clipped_dissipation"] = float(self.clipped_dissipation)
+        d.update((f.name, getattr(self, f.name)) for f in fields(self)[2:])
         return d
 
 
@@ -596,8 +589,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
     start's residual_lag1, and the dissipation clipped to keep the
     reconstructed coupling passive. Raises InsufficientSpanError when the
     grid does not cover 4x the widths of both eigenvalues of the kept start,
-    NonConvergenceError (carrying the best residual and the starts per
-    termination reason) when no start converges. The span check reads the
+    NonConvergenceError when no start converges. The span check reads the
     kept start, not the seed: with noise the seed's widths can come out
     several times the fitted ones.
     """
@@ -644,8 +636,7 @@ def fit_spectrum(spec, cfg=None, mask=None):
         tally = ", ".join(f"{n} {reason}" for reason, n in counts.items())
         raise NonConvergenceError(
             f"no start converged within {MAX_ITERATIONS} iterations "
-            f"(best residual rms {rms:.3e}; {starts_run} starts run: {tally})",
-            best_rms=rms)
+            f"(best residual rms {rms:.3e}; {starts_run} starts run: {tally})")
 
     ham_raw, w_raw = unpack_params(p)
     ham, w_ant = _canonicalize(ham_raw, w_raw)

@@ -174,6 +174,10 @@ OUT_OF_DOMAIN = [
     # a step so small that span / step overflows
     (["analyze", "scan", "--family", "b38",
       "--grid", "1.5:1.9:1e-320x41.6:42:1e-320"], "too large"),
+    # grid points closer than the 4 decimals of s and delta a name keeps
+    (["synth", "--family", "b38",
+      "--grid", "1.7:1.7002:0.00005x41.78:41.7802:0.00005"],
+     "file name b38_s1.7000_d41.7801.csv"),
 ]
 
 
@@ -796,6 +800,27 @@ def test_data_config_hashes_are_pinned(tmp_path, monkeypatch):
         assert doc["config_hash"] == pinned
 
 
+def test_mask_spellings_share_the_canonical_hash(tmp_path, monkeypatch):
+    # the channels a mask names, not how it was typed, set the config hash;
+    # naming all four is no mask at all
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("data")
+    assert main(["synth", "--family", "b38",
+                 "--grid", "1.70:1.72:0.02x41.78:41.80:0.02",
+                 "--out", "data"]) == 0
+    hashes = {}
+    for mask in (None, "S11,S22", "s22,s11", "S11,S22,S11", " S11, s22",
+                 "S11,S12,S21,S22"):
+        os.makedirs("fits", exist_ok=True)
+        argv = ["fit", "--in", "data", "--jobs", "1", "--out", "fits"]
+        assert main(argv + (["--mask", mask] if mask else [])) == 0
+        doc = json.loads((tmp_path / "fits" / "manifest.json").read_text())
+        hashes[mask] = doc["config_hash"]
+    assert hashes.pop(None) == hashes.pop("S11,S12,S21,S22") \
+        == "9254240365e6cd49"
+    assert set(hashes.values()) == {"8212bc1d1cc78a4e"}
+
+
 def test_readme_names_only_existing_flags():
     # the README's command line section names every option of every
     # subcommand and no other, so the docs neither outlive a removed flag
@@ -1255,7 +1280,7 @@ PUBLIC_NAMES = [
     "effective_hamiltonian", "frequency_grid", "load_family",
     "read_spectrum", "synth_spectrum",
     "FitConfig", "FitResult", "fit_spectrum", "seed_initializer",
-    "BraidTrace", "CurveTrace", "EPLocation", "ParamGrid", "Permutation",
+    "BraidTrace", "CurveTrace", "EPLocation", "ParamGrid",
     "ScanResult", "braid_loop", "locate_ep", "scan", "trace_pt_curve",
     "EplabError", "InvalidArgumentError", "DegenerateGaugeError",
     "NotGaugeFixedError", "SingularRatioError", "NotOnPTCurveError",

@@ -31,7 +31,6 @@ from eplab.epscan import (
     CurveTrace,
     EPLocation,
     ParamGrid,
-    Permutation,
     ScanResult,
     braid_loop,
     locate_ep,
@@ -926,9 +925,10 @@ def test_trace_read_back_is_bit_identical(name, step):
     ep = (fam.s_ep, fam.delta_ep)
     trace = trace_pt_curve(scan(ep_window(ep, half=0.1, step=step), fam), ep)
     assert trace.step == step
-    doc = trace.to_json_dict()
+    doc = trace.to_json_dict({"family": name}, "0123456789abcdef")
     back = CurveTrace.from_json_dict(json.loads(json.dumps(doc)))
-    assert json.dumps(back.to_json_dict()) == json.dumps(doc)
+    assert json.dumps(back.to_json_dict(doc["source"], doc["config_hash"])) \
+        == json.dumps(doc)
     for field in ("points", "reh2", "imh2", "cross", "tau", "d", "h1_abs_sq"):
         assert getattr(back, field).tobytes() == \
             getattr(trace, field).tobytes(), field
@@ -947,14 +947,14 @@ def test_plane_analysis_takes_only_a_scan_table(b38):
 
 def test_braid_swap_iff_loop_encloses_ep(b38_plane, b0_plane):
     for table, ep in ((b38_plane, B38_EP), (b0_plane, B0_EP)):
-        assert braid_loop(table, ep, 0.1).permutation is Permutation.SWAP
+        assert braid_loop(table, ep, 0.1).permutation == "swap"
         off = (ep[0] + 0.2, ep[1])
-        assert braid_loop(table, off, 0.05).permutation is Permutation.IDENTITY
+        assert braid_loop(table, off, 0.05).permutation == "identity"
 
 
 def test_braid_double_loop_composes_to_identity(b38_plane):
     assert braid_loop(b38_plane, B38_EP, 0.1,
-                      turns=2).permutation is Permutation.IDENTITY
+                      turns=2).permutation == "identity"
 
 
 def test_braid_homotopic_loops_agree(b38_plane):
@@ -964,13 +964,13 @@ def test_braid_homotopic_loops_agree(b38_plane):
                   B38_EP[1] + rng.uniform(-0.02, 0.02))
         radius = rng.uniform(0.05, 0.15)
         assert braid_loop(b38_plane, center,
-                          radius).permutation is Permutation.SWAP
+                          radius).permutation == "swap"
     for _ in range(5):
         angle = rng.uniform(0, 2 * math.pi)
         center = (B38_EP[0] + 0.2 * math.cos(angle),
                   B38_EP[1] + 0.2 * math.sin(angle))
         assert braid_loop(b38_plane, center,
-                          0.04).permutation is Permutation.IDENTITY
+                          0.04).permutation == "identity"
 
 
 def test_braid_coarse_loop_raises_until_refined(b38_plane, monkeypatch):
@@ -982,7 +982,7 @@ def test_braid_coarse_loop_raises_until_refined(b38_plane, monkeypatch):
     # doubling from the same starting resolution resolves it
     monkeypatch.undo()
     monkeypatch.setattr(eplab.epscan, "_LOOP_POINTS", 4)
-    assert braid_loop(b38_plane, B38_EP, 0.15).permutation is Permutation.SWAP
+    assert braid_loop(b38_plane, B38_EP, 0.15).permutation == "swap"
 
 
 def test_braid_loop_through_ep_cannot_resolve(b38_plane, monkeypatch):
@@ -1020,7 +1020,7 @@ def test_braid_loop_stays_in_the_scan_window(b38_scan):
     g = b38_scan.grid
     inside = min(B38_EP[0] - g.s_min, g.s_max - B38_EP[0])
     assert braid_loop(b38_scan, B38_EP,
-                      inside).permutation is Permutation.SWAP
+                      inside).permutation == "swap"
     with pytest.raises(OutOfBoundsError, match="leaves the scan window"):
         braid_loop(b38_scan, B38_EP, inside + 0.01)
 
@@ -1039,7 +1039,7 @@ def test_braid_loop_on_a_fitted_table_stays_in_its_window(tmp_path):
     table = _table(None, None, str(fits / "manifest.json"))
     ep = tuple(locate_ep(table))
     for radius in (0.02, 0.04, 0.06, 0.08):
-        assert braid_loop(table, ep, radius).permutation is Permutation.SWAP
+        assert braid_loop(table, ep, radius).permutation == "swap"
     with pytest.raises(OutOfBoundsError):
         braid_loop(table, ep, 0.12)
 
@@ -1049,8 +1049,8 @@ def test_braid_trace_serializes(b38_plane):
     doc = tr.to_json_dict(config_hash="0011aabb")
     assert doc["schema"] == "eplab.braid.v1"
     assert doc["permutation"] == "swap"
-    assert len(doc["loop"]) == tr.n_points
-    assert len(doc["path1"]) == tr.n_points
+    assert len(doc["loop"]) == len(tr.loop)
+    assert len(doc["path1"]) == len(tr.loop)
     json.dumps(doc)
 
 
