@@ -45,13 +45,7 @@ from .epscan import (
     scan,
     trace_pt_curve,
 )
-from .errors import (
-    DataError,
-    EplabError,
-    InvalidArgumentError,
-    OutOfBoundsError,
-    UsageError,
-)
+from .errors import _MALFORMED, DataError, EplabError, InvalidArgumentError
 from .fit import CHANNEL_NAMES, FitConfig, _channel_row_mask, fit_spectrum
 from .synth import (
     NoiseSpec,
@@ -80,12 +74,12 @@ PT_CSV_SCHEMA = "eplab.ptcsv.v1"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports problems as UsageError instead of exiting."""
+    """argparse that raises InvalidArgumentError instead of exiting."""
 
     def error(self, message):
         # main names the program; name the subcommand path only
         where = self.prog.partition(" ")[2]
-        raise UsageError(f"{where}: {message}" if where else message)
+        raise InvalidArgumentError(f"{where}: {message}" if where else message)
 
 
 # --------------------------------------------------------------- plumbing
@@ -106,26 +100,27 @@ def _resolve_out(ns):
 def _parse_grid(text):
     axes = str(text).split("x")
     if len(axes) != 2:
-        raise UsageError(
+        raise InvalidArgumentError(
             f"grid must be min:max:step x min:max:step, got {text!r}")
     spans = []
     for axis in axes:
         parts = axis.split(":")
         if len(parts) != 3:
-            raise UsageError(f"grid axis must be min:max:step, got {axis!r}")
+            raise InvalidArgumentError(
+                f"grid axis must be min:max:step, got {axis!r}")
         try:
             spans.append(tuple(float(p) for p in parts))
         except ValueError:
-            raise UsageError(f"grid axis {axis!r} is not numeric")
+            raise InvalidArgumentError(f"grid axis {axis!r} is not numeric")
     grid = ParamGrid(spans[0][0], spans[0][1],
                      spans[1][0], spans[1][1], spans[0][2])
     if spans[0][2] != spans[1][2]:
-        raise UsageError("both grid axes must use the same step")
+        raise InvalidArgumentError("both grid axes must use the same step")
     for axis, (lo, hi, step) in zip(axes, spans):
         nodes = (hi - lo) / step        # whole, to the rounding of the text
         if abs(nodes - round(nodes)) > 1e-9 * nodes:
-            raise UsageError(f"grid axis {axis!r}: step does not divide "
-                             f"the span")
+            raise InvalidArgumentError(
+                f"grid axis {axis!r}: step does not divide the span")
     return grid
 
 
@@ -136,11 +131,11 @@ def _parse_point(text, what, table):
         return tuple(locate_ep(table))
     parts = str(text).split(",")
     if len(parts) != 2:
-        raise UsageError(f"{what} must be s,delta (mm), got {text!r}")
+        raise InvalidArgumentError(f"{what} must be s,delta (mm), got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise UsageError(f"{what} {text!r} is not numeric")
+        raise InvalidArgumentError(f"{what} {text!r} is not numeric")
 
 
 def _parse_mask(text):
@@ -253,7 +248,8 @@ def _cmd_synth(ns):
     ordered = sorted(names)
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
-            raise UsageError(f"two --grid points round to the file name {a}")
+            raise InvalidArgumentError(
+                f"two --grid points round to the file name {a}")
 
     # "point" stays a key, always None, and the window keys hold the
     # preset's, so existing hashes still hold
@@ -286,8 +282,8 @@ def _spectrum_inputs(ns):
     sidecar at all, such as a summary.csv written there, is passed over.
     """
     if bool(ns.spectra) == bool(ns.indir):
-        raise UsageError("fit requires spectra as files or as --in DIR, "
-                         "one of the two")
+        raise InvalidArgumentError(
+            "fit requires spectra as files or as --in DIR, one of the two")
 
     if ns.indir:
         if not os.path.isdir(ns.indir):
@@ -307,7 +303,7 @@ def _spectrum_inputs(ns):
         try:
             key = (round(float(meta["s_mm"]), 6),
                    round(float(meta["delta_mm"]), 6))
-        except (ValueError, TypeError, KeyError):
+        except _MALFORMED:
             raise DataError(f"{path}: no s_mm/delta_mm in its sidecar")
         if key in seen:
             raise DataError(f"{path}: duplicates coordinates of {seen[key]}")
@@ -435,7 +431,7 @@ def _table(family, grid, path):
         if any(fit.get("schema") != FIT_SCHEMA for fit in docs):
             raise DataError(f"{path} lists a file without schema {FIT_SCHEMA}")
         return _fit_table(docs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DataError(f"{path} lists a malformed fit result: {exc!r}")
 
 
@@ -472,8 +468,8 @@ def _cmd_analyze_ep(ns):
 
 def _cmd_analyze_curve(ns):
     if ns.grid is not None and ns.family is None:
-        raise UsageError("--grid scans a --family; --in traces on the "
-                         "fitted table's own grid")
+        raise InvalidArgumentError("--grid scans a --family; --in traces on "
+                                   "the fitted table's own grid")
     out = _resolve_out(ns)
     result = _table(ns.family, ns.grid, ns.infile)
     origin = ({"family": ns.family, "grid": ns.grid} if ns.infile is None
@@ -654,7 +650,7 @@ def main(argv=None):
         return ns.handler(ns)
     except SystemExit as exc:          # argparse --help
         return EXIT_OK if not exc.code else EXIT_USAGE
-    except (UsageError, InvalidArgumentError, OutOfBoundsError) as exc:
+    except InvalidArgumentError as exc:
         print(f"eplab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as exc:

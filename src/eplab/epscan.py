@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import EffHamiltonian, eigenvalues, observables, radicand
 from .errors import (
+    _MALFORMED,
     DataError,
     EPOutsideWindowError,
     InvalidArgumentError,
@@ -115,8 +116,8 @@ class ParamGrid:
         The step is the smallest spacing along either axis, the one along s
         when the two agree to 1e-6 mm. The points need not fill the grid.
         Returns (grid, i, j); raises DataError naming source unless every
-        coordinate is finite and each point sits within 1e-6 mm of a node
-        of its own.
+        coordinate is finite, the grid holds at most 1e7 nodes and each point
+        sits within 1e-6 mm of a node of its own.
         """
         s, delta = np.asarray(s, dtype=float), np.asarray(delta, dtype=float)
         if not (np.isfinite(s).all() and np.isfinite(delta).all()):
@@ -124,8 +125,11 @@ class ParamGrid:
         steps = [np.min(np.diff(np.unique(v))) for v in (s, delta)
                  if np.ptp(v) > 0]
         step = float(min(steps, key=lambda st: round(st, 6), default=0.01))
-        grid = cls(float(s.min()), float(s.max()),
-                   float(delta.min()), float(delta.max()), step)
+        try:
+            grid = cls(float(s.min()), float(s.max()),
+                       float(delta.min()), float(delta.max()), step)
+        except InvalidArgumentError as exc:         # more than 1e7 nodes
+            raise DataError(f"{source}: {exc}")
         i = np.rint((s - grid.s_min) / step).astype(int)
         j = np.rint((delta - grid.delta_min) / step).astype(int)
         # clipped: a point past the last node is off by its distance to it
@@ -398,7 +402,7 @@ class _PlaneField(object):
         # pt_report applies to the matrix stored with it
         try:
             rad = radicand(self.ham(s, delta))
-        except (InvalidArgumentError, OutOfBoundsError):
+        except InvalidArgumentError:
             return math.nan
         return rad.cross / (rad.reh2 + rad.imh2)
 
@@ -482,7 +486,7 @@ class CurveTrace:
     @staticmethod
     def from_json_dict(d):
         """The trace of a JSON document; DataError unless every point
-        carries its coordinates and matrix."""
+        carries its coordinates and matrix and epsilon is finite and > 0."""
         if not isinstance(d, dict) or d.get("schema") != CURVE_SCHEMA:
             raise DataError(f"expected schema {CURVE_SCHEMA}")
         try:
@@ -493,6 +497,9 @@ class CurveTrace:
             for k, r in enumerate(rows):
                 if "ham" not in r:
                     raise DataError(f"trace point {k} carries no matrix")
+            if not 0 < float(d["epsilon"]) < math.inf:
+                raise DataError(f"trace epsilon {d['epsilon']!r} must be "
+                                f"finite and > 0")
             return CurveTrace(
                 points=np.array([[r["s_mm"], r["delta_mm"]] for r in rows],
                                 dtype=float),
@@ -502,7 +509,7 @@ class CurveTrace:
                 step=float(d["step"]),
                 provenance=str(d["provenance"]),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise DataError(f"malformed trace: {exc!r}")
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised on a documented failure path derives from EplabError so
-callers (and the CLI exit-code mapping) can tell usage/data problems from
-numerical ones.
+Every error raised on a documented failure path derives from EplabError.
+The CLI maps one class to each exit code: InvalidArgumentError (1, a bad
+command line or argument value), DataError (2, a file that is missing,
+unreadable or malformed) and any other EplabError (3, numerical failure).
 """
 
 __all__ = ["EplabError", "InvalidArgumentError", "DegenerateGaugeError",
@@ -10,7 +11,10 @@ __all__ = ["EplabError", "InvalidArgumentError", "DegenerateGaugeError",
            "OutOfBoundsError", "PoleOnGridError", "UnresolvableDoubletError",
            "InsufficientSpanError", "NonConvergenceError", "ScanQualityError",
            "EPOutsideWindowError", "NoEPFoundError", "RefineLoopError",
-           "UsageError", "DataError"]
+           "DataError"]
+
+# reading a malformed field: no such key or index, or a wrong type or value
+_MALFORMED = (LookupError, TypeError, ValueError)
 
 
 class EplabError(Exception):
@@ -41,7 +45,7 @@ class PoleOnGridError(EplabError):
     """Resolvent singular at a sampled real frequency."""
 
 
-class OutOfBoundsError(EplabError, ValueError):
+class OutOfBoundsError(InvalidArgumentError):
     """Parameter point outside the declared family bounds."""
 
 
@@ -71,10 +75,6 @@ class NoEPFoundError(EplabError):
 
 class RefineLoopError(EplabError):
     """Eigenvalue continuation ambiguous; the loop needs smaller steps."""
-
-
-class UsageError(EplabError):
-    """Bad command line (CLI exit code 1)."""
 
 
 class DataError(EplabError):

@@ -218,6 +218,9 @@ class _Model:
         self.window = (float(spec.freqs[0]), float(spec.freqs[-1]))
         self.channels = np.flatnonzero(include)
         self.data = spec.s[self.channels]
+        if not np.isfinite(self.data).all():
+            raise InvalidArgumentError(
+                "a fitted channel holds a sample that is not finite")
         self.rows = 2 * self.data.size    # real rows of the included channels
         self.near = POLE_NEIGHBOURHOOD * (self.window[1] - self.window[0])
         self._levels = _level_columns()
@@ -587,11 +590,11 @@ def fit_spectrum(spec, cfg=None, mask=None):
     RMS_AGREEMENT, keeping the earlier one ("agreement"); else all starts
     run ("exhausted"). The result records that rule as stop_rule, the kept
     start's residual_lag1, and the dissipation clipped to keep the
-    reconstructed coupling passive. Raises InsufficientSpanError when the
-    grid does not cover 4x the widths of both eigenvalues of the kept start,
-    NonConvergenceError when no start converges. The span check reads the
-    kept start, not the seed: with noise the seed's widths can come out
-    several times the fitted ones.
+    reconstructed coupling passive. Raises InvalidArgumentError when an
+    included channel holds a non-finite sample, InsufficientSpanError when
+    the grid does not cover 4x the widths of both eigenvalues of the kept
+    start (not the seed, whose widths with noise can come out several times
+    the fitted ones), NonConvergenceError when no start converges.
     """
     cfg = cfg or FitConfig()
     model = _Model(spec, _channel_row_mask(mask))

@@ -1044,12 +1044,22 @@ def preset(**fields):
      {"a_fit.json": b'{"schema": "eplab.scan.v1"}'}),
     (["analyze", "curve", "--in"],
      {"a_fit.json": b'{"schema": "eplab.fit.v1", "s_mm": 1.72}'}),
+    (["analyze", "ep", "--in"],
+     {"a_fit.json": b'{"schema": "eplab.fit.v1", "s_mm": 1.72, '
+                    b'"delta_mm": 41.78, "converged": true, "e1": [1.0]}'}),
+    # rows 1e-4 mm apart over 1e4 mm: a grid of 1e8 + 1 nodes
+    (["analyze", "ep", "--in"],
+     b"# schema=eplab.scan.v1\n"
+     b"s_mm,delta_mm,f1,g1,f2,g2,reh2,imh2,cross,tau,status\n"
+     + b"".join(b"%s,41.78,2725,1,2726,1,1,0,0,0,ok\n" % s
+                for s in (b"0", b"1e-4", b"1e4"))),
 ], ids=["manifest-list", "manifest-number-file", "fit-manifest-number-file",
         "preset-list", "preset-not-utf8", "preset-short-bounds",
         "preset-text-field", "preset-short-g0",
         "preset-text-fc", "preset-empty-spectrum", "preset-text-span",
         "preset-nan-span", "scan-header-only", "manifest-no-fit-files",
-        "manifest-fit-schema", "manifest-fit-no-delta"])
+        "manifest-fit-schema", "manifest-fit-no-delta", "fit-short-e1",
+        "scan-oversize-grid"])
 def test_malformed_input_file_exits_2_and_writes_nothing(tmp_path, capsys,
                                                          command, content):
     # a dict of content holds the fit results beside a manifest listing them
@@ -1114,6 +1124,24 @@ def test_non_finite_sidecar_coordinate_exits_2(dataset, tmp_path, capsys):
         '{"s_mm": NaN, "delta_mm": 41.76}')
     assert_data_error(main(["fit", "--in", str(data), "--out", str(out)]),
                       capsys)
+    assert list(out.iterdir()) == []
+
+
+def test_sidecars_spanning_an_oversize_grid_exit_2(dataset, tmp_path,
+                                                   capsys):
+    # s = 0, 1e-4 and 1e4 mm: a grid of 1e8 + 1 nodes
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    out.mkdir()
+    names = ("b38_s1.7000_d41.7600", "b38_s1.7200_d41.7600",
+             "b38_s1.7400_d41.7600")
+    for name, s in zip(names, (0.0, 1e-4, 1e4)):
+        shutil.copy(dataset / (name + ".csv"), data / (name + ".csv"))
+        (data / (name + ".json")).write_text(
+            json.dumps({"s_mm": s, "delta_mm": 41.76}))
+    err = assert_data_error(main(["fit", "--in", str(data),
+                                  "--out", str(out)]), capsys)
+    assert "spectrum coordinates: grid of 100000001 x 1 points" in err
     assert list(out.iterdir()) == []
 
 
@@ -1191,6 +1219,27 @@ def test_fit_records_an_unreadable_spectrum_and_goes_on(
                                        ["failed:DataError"]]
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_fit_records_a_non_finite_sample_as_an_invalid_argument(
+        dataset, tmp_path, text):
+    # S12 at frequency 100 of 4001; without the check the fit reads NaN as
+    # a spectrum with no resonance
+    data, fits = tmp_path / "data", tmp_path / "fits"
+    data.mkdir()
+    fits.mkdir()
+    name = "b38_s1.7200_d41.7800"
+    shutil.copy(dataset / (name + ".json"), data / (name + ".json"))
+    lines = (dataset / (name + ".csv")).read_text().splitlines()
+    fields = lines[101].split(",")
+    fields[3] = text                                  # reS12
+    lines[101] = ",".join(fields)
+    (data / (name + ".csv")).write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--in", str(data), "--out", str(fits)]) == 3
+    doc = json.loads((fits / (name + "_fit.json")).read_text())
+    assert doc["reason"] == "InvalidArgumentError"
+    assert "not finite" in doc["detail"]
+
+
 # line 101 holds frequency 100; line -1 the last one
 @pytest.mark.parametrize("line, text", [(101, "nan"), (-1, "inf")])
 def test_fit_records_a_non_finite_frequency_as_a_data_error(
@@ -1245,6 +1294,29 @@ def test_analyze_pt_refuses_a_malformed_trace_row(tmp_path, capsys):
     assert not (tmp_path / "pt.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1.0])
+def test_analyze_pt_refuses_a_trace_without_a_real_tolerance(tmp_path, capsys,
+                                                             epsilon):
+    # a NaN tolerance would pass every point through pt_report's gate
+    assert main(["analyze", "curve", "--family", "b38",
+                 "--out", str(tmp_path)]) == 0
+    path, out = tmp_path / "trace.json", tmp_path / "out"
+    out.mkdir()
+    doc = json.loads(path.read_text())
+    doc["epsilon"] = epsilon
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    err = assert_data_error(main(["analyze", "pt", "--curve", str(path),
+                                  "--out", str(out)]), capsys)
+    assert "trace epsilon" in err
+    assert list(out.iterdir()) == []
+
+
+def test_out_of_bounds_is_an_invalid_argument():
+    # one class behind exit 1
+    assert issubclass(eplab.OutOfBoundsError, eplab.InvalidArgumentError)
+
+
 # ------------------------------------------------------------- entry point
 
 
@@ -1287,7 +1359,7 @@ PUBLIC_NAMES = [
     "OutOfBoundsError", "PoleOnGridError", "UnresolvableDoubletError",
     "InsufficientSpanError", "NonConvergenceError", "ScanQualityError",
     "EPOutsideWindowError", "NoEPFoundError", "RefineLoopError",
-    "UsageError", "DataError",
+    "DataError",
 ]
 
 

@@ -946,6 +946,20 @@ def test_mask_validation():
                           np.array([False, True, True, False]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_fit_refuses_a_non_finite_sample_of_a_fitted_channel(value):
+    fam, spec = family_spectrum("b38", *GENERIC)
+    samples = spec.s.copy()
+    samples[1, 2000] = value                            # S12
+    bad = Spectrum(spec.freqs, samples)
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        fit_spectrum(bad)
+    # a masked-out channel is never read
+    mask = ("S11", "S21", "S22")
+    assert (fit_spectrum(bad, mask=mask).to_json_dict()
+            == fit_spectrum(spec, mask=mask).to_json_dict())
+
+
 def test_agreeing_later_start_keeps_the_earlier(monkeypatch):
     # a later start whose rms is lower only in the last bits must not win;
     # one lower beyond RMS_AGREEMENT does

@@ -30,6 +30,7 @@ from eplab import (
     PoleOnGridError,
     EffHamiltonian,
     Spectrum,
+    SyntheticFamily,
     effective_hamiltonian,
     extract_tau,
     frequency_grid,
@@ -367,6 +368,50 @@ def test_load_family_rejects_garbage(tmp_path):
     tampered.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_family(str(tampered))
+
+
+def _probe_gap(fam):
+    """The check load_family once ran at the (s min, delta max) corner: how
+    far h_at lies from effective_hamiltonian of internal_at."""
+    probe = (fam.bounds_s[0], fam.bounds_delta[1])
+    direct = fam.h_at(*probe)
+    built = effective_hamiltonian(fam.internal_at(*probe), fam.coupling)
+    return max(abs(direct.e1 - built.e1), abs(direct.e2 - built.e2),
+               abs(direct.h1 - built.h1), abs(direct.h2 - built.h2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["b38", "b0"]),
+       field=st.sampled_from(["gamma0_mhz", "m", "w", "scale"]),
+       index=st.integers(0, 7),
+       change=st.floats(-1.0, 1.0, allow_nan=False),
+       exponent=st.integers(-13, 6))
+def test_preset_checks_refuse_what_the_probe_refused(tmp_path_factory, name,
+                                                     field, index, change,
+                                                     exponent):
+    # a preset with gamma0, one m or W entry moved by change * 10**exponent
+    # (capped at 1), or gamma0 and m scaled by 10**exponent and W by its
+    # root; the width and m2 checks refuse every one the probe refuses
+    doc = json.loads(importlib_read(name))
+    step = change * 10.0 ** min(exponent, 0)
+    if field == "gamma0_mhz":
+        doc[field] += step
+    elif field == "m":
+        doc["m"][index % 3] += step
+    elif field == "w":
+        doc["w"][index // 2][index % 2] += step
+    else:
+        scale = 10.0 ** (exponent / 2)
+        doc["gamma0_mhz"] *= scale
+        doc["m"] = [v * scale for v in doc["m"]]
+        doc["w"] = [[v * math.sqrt(scale) for v in row] for row in doc["w"]]
+    if _probe_gap(SyntheticFamily(doc)) <= 1e-10:
+        return
+    path = tmp_path_factory.getbasetemp() / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError,
+                       match="deviates from the declared widths|m2 must be 0"):
+        load_family(str(path))
 
 
 def importlib_read(name):
